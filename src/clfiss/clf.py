@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import Vector, as_vector
+from .core import Vector, as_vector, rowwise
 
 
 def _always(x) -> bool:
@@ -30,6 +30,13 @@ class Clf:
     states of norm s. domain marks where the semiconcavity estimates hold.
     decay_weight optionally replaces the value function as the damping factor;
     it defaults to the value function itself.
+
+    V and subgrad are row-wise: a state array of shape (..., n) maps to
+    values of shape (...) and subgradients of shape (..., n), each row as it
+    would map alone. A single state of shape (n,) is a batch with no leading
+    axes. The level-set tables, the rate guard and the weak-ISS certificate
+    call them on whole batches. control_bound, domain and decay_weight take
+    one state norm or one state at a time.
     """
 
     dim: int
@@ -218,6 +225,11 @@ def _angular_tol(dim: int, count: int) -> float:
     return 1.0 - float(np.cos(min(theta, np.pi / 2)))
 
 
+# V is called on blocks of directions holding about this many points, which
+# keeps the temporaries of one call near a megabyte.
+_BLOCK_POINTS = 16384
+
+
 def estimate_alpha_tables(clf: Clf, radius_max: float, grid_size: int = 257,
                           directions: int = 64, radii: int = 512,
                           levels=None, level_spacing: str = "quadratic",
@@ -238,36 +250,27 @@ def estimate_alpha_tables(clf: Clf, radius_max: float, grid_size: int = 257,
     dirs = _direction_set(clf.dim, directions, rng)
     shells = np.linspace(0.0, radius_max, radii)
     values = np.empty((dirs.shape[0], radii))
-    for d in range(dirs.shape[0]):
-        for k in range(radii):
-            values[d, k] = clf.V(shells[k] * dirs[d])
-    cummax = np.maximum.accumulate(values, axis=1)
-    s_top = float(np.min(cummax[:, -1]))
+    block = max(1, _BLOCK_POINTS // radii)
+    for d in range(0, dirs.shape[0], block):
+        pts = dirs[d:d + block, None, :] * shells[:, None]
+        values[d:d + block] = rowwise(clf.V(pts), pts)
+    s_top = float(np.min(np.max(values, axis=1)))
     if levels is None:
         u = np.linspace(0.0, 1.0, grid_size)
         levels = s_top * (u ** 2 if level_spacing == "quadratic" else u)
     levels = np.asarray(levels, dtype=float)
 
-    lower = np.full(levels.size, radius_max)
-    for d in range(dirs.shape[0]):
-        idx = np.searchsorted(cummax[d], levels, side="left")
-        reachable = idx < radii
-        cand = np.where(reachable, shells[np.minimum(idx, radii - 1)], radius_max)
-        lower = np.minimum(lower, cand)
+    # reach[k]: largest sampled value on shells 0..k; floor[k]: smallest on
+    # shells k..end. Both are monotone, so each column is one searchsorted.
+    reach = np.maximum.accumulate(np.max(values, axis=0))
+    floor = np.minimum.accumulate(np.min(values, axis=0)[::-1])[::-1]
+    lower = shells[np.minimum(np.searchsorted(reach, levels), radii - 1)]
+    last_inside = np.searchsorted(floor, levels, side="right") - 1
+    upper = np.where(last_inside >= 0, shells[np.maximum(last_inside, 0)], 0.0)
+    truncated = int(np.count_nonzero((levels > np.min(values[:, -1]))
+                                     | (levels > reach[-1])))
 
-    upper = np.zeros(levels.size)
-    truncated = 0
-    global_reach = cummax.max(axis=0)[-1]
-    for j, s in enumerate(levels):
-        mask = values <= s
-        inside = mask.any(axis=0)
-        if inside.any():
-            upper[j] = shells[np.nonzero(inside)[0][-1]]
-        if (values[:, -1] < s).any() or s > global_reach:
-            truncated += 1
-
-    lower = np.minimum(np.maximum.accumulate(lower), levels)
-    upper = np.maximum.accumulate(upper)
+    lower = np.minimum(lower, levels)
     spacing = radius_max / (radii - 1)
     jump = max(float(np.max(np.diff(lower))), float(np.max(np.diff(upper)))) if levels.size > 1 else 0.0
     grid_tol = spacing + _angular_tol(clf.dim, dirs.shape[0]) * radius_max + jump

@@ -123,6 +123,9 @@ def _build_loop(cfg, where: str) -> tuple:
     sys_name = cfg["system"]
     system = _build_system(sys_name)
     clf = _build_clf(cfg["clf"]) if "clf" in cfg and cfg["clf"] else None
+    if clf is not None and clf.dim != system.n:
+        raise ConfigError(f"{where}: clf {cfg['clf']!r} has dimension {clf.dim} "
+                          f"but system {sys_name!r} has {system.n} states")
     fb_name = cfg["feedback"]
     substeps = cfg.get("substeps", 16)
     escape = cfg.get("escape_radius", 1e9)

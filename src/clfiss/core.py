@@ -30,12 +30,36 @@ def as_vector(x, n: int | None = None) -> Vector:
     return v
 
 
+def rowwise(values, x, tail: tuple = ()) -> np.ndarray:
+    """values as a float array, checked to hold one entry of shape tail per
+    row of the state batch x (the callable protocol of Clf and the systems)."""
+    values = np.asarray(values, dtype=float)
+    want = np.shape(x)[:-1] + tuple(tail)
+    if values.shape != want:
+        raise ValueError(f"expected shape {want} from a row-wise callable on states "
+                         f"of shape {np.shape(x)}, got {values.shape}")
+    return values
+
+
+def rowdot(a, b) -> np.ndarray:
+    """Dot products over the last axis, broadcasting the leading axes.
+
+    Each entry is bit-identical to the 1-D product of its two rows (both run
+    the same dot kernel), so a batched caller agrees with a per-point one.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
 @dataclass(frozen=True, eq=False)
 class ControlAffineSystem:
     """Input-affine dynamics dx/dt = f(x) + G(x) u with an equilibrium at 0.
 
     f maps R^n to R^n, G maps R^n to an n-by-m matrix whose columns are the
-    input vector fields.
+    input vector fields. Both are row-wise: states of shape (..., n) map to
+    (..., n) and (..., n, m), each row as it would map alone, and a single
+    state of shape (n,) is a batch with no leading axes.
     """
 
     n: int
@@ -55,7 +79,11 @@ class ControlAffineSystem:
 
 @dataclass(frozen=True, eq=False)
 class FullyNonlinearSystem:
-    """General dynamics dx/dt = f(x, u) with f(0, 0) = 0."""
+    """General dynamics dx/dt = f(x, u) with f(0, 0) = 0.
+
+    f is row-wise: states of shape (..., n) and inputs of shape (..., m) with
+    the same leading axes map to (..., n), each row as it would map alone.
+    """
 
     n: int
     m: int

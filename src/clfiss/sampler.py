@@ -18,7 +18,8 @@ from .clf import AlphaTables, Clf
 from .core import (BLOWUP, COMPLETED, DEFAULT_ESCAPE_RADIUS, LEFT_DOMAIN,
                    NUMERICAL_FAILURE, ControlAffineSystem, FullyNonlinearSystem,
                    Partition, Signal, Status, Trajectory, Vector, as_vector,
-                   lower_diameter, upper_diameter, zero_signal)
+                   lower_diameter, rowdot, rowwise, upper_diameter,
+                   zero_signal)
 from .feedback import Feedback
 
 DOMAIN_EXIT_TOL = 1e-9
@@ -48,13 +49,6 @@ class ClosedLoop:
         if self.escape_radius <= 0:
             raise ValueError("escape_radius must be positive")
 
-    def with_(self, **kw) -> "ClosedLoop":
-        cur = dict(n=self.n, m=self.m, F=self.F, feedback=self.feedback,
-                   substeps=self.substeps, escape_radius=self.escape_radius,
-                   domain_margin=self.domain_margin)
-        cur.update(kw)
-        return ClosedLoop(**cur)
-
 
 def affine_loop(sys: ControlAffineSystem, feedback: Feedback, substeps: int = 16,
                 escape_radius: float = DEFAULT_ESCAPE_RADIUS,
@@ -64,7 +58,7 @@ def affine_loop(sys: ControlAffineSystem, feedback: Feedback, substeps: int = 16
     f, G = sys.f, sys.G
 
     def F(x, p, u):
-        return f(x) + np.asarray(G(x), dtype=float) @ (p + u)
+        return f(x) + G(x) @ (p + u)
 
     return ClosedLoop(sys.n, sys.m, F, feedback, substeps, escape_radius, domain_margin)
 
@@ -317,18 +311,31 @@ def _annulus_points(rng, dim, r_in, r_out, count):
     return pts
 
 
-def _pair_lipschitz(fn_norm_diff, pts, rng, pairs):
+def _diff_norms(d: np.ndarray) -> np.ndarray:
+    """Norms of a batch of differences: absolute values of scalars, Euclidean
+    norms of vectors, spectral norms of matrices."""
+    if d.ndim == 1:
+        return np.abs(d)
+    if d.ndim == 2:
+        return np.sqrt(rowdot(d, d))
+    return np.linalg.norm(d, 2, axis=(-2, -1))
+
+
+def _pair_lipschitz(values, pts, rng, pairs):
+    """Largest |values[a] - values[b]| / |pts[a] - pts[b]| over random pairs.
+
+    values holds a function's values at the probe points pts, one row each.
+    Pairs that repeat a probe or whose gap is below 1e-12 are skipped; the
+    result is never below 0.
+    """
     i = rng.integers(0, pts.shape[0], size=pairs)
     j = rng.integers(0, pts.shape[0], size=pairs)
-    best = 0.0
-    for a, b in zip(i, j):
-        if a == b:
-            continue
-        gap = float(np.linalg.norm(pts[a] - pts[b]))
-        if gap < 1e-12:
-            continue
-        best = max(best, fn_norm_diff(pts[a], pts[b]) / gap)
-    return best
+    keep = i != j
+    i, j = i[keep], j[keep]
+    gap = _diff_norms(pts[i] - pts[j])
+    far = gap >= 1e-12
+    ratios = _diff_norms(values[i[far]] - values[j[far]]) / gap[far]
+    return float(np.max(ratios, initial=0.0))
 
 
 def estimate_rate_guard(loop: ClosedLoop, clf: Clf, tables: AlphaTables,
@@ -356,38 +363,26 @@ def estimate_rate_guard(loop: ClosedLoop, clf: Clf, tables: AlphaTables,
     half = _annulus_points(rng, loop.n, epsilon / 2.0, outer + epsilon / 2.0, probe.points)
     full = _annulus_points(rng, loop.n, 0.0, outer + epsilon, probe.points)
 
-    v_half = np.array([clf.V(p) for p in half])
-    v_full = np.array([clf.V(p) for p in full])
+    v_half = rowwise(clf.V(half), half)
+    v_full = rowwise(clf.V(full), full)
     lam_minus_raw = float(np.min(v_half))
     lam_plus_raw = float(np.max(v_full))
     lam_minus = lam_minus_raw / infl
     lam_plus = lam_plus_raw * infl
 
-    def v_diff(a, b):
-        return abs(float(clf.V(a)) - float(clf.V(b)))
-
-    L_eps_raw = _pair_lipschitz(v_diff, half, rng, probe.pairs)
+    L_eps_raw = _pair_lipschitz(v_half, half, rng, probe.pairs)
     L_eps = max(L_eps_raw * infl, 1.0 + 1e-9)
 
     if sys is not None:
-        def f_diff(a, b):
-            return float(np.linalg.norm(as_vector(sys.f(a), sys.n) - as_vector(sys.f(b), sys.n)))
-
-        def g_diff(a, b):
-            return float(np.linalg.norm(
-                np.asarray(sys.G(a), dtype=float) - np.asarray(sys.G(b), dtype=float), 2))
-
-        L_f_raw = _pair_lipschitz(f_diff, full, rng, probe.pairs)
-        L_G_raw = _pair_lipschitz(g_diff, full, rng, probe.pairs)
+        f_full = rowwise(sys.f(full), full, (sys.n,))
+        G_full = rowwise(sys.G(full), full, (sys.n, sys.m))
+        L_f_raw = _pair_lipschitz(f_full, full, rng, probe.pairs)
+        L_G_raw = _pair_lipschitz(G_full, full, rng, probe.pairs)
     else:
         # fall back to the full closed-loop field with zero held control
-        zero_p = np.zeros(loop.m)
-        zero_u = np.zeros(loop.m)
-
-        def F_diff(a, b):
-            return float(np.linalg.norm(loop.F(a, zero_p, zero_u) - loop.F(b, zero_p, zero_u)))
-
-        L_f_raw = _pair_lipschitz(F_diff, full, rng, probe.pairs)
+        zero = np.zeros(loop.m)
+        F_full = np.array([loop.F(p, zero, zero) for p in full])
+        L_f_raw = _pair_lipschitz(F_full, full, rng, probe.pairs)
         L_G_raw = 0.0
     L_f = L_f_raw * infl
     L_G = L_G_raw * infl
@@ -397,18 +392,23 @@ def estimate_rate_guard(loop: ClosedLoop, clf: Clf, tables: AlphaTables,
     R = N + sup_K_raw * infl
     L = L_f + R * L_G
 
-    # semiconcavity diagnostics only: midpoint constant and probe scale
-    sigma = 0.0
+    # semiconcavity diagnostics only: midpoint constant and probe scale; the
+    # draws stay one pair at a time so the random stream is unchanged
     mu = epsilon / 4.0
-    for _ in range(min(probe.pairs, 2000)):
-        p = half[rng.integers(0, half.shape[0])]
-        dx = rng.uniform(-mu, mu, size=loop.n)
-        a, b = p + dx, p - dx
-        gap2 = float(np.sum((a - b) ** 2))
-        if gap2 < 1e-30:
-            continue
-        c = (float(clf.V(a)) + float(clf.V(b)) - 2.0 * float(clf.V(p))) / gap2
-        sigma = max(sigma, c)
+    count = min(probe.pairs, 2000)
+    centre = np.empty(count, dtype=int)
+    dx = np.empty((count, loop.n))
+    for k in range(count):
+        centre[k] = rng.integers(0, half.shape[0])
+        dx[k] = rng.uniform(-mu, mu, size=loop.n)
+    p = half[centre]
+    a, b = p + dx, p - dx
+    gap2 = np.sum((a - b) ** 2, axis=1)
+    abp = np.stack([a, b, p])
+    va, vb, vp = rowwise(clf.V(abp), abp)
+    far = gap2 >= 1e-30
+    c = (va + vb - 2.0 * vp)[far] / gap2[far]
+    sigma = float(np.max(c, initial=0.0))
 
     # largest overflow margin the outer-radius table tolerates
     p_top = float(tables.lower_inv(N)) + lam_plus
@@ -488,22 +488,14 @@ def decrease_check(traj: Trajectory, clf: Clf, guard: RateGuard | None = None,
     if guard is not None and upper_diameter(traj.partition) >= guard.delta:
         return DecreaseReport(False, True, "partition exceeds the admissible diameter",
                               0, [], 0.0)
-    ts = traj.sample_times
-    xs = traj.sample_states
-    vals = np.array([float(clf.V(x)) for x in xs])
-    checked = 0
-    violations = []
-    worst = 0.0
-    for i in range(len(ts) - 1):
-        if vals[i] <= S_level:
-            continue
-        checked += 1
-        dt = float(ts[i + 1] - ts[i])
-        lhs = vals[i + 1] - vals[i]
-        rhs = -dt / 16.0 * vals[i]
-        margin = lhs - (rhs + rel_tol * vals[i] + abs_tol)
-        if margin > 0.0:
-            violations.append({"interval": i, "lhs": float(lhs),
-                               "rhs": float(rhs), "margin": float(margin)})
-        worst = max(worst, margin)
-    return DecreaseReport(True, False, "", checked, violations, float(worst))
+    vals = rowwise(clf.V(traj.sample_states), traj.sample_states)
+    v0 = vals[:-1]
+    rhs = -np.diff(traj.sample_times) / 16.0 * v0
+    margin = np.diff(vals) - (rhs + rel_tol * v0 + abs_tol)
+    checked = v0 > S_level
+    violations = [{"interval": int(i), "lhs": float(vals[i + 1] - vals[i]),
+                   "rhs": float(rhs[i]), "margin": float(margin[i])}
+                  for i in np.nonzero(checked & (margin > 0.0))[0]]
+    worst = float(np.max(margin[checked], initial=0.0))
+    return DecreaseReport(True, False, "", int(np.count_nonzero(checked)),
+                          violations, worst)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .clf import Clf
 from .core import (ControlAffineSystem, FullyNonlinearSystem, Vector,
-                   as_vector)
+                   as_vector, rowdot, rowwise)
 from .feedback import Feedback, k2, synthesize_k1
 from .sampler import ClosedLoop, nonlinear_loop
 
@@ -59,15 +59,18 @@ def classify_region(x) -> IntegratorRegion:
 
 
 def integrator_system() -> ControlAffineSystem:
-    """dx1 = u1, dx2 = u2, dx3 = x1 u2 - x2 u1 (driftless)."""
+    """dx1 = u1, dx2 = u2, dx3 = x1 u2 - x2 u1 (driftless); f and G row-wise."""
 
     def f(x):
-        return np.zeros(3)
+        return np.zeros(np.asarray(x).shape)
 
     def G(x):
-        return np.array([[1.0, 0.0],
-                         [0.0, 1.0],
-                         [-x[1], x[0]]])
+        x = np.asarray(x, dtype=float)
+        out = np.zeros(x.shape[:-1] + (3, 2))
+        out[..., 0, 0] = out[..., 1, 1] = 1.0
+        out[..., 2, 0] = -x[..., 1]
+        out[..., 2, 1] = x[..., 0]
+        return out
 
     return ControlAffineSystem(3, 2, f, G)
 
@@ -113,22 +116,23 @@ def integrator_max_clf() -> Clf:
     """
 
     def V(x):
-        x = as_vector(x, 3)
-        r = planar_radius(x)
-        return max(r, abs(float(x[2])) - r)
+        x = np.asarray(x, dtype=float)
+        r = np.hypot(x[..., 0], x[..., 1])
+        return np.maximum(r, np.abs(x[..., 2]) - r)
 
     def subgrad(x):
-        x = as_vector(x, 3)
-        region = classify_region(x)
-        r = planar_radius(x)
-        s3 = float(np.sign(x[2]))
-        if region is IntegratorRegion.ORIGIN:
-            return np.zeros(3)
-        if region is IntegratorRegion.AXIS:
-            return np.array([0.0, -1.0, s3])
-        if region is IntegratorRegion.POLAR:
-            return np.array([-x[0] / r, -x[1] / r, s3])
-        return np.array([x[0] / r, x[1] / r, 0.0])
+        x = np.asarray(x, dtype=float)
+        r = np.hypot(x[..., 0], x[..., 1])
+        x3 = x[..., 2]
+        s3 = np.sign(x3)
+        polar = x3 * x3 >= 4.0 * r * r
+        sgn = np.where(polar, -1.0, 1.0)
+        rr = np.where(r == 0.0, 1.0, r)
+        off_axis = np.stack([sgn * x[..., 0] / rr, sgn * x[..., 1] / rr,
+                             np.where(polar, s3, 0.0)], axis=-1)
+        on_axis = np.stack([np.zeros_like(s3), np.where(s3 == 0.0, 0.0, -1.0),
+                            s3], axis=-1)
+        return np.where((r == 0.0)[..., None], on_axis, off_axis)
 
     def domain(x):
         return cone_margin(x) != 0.0
@@ -186,26 +190,26 @@ def integrator_squared_clf() -> Clf:
     """
 
     def V(x):
-        x = as_vector(x, 3)
-        r = planar_radius(x)
-        gap = r - abs(float(x[2]))
-        return gap * gap + float(x[2]) * float(x[2])
+        x = np.asarray(x, dtype=float)
+        x3 = x[..., 2]
+        gap = np.hypot(x[..., 0], x[..., 1]) - np.abs(x3)
+        return gap * gap + x3 * x3
 
     def subgrad(x):
-        x = as_vector(x, 3)
-        r = planar_radius(x)
-        a3 = abs(float(x[2]))
-        s3 = float(np.sign(x[2]))
-        if r == 0.0 and a3 == 0.0:
-            return np.zeros(3)
-        if r == 0.0:
-            return np.array([-2.0 * a3, 0.0, 4.0 * x[2]])
-        if a3 == 0.0:
-            return np.array([2.0 * x[0], 2.0 * x[1], -2.0 * r])
+        x = np.asarray(x, dtype=float)
+        r = np.hypot(x[..., 0], x[..., 1])
+        x3 = x[..., 2]
+        a3 = np.abs(x3)
         gap = r - a3
-        return np.array([2.0 * gap * x[0] / r,
-                         2.0 * gap * x[1] / r,
-                         2.0 * x[2] - 2.0 * gap * s3])
+        rr = np.where(r == 0.0, 1.0, r)
+        on_axis = np.stack([-2.0 * a3, np.zeros_like(r), 4.0 * x3], axis=-1)
+        on_plane = np.stack([2.0 * x[..., 0], 2.0 * x[..., 1], -2.0 * r], axis=-1)
+        elsewhere = np.stack([2.0 * gap * x[..., 0] / rr, 2.0 * gap * x[..., 1] / rr,
+                              2.0 * x3 - 2.0 * gap * np.sign(x3)], axis=-1)
+        origin = (r == 0.0) & (a3 == 0.0)
+        return np.select([origin[..., None], (r == 0.0)[..., None],
+                          (a3 == 0.0)[..., None]],
+                         [np.zeros(x.shape), on_axis, on_plane], elsewhere)
 
     def domain(x):
         return bool(np.any(as_vector(x, 3)))
@@ -281,25 +285,27 @@ def integrator_feedback_crosscheck(count: int = 10000, seed: int = 0) -> dict:
 
 def scalar_integrator_system() -> ControlAffineSystem:
     """dx = u on the line."""
-    return ControlAffineSystem(1, 1, lambda x: np.zeros(1),
-                               lambda x: np.ones((1, 1)))
+    return ControlAffineSystem(1, 1, lambda x: np.zeros(np.asarray(x).shape),
+                               lambda x: np.ones(np.asarray(x).shape + (1,)))
 
 
 def scalar_abs_clf() -> Clf:
     """V = |x| with the sign selection; admissible control norm |x|."""
     return Clf(1,
-               lambda x: abs(float(as_vector(x, 1)[0])),
-               lambda x: np.sign(as_vector(x, 1)),
+               lambda x: np.abs(np.asarray(x, dtype=float)[..., 0]),
+               lambda x: np.sign(np.asarray(x, dtype=float)),
                lambda s: s,
                name="scalar_abs")
 
 
 def scalar_square_clf() -> Clf:
     """Smooth V = x^2 with gradient 2x."""
-    return Clf(1,
-               lambda x: float(as_vector(x, 1)[0]) ** 2,
-               lambda x: 2.0 * as_vector(x, 1),
-               lambda s: s,
+
+    def V(x):
+        x = np.asarray(x, dtype=float)[..., 0]
+        return x * x
+
+    return Clf(1, V, lambda x: 2.0 * np.asarray(x, dtype=float), lambda s: s,
                name="scalar_square")
 
 
@@ -308,9 +314,9 @@ def counterexample_system() -> FullyNonlinearSystem:
     the disturbed loop bounded; inputs of size one blow it up from x = 4."""
 
     def f(x, u):
-        xv = float(as_vector(x, 1)[0])
-        uv = float(as_vector(u, 1)[0])
-        return np.array([-xv + uv * uv * xv * xv])
+        x = np.asarray(x, dtype=float)
+        u = np.asarray(u, dtype=float)
+        return -x + u * u * x * x
 
     return FullyNonlinearSystem(1, 1, f)
 
@@ -325,10 +331,11 @@ class BandInfeasible(RuntimeError):
         super().__init__(f"no positive disturbance radius keeps decay negative on band {band}")
 
 
-def _sphere_dirs(dim: int, probes: int, rng) -> list:
-    """Axis extremes plus random unit vectors; on the line just the two signs."""
+def _sphere_dirs(dim: int, probes: int, rng) -> np.ndarray:
+    """Axis extremes plus random unit vectors, one per row; on the line just
+    the two signs."""
     if dim == 1:
-        return [np.array([1.0]), np.array([-1.0])]
+        return np.array([[1.0], [-1.0]])
     out = []
     for i in range(dim):
         e = np.zeros(dim)
@@ -337,28 +344,35 @@ def _sphere_dirs(dim: int, probes: int, rng) -> list:
     for _ in range(probes):
         d = rng.normal(size=dim)
         out.append(d / np.linalg.norm(d))
-    return out
+    return np.array(out)
 
 
 def estimate_decay_margin(sys: FullyNonlinearSystem, clf: Clf, k1_eval,
-                          s: float, r: float, probes: int = 64,
-                          seed: int = 0) -> float:
+                          s, r, probes: int = 64, seed: int = 0):
     """Worst decay margin sup <subgrad(x), f(x, k1(x) + p)> + V(x)/2 over
-    |x| = s, |p| = r, by Monte Carlo plus axis extremes."""
-    if s < 0 or r < 0:
+    |x| = s, |p| = r, by Monte Carlo plus axis extremes.
+
+    s and r broadcast against each other and the result takes their broadcast
+    shape; two scalars give a float. The state points, and k1 on them, are
+    evaluated once per entry of s, however many disturbance radii share it.
+    """
+    s = np.asarray(s, dtype=float)
+    r = np.asarray(r, dtype=float)
+    if np.any(s < 0) or np.any(r < 0):
         raise ValueError("radii must be nonnegative")
     rng = np.random.default_rng(seed)
     pds = _sphere_dirs(sys.m, probes, rng)
-    best = -np.inf
-    for dx in _sphere_dirs(sys.n, probes, rng):
-        x = s * dx
-        z = as_vector(clf.subgrad(x), sys.n)
-        base = as_vector(k1_eval(x), sys.m)
-        v_half = 0.5 * float(clf.V(x))
-        for dp in pds:
-            val = float(z @ as_vector(sys.f(x, base + r * dp), sys.n)) + v_half
-            best = max(best, val)
-    return best
+    x = s[..., None, None] * _sphere_dirs(sys.n, probes, rng)
+    base = np.array([as_vector(k1_eval(p), sys.m) for p in x.reshape(-1, sys.n)])
+    base = base.reshape(x.shape[:-1] + (1, sys.m))
+    # axes: (*broadcast(s, r), state direction, disturbance direction, coordinate)
+    u = base + r[..., None, None, None] * pds
+    xs = np.broadcast_to(x[..., None, :], u.shape[:-1] + (sys.n,))
+    z = rowwise(clf.subgrad(x), x, (sys.n,))[..., None, :]
+    v_half = 0.5 * rowwise(clf.V(x), x)[..., None]
+    val = rowdot(z, rowwise(sys.f(xs, u), xs, (sys.n,))) + v_half
+    worst = np.fmax.reduce(val, axis=(-2, -1))   # skips NaN, as max() did
+    return float(worst) if worst.ndim == 0 else worst
 
 
 @dataclass(frozen=True, eq=False)
@@ -448,14 +462,11 @@ def _band_radius(margin_fn, lo: float, hi: float, band_grid: int,
                  iters: int = 40, cap: float = 64.0) -> float:
     """Largest b with negative decay margin for every s in the band and every
     disturbance magnitude up to b (scanned on sub-grids, bisected on b)."""
-    s_grid = np.linspace(lo, hi, band_grid)
+    s_grid = np.linspace(lo, hi, band_grid)[:, None]
+    fracs = np.linspace(0.0, 1.0, 9)
 
     def worst(b):
-        out = -np.inf
-        for frac in np.linspace(0.0, 1.0, 9):
-            for s in s_grid:
-                out = max(out, margin_fn(float(s), float(b * frac)))
-        return out
+        return float(np.fmax.reduce(margin_fn(s_grid, b * fracs), axis=None))
 
     tiny = 1e-9
     if worst(tiny) >= 0.0:
@@ -522,36 +533,17 @@ def build_weak_iss_certificate(sys: FullyNonlinearSystem, clf: Clf,
     cert = WeakIssCertificate(k1, margin, r_seq, rp_seq, i_max,
                               np.array([0.0, 1.0]), np.array([0.0, 1.0]))
 
-    # tabulate alpha4 against the installed gain
+    # tabulate alpha4 against the installed gain: per input level, the last
+    # shell where some probe still breaks the closed decay inequality
     n_grid = np.linspace(0.0, alpha4_max, alpha4_points)
     shell_grid = np.linspace(1e-3, float(i_max + 1), 16 * (i_max + 1) + 1)
-    rng = np.random.default_rng(seed + 1)
-    scan_probes = max(probes // 4, 8)
-    u_dirs = _sphere_dirs(sys.m, scan_probes, rng)
-    x_dirs = _sphere_dirs(sys.n, scan_probes, rng)
-
+    gain = np.array([cert.g(float(s)) for s in shell_grid])
+    hit = estimate_decay_margin(sys, clf, k1.eval, shell_grid,
+                                n_grid[:, None] * gain, max(probes // 4, 8),
+                                seed + 1) > 0.0
+    last = shell_grid.size - 1 - np.argmax(hit[:, ::-1], axis=1)
     spacing = shell_grid[1] - shell_grid[0]
-    a4 = np.zeros(alpha4_points)
-    for ni, nv in enumerate(n_grid):
-        worst_s = 0.0
-        for s in shell_grid:
-            gval = cert.g(float(s))
-            hit = False
-            for dx in x_dirs:
-                x = s * dx
-                z = as_vector(clf.subgrad(x), sys.n)
-                base = as_vector(k1.eval(x), sys.m)
-                v_half = 0.5 * float(clf.V(x))
-                for du in u_dirs:
-                    val = float(z @ as_vector(sys.f(x, base + gval * nv * du), sys.n)) + v_half
-                    if val > 0.0:
-                        hit = True
-                        break
-                if hit:
-                    break
-            if hit:
-                worst_s = s
-        a4[ni] = worst_s + spacing if worst_s > 0.0 else 0.0
+    a4 = np.where(hit.any(axis=1), shell_grid[last] + spacing, 0.0)
     a4 = np.maximum.accumulate(a4)
     a4 = np.maximum(a4, n_grid)
 

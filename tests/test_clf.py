@@ -18,8 +18,8 @@ def square_clf():
 
 
 def double_abs_clf():
-    return Clf(1, lambda x: 2.0 * abs(float(np.atleast_1d(x)[0])),
-               lambda x: 2.0 * np.sign(np.atleast_1d(x)),
+    return Clf(1, lambda x: 2.0 * np.abs(np.asarray(x, dtype=float)[..., 0]),
+               lambda x: 2.0 * np.sign(np.asarray(x, dtype=float)),
                lambda s: s, name="double_abs")
 
 

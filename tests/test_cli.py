@@ -298,6 +298,19 @@ class TestConfigErrors:
         cfg = write_config(tmp_path, "sim.json", doc)
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 2
 
+    def test_clf_dimension_mismatch(self, tmp_path, capsys):
+        doc = {
+            "schema": 1,
+            "loop": {"system": "scalar", "clf": "integrator_max",
+                     "feedback": "combined"},
+            "partition": {"kind": "uniform", "step": 0.05},
+            "horizon": 1.0,
+            "x0": [1.0],
+        }
+        cfg = write_config(tmp_path, "sim.json", doc)
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "dimension 3" in capsys.readouterr().err
+
 
 def test_trajectory_csv_writer_round_trip(tmp_path):
     from clfiss import affine_loop, make_partition, sample_solve

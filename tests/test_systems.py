@@ -254,8 +254,7 @@ class TestWeakIssCertificate:
 
     def test_band_infeasible_raised(self):
         from clfiss import FullyNonlinearSystem
-        bad = FullyNonlinearSystem(1, 1, lambda x, u: np.atleast_1d(
-            float(np.atleast_1d(x)[0]) ** 2))
+        bad = FullyNonlinearSystem(1, 1, lambda x, u: np.asarray(x, dtype=float) ** 2)
         with pytest.raises(BandInfeasible):
             build_weak_iss_certificate(bad, scalar_abs_clf(),
                                        zero_feedback(1, 1), i_max=2)
