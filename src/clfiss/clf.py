@@ -132,8 +132,8 @@ class AlphaTables:
     """Tabulated inner/outer radii of the value function's level sets.
 
     lower[j] approximates the smallest state norm at which the value reaches
-    levels[j]; upper[j] the largest state norm still inside the levels[j]
-    sublevel set. Both columns are nondecreasing with lower <= levels
+    levels[j]; upper[j] bounds the state norms inside the levels[j] sublevel
+    set from above, rounded outward to the sampled shells. Both columns are nondecreasing with lower <= levels
     (normalization) and are queried by monotone piecewise-linear interpolation
     with bisection inverses. grid_tol bounds the query error (radial spacing
     plus direction coverage plus the largest inter-level value jump).
@@ -237,10 +237,11 @@ def estimate_alpha_tables(clf: Clf, radius_max: float, grid_size: int = 257,
     """Tabulate level-set radius bounds by dense sampling on radial shells.
 
     For each level s, lower(s) approximates the smallest sampled |x| with
-    V(x) >= s and upper(s) the largest sampled |x| with V(x) <= s. Monotone
-    envelopes are enforced by a cumulative post-pass and lower is clipped to s.
-    Levels whose set cannot be resolved inside radius_max are counted as
-    truncated.
+    V(x) >= s, clipped to s. upper(s) is the shell after the last shell with a
+    sampled V(x) <= s, capped at radius_max: the sublevel set may reach past
+    that last shell between samples, so upper rounds up, the safe way for an
+    outer radius. Both columns are nondecreasing in s. Levels whose set
+    cannot be resolved inside radius_max are counted as truncated.
     """
     if radius_max <= 0.0:
         raise ValueError("radius_max must be positive")
@@ -266,7 +267,8 @@ def estimate_alpha_tables(clf: Clf, radius_max: float, grid_size: int = 257,
     floor = np.minimum.accumulate(np.min(values, axis=0)[::-1])[::-1]
     lower = shells[np.minimum(np.searchsorted(reach, levels), radii - 1)]
     last_inside = np.searchsorted(floor, levels, side="right") - 1
-    upper = np.where(last_inside >= 0, shells[np.maximum(last_inside, 0)], 0.0)
+    upper = np.where(last_inside >= 0,
+                     shells[np.clip(last_inside + 1, 0, radii - 1)], 0.0)
     truncated = int(np.count_nonzero((levels > np.min(values[:, -1]))
                                      | (levels > reach[-1])))
 

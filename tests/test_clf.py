@@ -81,6 +81,15 @@ class TestAlphaTables:
         for y in np.linspace(t2.lower[0], t2.lower[-1], 23):
             assert abs(t2.lower_at(t2.lower_inv(y)) - y) <= 2 * t2.grid_tol
 
+    @given(s=st.floats(0.0, 10.0))
+    @settings(max_examples=200, deadline=None)
+    def test_coarse_tables_never_shrink_the_start(self, s):
+        # beta(s, 0) >= s: the outer radius rounds up to the next shell, so
+        # the envelope covers the initial state however coarse the shells
+        for radii in (16, 64):
+            t = estimate_alpha_tables(abs_clf(), 10.0, 16, radii=radii)
+            assert build_envelope(t, 0.1).beta(s, 0.0) >= s
+
     def test_csv_round_trip(self, tmp_path):
         t = AlphaTables.identity(5.0, 33)
         path = tmp_path / "tables.csv"

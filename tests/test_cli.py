@@ -1,12 +1,15 @@
 import csv
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from clfiss import read_trajectory_csv, write_trajectory_csv
 from clfiss.cli import main
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def write_config(tmp_path, name, doc):
@@ -122,6 +125,15 @@ class TestCampaignCmd:
         rep = json.loads((tmp_path / "campaign.json").read_text())
         assert rep["summary"]["failed"] == 0
         assert len(rep["cases"]) == 3
+
+    def test_coarse_tables_pass(self, tmp_path):
+        # the shipped scalar campaign on 16-shell tables: the outer radius
+        # must round up, or beta(|x0|, 0) < |x0| fails every case at t = 0
+        with open(CONFIGS / "campaign_scalar.json") as fh:
+            doc = json.load(fh)
+        doc["tables"] = {"radii": 16, "grid_size": 16}
+        cfg = write_config(tmp_path, "camp.json", doc)
+        assert main(["campaign", "--config", cfg, "--out", str(tmp_path)]) == 0
 
     def test_inadmissible_tag_present(self, tmp_path):
         doc = {

@@ -125,7 +125,7 @@ def reference_tables(clf, radius_max, grid_size, directions, radii, seed=0):
                 lower[j] = min(lower[j], shells[k])
         inside = np.nonzero((values <= s).any(axis=0))[0]
         if inside.size:
-            upper[j] = shells[inside[-1]]
+            upper[j] = shells[min(inside[-1] + 1, radii - 1)]
         truncated += bool((values[:, -1] < s).any() or s > cummax.max())
     lower = np.minimum(np.maximum.accumulate(lower), levels)
     upper = np.maximum.accumulate(upper)
