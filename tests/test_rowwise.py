@@ -3,8 +3,9 @@
 The certificate-side callables map a state batch of shape (..., n) row by
 row. The protocol tests check that a batch gives, bit for bit, what the same
 callable gives one state at a time. The reference tests recompute the
-level-set tables, the rate guard and the weak-ISS certificate with per-point
-loops and compare them with the batched implementations.
+level-set tables, the rate guard, the weak-ISS certificate and the per-step
+decrease check with per-point loops and compare them with the batched
+implementations.
 """
 
 import math
@@ -14,7 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clfiss import (Feedback, ProbeConfig, affine_loop, combined_feedback,
-                    estimate_alpha_tables, estimate_rate_guard, kappa_formula,
+                    decrease_check, estimate_alpha_tables, estimate_rate_guard,
+                    kappa_formula, make_partition, sample_solve, sine_signal,
                     zero_feedback)
 from clfiss.clf import _angular_tol, _direction_set
 from clfiss.sampler import _annulus_points
@@ -311,6 +313,37 @@ class TestReferences:
                 want = reference_margin(sysc, clf, k1.eval, float(s[a, 0]),
                                         float(r[b]), 64, 0)
                 assert got[a, b] == want
+
+
+def reference_decrease(traj, clf, S_level, rel_tol, abs_tol):
+    ts, vals = traj.sample_times, [float(clf.V(x)) for x in traj.sample_states]
+    checked, violations, worst = 0, [], 0.0
+    for i in range(len(ts) - 1):
+        if vals[i] <= S_level:
+            continue
+        checked += 1
+        rhs = -float(ts[i + 1] - ts[i]) / 16.0 * vals[i]
+        margin = vals[i + 1] - vals[i] - (rhs + rel_tol * vals[i] + abs_tol)
+        if margin > 0.0:
+            violations.append({"interval": i, "lhs": vals[i + 1] - vals[i],
+                               "rhs": rhs, "margin": margin})
+        worst = max(worst, margin)
+    return checked, violations, worst
+
+
+def test_decrease_check_matches_reference():
+    # a disturbed open loop, so the value rises past the check on some steps
+    sys3, clf = integrator_system(), integrator_squared_clf()
+    loop = affine_loop(sys3, zero_feedback(3, 2), substeps=2)
+    part = make_partition("jitter", 1.0, 0.01, 0.3, seed=4)
+    u = sine_signal([1.0, -0.5], 0.8, 1.3)
+    traj = sample_solve(loop, part, [0.3, -0.2, 0.4], u)
+    for S_level, rel_tol in ((0.0, 1e-4), (0.1, 0.0)):
+        rep = decrease_check(traj, clf, None, S_level, rel_tol, 1e-9)
+        checked, violations, worst = reference_decrease(traj, clf, S_level,
+                                                        rel_tol, 1e-9)
+        assert violations
+        assert (rep.checked, rep.violations, rep.worst_margin) == (checked, violations, worst)
 
 
 # ---------------------------------------------------------------------------
