@@ -2,8 +2,7 @@
 
 from .clf import (AlphaTables, Clf, IssEnvelope, SemiconcavityReport,
                   build_envelope, check_semiconcavity, decay_factor,
-                  envelope_bound, estimate_alpha_tables, fd_gradient,
-                  validate_clf)
+                  estimate_alpha_tables, fd_gradient, validate_clf)
 from .core import (BLOWUP, COMPLETED, LEFT_DOMAIN, NUMERICAL_FAILURE,
                    ControlAffineSystem, FullyNonlinearSystem, Partition,
                    Signal, Status, Trajectory, check_signal, checked_signal,

@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import Vector, as_vector, rowwise
+from .core import Vector, as_vector, direction_set, rowwise, unit_rows
 
 
 def _always(x) -> bool:
@@ -84,27 +84,15 @@ def validate_clf(clf: Clf, samples: int = 300, radius: float = 10.0,
         "V0": float(clf.V(origin)),
         "subgrad0_norm": float(np.linalg.norm(as_vector(clf.subgrad(origin), clf.dim))),
     }
-    vals = []
-    for _ in range(samples):
-        d = rng.normal(size=clf.dim)
-        d /= np.linalg.norm(d)
-        x = d * rng.uniform(1e-6, radius)
-        vals.append(float(clf.V(x)))
+    vals = [float(clf.V(unit_rows(rng, 1, clf.dim)[0] * rng.uniform(1e-6, radius)))
+            for _ in range(samples)]
     report["min_positive"] = min(vals) if vals else None
-    shell_vals = []
-    for k in range(5):
-        r = 10.0 ** k
-        shell = [float(clf.V(r * _unit(rng, clf.dim))) for _ in range(16)]
-        shell_vals.append(min(shell))
+    shell_vals = [float(np.min(clf.V(10.0 ** k * unit_rows(rng, 16, clf.dim))))
+                  for k in range(5)]
     report["shell_minima"] = shell_vals
     report["proper"] = all(b > a for a, b in zip(shell_vals, shell_vals[1:]))
     report["positive_definite"] = report["V0"] == 0.0 and report["min_positive"] > 0.0
     return report
-
-
-def _unit(rng, dim):
-    d = rng.normal(size=dim)
-    return d / np.linalg.norm(d)
 
 
 def _pl_inverse(levels: np.ndarray, values: np.ndarray, y: float,
@@ -174,9 +162,6 @@ class AlphaTables:
     def lower_inv(self, y) -> float:
         return _pl_inverse(self.levels, self.lower, float(y))
 
-    def upper_inv(self, y) -> float:
-        return _pl_inverse(self.levels, self.upper, float(y))
-
     def in_range(self, s) -> bool:
         return bool(self.levels[0] <= s <= self.levels[-1])
 
@@ -203,15 +188,6 @@ class AlphaTables:
             rows = list(csv.reader(fh))[1:]
         arr = np.array([[float(v) for v in r] for r in rows])
         return cls(arr[:, 0], arr[:, 1], arr[:, 2], grid_tol, radius_max)
-
-
-def _direction_set(dim: int, directions: int, rng) -> np.ndarray:
-    if dim == 1:
-        return np.array([[1.0], [-1.0]])
-    dirs = rng.normal(size=(directions, dim))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    axes = np.vstack([np.eye(dim), -np.eye(dim)])
-    return np.vstack([dirs, axes])
 
 
 def _angular_tol(dim: int, count: int) -> float:
@@ -248,7 +224,7 @@ def estimate_alpha_tables(clf: Clf, radius_max: float, grid_size: int = 257,
     if grid_size < 16:
         raise ValueError("grid_size must be at least 16")
     rng = np.random.default_rng(seed)
-    dirs = _direction_set(clf.dim, directions, rng)
+    dirs = direction_set(rng, directions, clf.dim)
     shells = np.linspace(0.0, radius_max, radii)
     values = np.empty((dirs.shape[0], radii))
     block = max(1, _BLOCK_POINTS // radii)
@@ -336,12 +312,6 @@ def build_envelope(tables: AlphaTables, overflow: float,
     if overflow <= 0.0:
         raise ValueError("overflow must be positive")
     return IssEnvelope(tables, float(overflow), alpha4)
-
-
-def envelope_bound(env: IssEnvelope, M: float, N: float, t) -> float:
-    """Max-form pointwise bound max(beta(M, t) + gamma(N), overflow)."""
-    out = env.bound(M, N, t)
-    return float(out) if np.ndim(out) == 0 else out
 
 
 @dataclass(frozen=True, eq=False)

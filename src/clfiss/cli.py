@@ -19,9 +19,9 @@ import numpy as np
 
 from . import systems
 from .clf import (AlphaTables, build_envelope, estimate_alpha_tables)
-from .core import (BLOWUP, NUMERICAL_FAILURE, Signal, constant_signal,
-                   make_partition, sine_signal, write_trajectory_csv,
-                   zero_signal)
+from .core import (BLOWUP, NUMERICAL_FAILURE, ControlAffineSystem, Signal,
+                   constant_signal, make_partition, sine_signal,
+                   write_trajectory_csv, zero_signal)
 from .euler import check_iss_euler, euler_study, geometric_schedule
 from .feedback import Feedback, combined_feedback, damping_feedback, zero_feedback
 from .sampler import (ClosedLoop, ProbeConfig, affine_loop, decrease_check,
@@ -68,20 +68,17 @@ CLFS = {
 }
 
 
-def _build_clf(name: str):
-    if name not in CLFS:
-        raise ConfigError(f"unknown clf {name!r} (choose from {sorted(CLFS)})")
-    return CLFS[name]()
+SYSTEMS = {
+    "integrator": systems.integrator_system,
+    "scalar": systems.scalar_integrator_system,
+    "counterexample": systems.counterexample_system,
+}
 
 
-def _build_system(name: str):
-    if name == "integrator":
-        return systems.integrator_system()
-    if name == "scalar":
-        return systems.scalar_integrator_system()
-    if name == "counterexample":
-        return systems.counterexample_system()
-    raise ConfigError(f"unknown system {name!r}")
+def _build(registry: dict, kind: str, name: str):
+    if name not in registry:
+        raise ConfigError(f"unknown {kind} {name!r} (choose from {sorted(registry)})")
+    return registry[name]()
 
 
 def _build_partition(cfg, horizon: float):
@@ -121,8 +118,8 @@ def _build_loop(cfg, where: str) -> tuple:
     _check_fields(cfg, {"system", "clf", "feedback", "substeps", "escape_radius",
                         "monitor_domain"}, {"system", "feedback"}, where)
     sys_name = cfg["system"]
-    system = _build_system(sys_name)
-    clf = _build_clf(cfg["clf"]) if "clf" in cfg and cfg["clf"] else None
+    system = _build(SYSTEMS, "system", sys_name)
+    clf = _build(CLFS, "clf", cfg["clf"]) if "clf" in cfg and cfg["clf"] else None
     if clf is not None and clf.dim != system.n:
         raise ConfigError(f"{where}: clf {cfg['clf']!r} has dimension {clf.dim} "
                           f"but system {sys_name!r} has {system.n} states")
@@ -224,7 +221,7 @@ def cmd_envelope(cfg: dict, out_dir: str, seed: int) -> int:
     _check_fields(cfg, {"schema", "clf", "radius_max", "grid_size", "directions",
                         "radii", "overflow", "query"},
                   {"clf", "radius_max"}, "envelope")
-    clf = _build_clf(cfg["clf"])
+    clf = _build(CLFS, "clf", cfg["clf"])
     tables = estimate_alpha_tables(
         clf, cfg["radius_max"], cfg.get("grid_size", 257),
         cfg.get("directions", 64), cfg.get("radii", 512), seed=seed)
@@ -253,6 +250,9 @@ def cmd_campaign(cfg: dict, out_dir: str, seed: int) -> int:
     loop, system, clf = _build_loop(cfg["loop"], "loop")
     if clf is None:
         raise ConfigError("campaign: loop.clf is required")
+    if not isinstance(system, ControlAffineSystem):
+        raise ConfigError(f"campaign: system {cfg['loop']['system']!r} is not "
+                          "control-affine; the rate guard needs its f and G")
     tcfg = cfg.get("tables", {})
     _check_fields(tcfg, {"radius_max", "grid_size", "directions", "radii"},
                   set(), "tables")

@@ -52,6 +52,20 @@ def rowdot(a, b) -> np.ndarray:
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
+def unit_rows(rng, count: int, dim: int) -> np.ndarray:
+    """count random unit vectors of R^dim, one per row (normalised normal draws)."""
+    d = rng.normal(size=(count, dim))
+    return d / np.linalg.norm(d, axis=1, keepdims=True)
+
+
+def direction_set(rng, count: int, dim: int) -> np.ndarray:
+    """Probe directions for sampled extrema: the two signs on the line, which
+    draw nothing, else count random unit rows followed by the +-axes."""
+    if dim == 1:
+        return np.array([[1.0], [-1.0]])
+    return np.vstack([unit_rows(rng, count, dim), np.eye(dim), -np.eye(dim)])
+
+
 @dataclass(frozen=True, eq=False)
 class ControlAffineSystem:
     """Input-affine dynamics dx/dt = f(x) + G(x) u with an equilibrium at 0.

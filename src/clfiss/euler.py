@@ -193,8 +193,7 @@ def check_iss_euler(traj: Trajectory, env: IssEnvelope, x0,
     """Pointwise additive envelope check |x(t)| <= beta(|x0|, t) + gamma(N) + overflow."""
     x0n = float(np.linalg.norm(as_vector(x0)))
     t = traj.dense_times
-    bound = env.beta(x0n, t) + env.gamma(u_bound) + env.overflow
-    margins = bound - traj.norms()
+    margins = env.additive_bound(x0n, u_bound, t) - traj.norms()
     bad = np.nonzero(margins < 0.0)[0]
     first = float(t[bad[0]]) if bad.size else None
     return IssCheck(float(np.min(margins)), first, int(bad.size), int(t.size))

@@ -14,7 +14,7 @@ from typing import Callable
 import numpy as np
 
 from .clf import Clf
-from .core import ControlAffineSystem, Vector, as_vector
+from .core import ControlAffineSystem, Vector, as_vector, direction_set
 
 
 class DecayViolation(RuntimeError):
@@ -162,11 +162,7 @@ def continuity_probe(fb: Feedback, radii=None, directions: int = 64,
         radii = 10.0 ** -np.arange(2.0, 8.5, 1.0)
     radii = np.asarray(radii, dtype=float)
     rng = np.random.default_rng(seed)
-    if fb.n == 1:
-        dirs = np.array([[1.0], [-1.0]])
-    else:
-        dirs = rng.normal(size=(directions, fb.n))
-        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    dirs = direction_set(rng, directions, fb.n)
     sups = np.array([
         max(float(np.linalg.norm(as_vector(fb.eval(r * d), fb.m))) for d in dirs)
         for r in radii

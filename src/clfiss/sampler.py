@@ -18,7 +18,7 @@ from .clf import AlphaTables, Clf
 from .core import (BLOWUP, COMPLETED, DEFAULT_ESCAPE_RADIUS, LEFT_DOMAIN,
                    NUMERICAL_FAILURE, ControlAffineSystem, FullyNonlinearSystem,
                    Partition, Signal, Status, Trajectory, Vector, as_vector,
-                   lower_diameter, rowdot, rowwise, upper_diameter,
+                   lower_diameter, rowdot, rowwise, unit_rows, upper_diameter,
                    zero_signal)
 from .feedback import Feedback
 
@@ -300,8 +300,7 @@ def kappa_formula(lambda_minus: float, epsilon: float, L_eps: float, L: float,
 
 
 def _annulus_points(rng, dim, r_in, r_out, count):
-    dirs = rng.normal(size=(count, dim))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    dirs = unit_rows(rng, count, dim)
     radii = rng.uniform(r_in, r_out, size=count)
     pts = dirs * radii[:, None]
     # pin a share of probes to the boundary shells where extrema live

@@ -20,7 +20,7 @@ import numpy as np
 
 from .clf import Clf
 from .core import (ControlAffineSystem, FullyNonlinearSystem, Vector,
-                   as_vector, rowdot, rowwise)
+                   as_vector, direction_set, rowdot, rowwise)
 from .feedback import Feedback, k2, synthesize_k1
 from .sampler import ClosedLoop, nonlinear_loop
 
@@ -331,22 +331,6 @@ class BandInfeasible(RuntimeError):
         super().__init__(f"no positive disturbance radius keeps decay negative on band {band}")
 
 
-def _sphere_dirs(dim: int, probes: int, rng) -> np.ndarray:
-    """Axis extremes plus random unit vectors, one per row; on the line just
-    the two signs."""
-    if dim == 1:
-        return np.array([[1.0], [-1.0]])
-    out = []
-    for i in range(dim):
-        e = np.zeros(dim)
-        e[i] = 1.0
-        out += [e, -e]
-    for _ in range(probes):
-        d = rng.normal(size=dim)
-        out.append(d / np.linalg.norm(d))
-    return np.array(out)
-
-
 def estimate_decay_margin(sys: FullyNonlinearSystem, clf: Clf, k1_eval,
                           s, r, probes: int = 64, seed: int = 0):
     """Worst decay margin sup <subgrad(x), f(x, k1(x) + p)> + V(x)/2 over
@@ -361,8 +345,8 @@ def estimate_decay_margin(sys: FullyNonlinearSystem, clf: Clf, k1_eval,
     if np.any(s < 0) or np.any(r < 0):
         raise ValueError("radii must be nonnegative")
     rng = np.random.default_rng(seed)
-    pds = _sphere_dirs(sys.m, probes, rng)
-    x = s[..., None, None] * _sphere_dirs(sys.n, probes, rng)
+    pds = direction_set(rng, probes, sys.m)
+    x = s[..., None, None] * direction_set(rng, probes, sys.n)
     base = np.array([as_vector(k1_eval(p), sys.m) for p in x.reshape(-1, sys.n)])
     base = base.reshape(x.shape[:-1] + (1, sys.m))
     # axes: (*broadcast(s, r), state direction, disturbance direction, coordinate)

@@ -17,10 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clf import IssEnvelope
-from .core import (BLOWUP, NUMERICAL_FAILURE, Partition, Signal,
-                   Trajectory, as_vector, constant_signal, lower_diameter,
-                   make_partition, piecewise_constant_signal, sine_signal,
-                   zero_signal)
+from .core import (BLOWUP, NUMERICAL_FAILURE, Partition, Signal, as_vector,
+                   constant_signal, lower_diameter, make_partition,
+                   piecewise_constant_signal, sine_signal, zero_signal)
+from .euler import check_iss_euler
 from .sampler import (ClosedLoop, RateGuard, admissible, decrease_check,
                       sample_solve)
 
@@ -69,32 +69,28 @@ class Campaign:
                     f"case {k}: not admissible for the guard; tag it assert_envelope=False")
 
 
-def _case_margins(traj: Trajectory, env: IssEnvelope, x0_norm: float,
-                  M: float, N: float):
+def _run_case(c: Campaign, case: CampaignCase):
+    """Simulate one case; returns the trajectory, then its envelope margins
+    (additive, max form, additive on the refined grid) and first violation time."""
+    traj = sample_solve(c.loop, case.partition, case.x0, case.u, case.e)
+    add = check_iss_euler(traj, c.envelope, case.x0, c.N)
     t = traj.dense_times
     norms = traj.norms()
-    add_bound = env.additive_bound(x0_norm, N, t)
-    max_bound = env.bound(M, N, t)
-    add_margins = add_bound - norms
-    max_margins = max_bound - norms
+    max_margins = c.envelope.bound(c.M, c.N, t) - norms
 
     # refined grid: interval midpoints with linearly interpolated states
     tm = 0.5 * (t[:-1] + t[1:])
     nm = 0.5 * (norms[:-1] + norms[1:])
-    fine_add = float(np.min(np.concatenate(
-        [add_margins, env.additive_bound(x0_norm, N, tm) - nm]))) if tm.size else float(np.min(add_margins))
+    x0n = float(np.linalg.norm(case.x0))
+    fine_add = min(add.worst_margin, float(np.min(
+        c.envelope.additive_bound(x0n, c.N, tm) - nm, initial=math.inf)))
 
-    first = None
-    bad = np.nonzero(add_margins < 0.0)[0]
+    firsts = [] if add.first_violation_t is None else [add.first_violation_t]
     worse = np.nonzero(max_margins < 0.0)[0]
-    if bad.size or worse.size:
-        cands = []
-        if bad.size:
-            cands.append(t[bad[0]])
-        if worse.size:
-            cands.append(t[worse[0]])
-        first = float(min(cands))
-    return (float(np.min(add_margins)), float(np.min(max_margins)), fine_add, first)
+    if worse.size:
+        firsts.append(float(t[worse[0]]))
+    first = min(firsts) if firsts else None
+    return traj, add.worst_margin, float(np.min(max_margins)), fine_add, first
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,9 +122,7 @@ def run_campaign(c: Campaign) -> CampaignReport:
     asserted = 0
     worst = math.inf
     for k, case in enumerate(c.cases):
-        traj = sample_solve(c.loop, case.partition, case.x0, case.u, case.e)
-        x0n = float(np.linalg.norm(case.x0))
-        add_m, max_m, fine_m, first = _case_margins(traj, c.envelope, x0n, c.M, c.N)
+        traj, add_m, max_m, fine_m, first = _run_case(c, case)
         row = {
             "id": k,
             "label": case.label,
@@ -165,6 +159,9 @@ def run_campaign(c: Campaign) -> CampaignReport:
     return CampaignReport(rows, summary)
 
 
+DISTURBANCE_KINDS = ("piecewise", "constant", "sine")
+
+
 def random_disturbance(kind: str, dim: int, bound: float, partition: Partition,
                        rng) -> Signal:
     """Disturbance families used by campaigns and the adversarial search."""
@@ -194,24 +191,37 @@ def random_noise(dim: int, bound: float, rng) -> Signal:
     return constant_signal(bound * d / np.linalg.norm(d))
 
 
-def make_cases(loop: ClosedLoop, guard: RateGuard, M: float, N: float,
-               count: int, horizon: float, seed: int = 0,
-               step_fraction: float = 0.9,
-               disturbance_kinds=("piecewise", "constant", "sine")) -> list:
-    """Admissible random cases: |x0| <= M, sup u <= N, noise within the guard."""
-    rng = np.random.default_rng(seed)
-    step = step_fraction * guard.delta
-    cases = []
+def random_cases(loop: ClosedLoop, guard: RateGuard, M: float, N: float,
+                 count: int, horizon: float, rng, x0_range: tuple,
+                 step_range: tuple, disturbance_kinds=DISTURBANCE_KINDS):
+    """Random cases drawn from rng, yielded as (case, step, disturbance kind).
+
+    |x0| is M times a uniform draw from x0_range; the uniform partition's step
+    is guard.delta times a uniform draw from step_range, or times its single
+    value, with no draw, when both ends are equal; the noise stays within the
+    guard's bound kappa times the lower diameter.
+    """
     for k in range(count):
         d = rng.normal(size=loop.n)
-        x0 = rng.uniform(0.1, 1.0) * M * d / np.linalg.norm(d)
+        x0 = rng.uniform(*x0_range) * M * d / np.linalg.norm(d)
+        lo, hi = step_range
+        step = (lo if lo == hi else rng.uniform(lo, hi)) * guard.delta
         part = make_partition("uniform", horizon, step)
         kind = disturbance_kinds[k % len(disturbance_kinds)]
         u = random_disturbance(kind, loop.m, N, part, rng)
         e_bound = 0.99 * guard.kappa * lower_diameter(part) * rng.uniform(0.0, 1.0)
         e = random_noise(loop.n, e_bound, rng)
-        cases.append(CampaignCase(x0, u, e, part, label=f"{kind}-{k}"))
-    return cases
+        yield CampaignCase(x0, u, e, part, label=f"{kind}-{k}"), step, kind
+
+
+def make_cases(loop: ClosedLoop, guard: RateGuard, M: float, N: float,
+               count: int, horizon: float, seed: int = 0,
+               step_fraction: float = 0.9,
+               disturbance_kinds=DISTURBANCE_KINDS) -> list:
+    """Admissible random cases: |x0| <= M, sup u <= N, noise within the guard."""
+    return [case for case, _, _ in random_cases(
+        loop, guard, M, N, count, horizon, np.random.default_rng(seed),
+        (0.1, 1.0), (step_fraction, step_fraction), disturbance_kinds)]
 
 
 def adversarial_search(c: Campaign, budget: int, seed: int = 0,
@@ -223,32 +233,22 @@ def adversarial_search(c: Campaign, budget: int, seed: int = 0,
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
-    rng = np.random.default_rng(seed)
     if horizon is None:
         horizon = max(case.partition.horizon for case in c.cases) if c.cases else 1.0
     worst = {"violation_margin": -math.inf, "case": None, "status": None}
-    for k in range(budget):
-        d = rng.normal(size=c.loop.n)
-        x0 = rng.uniform(0.05, 1.0) * c.M * d / np.linalg.norm(d)
-        step = rng.uniform(0.3, 0.9) * c.guard.delta
-        part = make_partition("uniform", horizon, step)
-        kind = ("piecewise", "constant", "sine")[k % 3]
-        u = random_disturbance(kind, c.loop.m, c.N, part, rng)
-        e = random_noise(c.loop.n,
-                         0.99 * c.guard.kappa * lower_diameter(part) * rng.uniform(0, 1),
-                         rng)
-        traj = sample_solve(c.loop, part, x0, u, e)
-        x0n = float(np.linalg.norm(x0))
+    trials = random_cases(c.loop, c.guard, c.M, c.N, budget, horizon,
+                          np.random.default_rng(seed), (0.05, 1.0), (0.3, 0.9))
+    for k, (case, step, kind) in enumerate(trials):
+        traj, add_m, *_ = _run_case(c, case)
         if traj.status.kind in (BLOWUP, NUMERICAL_FAILURE):
             viol = math.inf
         else:
-            add_m, _, _, _ = _case_margins(traj, c.envelope, x0n, c.M, c.N)
             viol = -add_m
         if viol > worst["violation_margin"]:
             worst = {
                 "violation_margin": viol,
-                "case": {"x0": x0.tolist(), "step": step, "disturbance": kind,
-                         "e_bound": e.bound, "index": k},
+                "case": {"x0": case.x0.tolist(), "step": step, "disturbance": kind,
+                         "e_bound": case.e.bound, "index": k},
                 "status": traj.status.kind,
             }
     return worst

@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clfiss import (AlphaTables, Clf, build_envelope, check_semiconcavity,
-                    decay_factor, envelope_bound, estimate_alpha_tables,
-                    fd_gradient, validate_clf)
+                    decay_factor, estimate_alpha_tables, fd_gradient,
+                    validate_clf)
 from clfiss.systems import integrator_max_clf, scalar_abs_clf, scalar_square_clf
 
 
@@ -133,10 +133,10 @@ class TestEnvelope:
 
     def test_envelope_bound_values(self):
         env = build_envelope(AlphaTables.identity(20.0), 0.01)
-        assert envelope_bound(env, 1.0, 0.0, 0.0) == pytest.approx(1.0)
-        assert envelope_bound(env, 2.0, 1.0, 16.0) == pytest.approx(2.0)
+        assert env.bound(1.0, 0.0, 0.0) == pytest.approx(1.0)
+        assert env.bound(2.0, 1.0, 16.0) == pytest.approx(2.0)
         env2 = build_envelope(AlphaTables.identity(20.0), 0.5)
-        assert envelope_bound(env2, 0.0, 0.0, 7.3) == pytest.approx(0.5)
+        assert env2.bound(0.0, 0.0, 7.3) == pytest.approx(0.5)
 
     def test_overflow_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -148,10 +148,10 @@ class TestEnvelope:
     @settings(max_examples=80, deadline=None)
     def test_bound_monotonicity(self, m, n, t, dm, dt):
         env = build_envelope(AlphaTables.identity(40.0), 0.05)
-        base = envelope_bound(env, m, n, t)
-        assert envelope_bound(env, m + dm, n, t) >= base - 1e-12
-        assert envelope_bound(env, m, n + dm, t) >= base - 1e-12
-        assert envelope_bound(env, m, n, t + dt) <= base + 1e-12
+        base = env.bound(m, n, t)
+        assert env.bound(m + dm, n, t) >= base - 1e-12
+        assert env.bound(m, n + dm, t) >= base - 1e-12
+        assert env.bound(m, n, t + dt) <= base + 1e-12
 
     def test_beta_kl_shape_sampled(self):
         env = build_envelope(AlphaTables.identity(40.0), 0.05)

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -322,6 +323,42 @@ class TestConfigErrors:
         cfg = write_config(tmp_path, "sim.json", doc)
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 2
         assert "dimension 3" in capsys.readouterr().err
+
+    def test_campaign_needs_control_affine_system(self, tmp_path, capsys):
+        doc = {
+            "schema": 1,
+            "loop": {"system": "counterexample", "clf": "scalar_abs",
+                     "feedback": "zero"},
+            "M": 1.0, "N": 0.1, "epsilon": 0.1, "horizon": 0.5,
+            "cases": {"count": 1},
+        }
+        cfg = write_config(tmp_path, "camp.json", doc)
+        assert main(["campaign", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "control-affine" in capsys.readouterr().err
+
+    def test_unknown_system_lists_choices(self, tmp_path, capsys):
+        doc = integrator_simulate_config()
+        doc["loop"]["system"] = "pendulum"
+        cfg = write_config(tmp_path, "sim.json", doc)
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "['counterexample', 'integrator', 'scalar']" in capsys.readouterr().err
+
+
+def test_benchmark_hook_targets_exist():
+    """Every attribute the benchmark's tracer replaces exists before patching,
+    so a renamed function fails here and not only in traced benchmark runs."""
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+    try:
+        import tracer
+    finally:
+        sys.path.pop(0)
+    hooks = tracer.hooks(tracer.Tracer())
+    assert hooks
+    for target, attr, _ in hooks:
+        if isinstance(target, dict):
+            assert attr in target, attr
+        else:
+            assert hasattr(target, attr), f"{target.__name__}.{attr}"
 
 
 def test_trajectory_csv_writer_round_trip(tmp_path):

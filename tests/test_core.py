@@ -7,6 +7,7 @@ from clfiss import (ControlAffineSystem, FullyNonlinearSystem, Partition,
                     check_signal, checked_signal, constant_signal,
                     lower_diameter, make_partition, piecewise_constant_signal,
                     sine_signal, upper_diameter, zero_signal)
+from clfiss.core import direction_set, unit_rows
 
 
 def test_upper_diameter_uniform():
@@ -126,3 +127,28 @@ def test_piecewise_constant_signal():
     assert sig.eval(5.0)[0] == 0.5
     with pytest.raises(ValueError):
         piecewise_constant_signal([0.0, 1.0], [[1.0], [3.0]], bound=2.0)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 5])
+def test_direction_set_unit_rows_with_axes(dim):
+    dirs = direction_set(np.random.default_rng(7), 40, dim)
+    assert dirs.shape == (40 + 2 * dim, dim)
+    assert np.allclose(np.linalg.norm(dirs, axis=1), 1.0, rtol=0.0, atol=1e-15)
+    for i in range(dim):
+        e = np.eye(dim)[i]
+        assert any(np.array_equal(d, e) for d in dirs)
+        assert any(np.array_equal(d, -e) for d in dirs)
+    # the random rows are normal draws over their norms taken along axis 1,
+    # the form the level-set tables and the rate guard were computed with
+    d = np.random.default_rng(7).normal(size=(40, dim))
+    unit = d / np.linalg.norm(d, axis=1, keepdims=True)
+    assert np.array_equal(dirs[:40], unit)
+    assert np.array_equal(unit_rows(np.random.default_rng(7), 40, dim), unit)
+
+
+def test_direction_set_on_the_line_draws_nothing():
+    rng = np.random.default_rng(3)
+    state = rng.bit_generator.state
+    dirs = direction_set(rng, 64, 1)
+    assert dirs.tolist() == [[1.0], [-1.0]]
+    assert rng.bit_generator.state == state

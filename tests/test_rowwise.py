@@ -18,9 +18,9 @@ from clfiss import (Feedback, ProbeConfig, affine_loop, combined_feedback,
                     decrease_check, estimate_alpha_tables, estimate_rate_guard,
                     kappa_formula, make_partition, sample_solve, sine_signal,
                     zero_feedback)
-from clfiss.clf import _angular_tol, _direction_set
-from clfiss.sampler import _annulus_points
-from clfiss.systems import (_sphere_dirs, build_weak_iss_certificate,
+from clfiss.clf import _angular_tol
+from clfiss.core import direction_set, unit_rows
+from clfiss.systems import (build_weak_iss_certificate,
                             counterexample_system, cone_margin,
                             estimate_decay_margin,
                             integrator_feedback, integrator_max_clf,
@@ -112,7 +112,7 @@ class TestProtocol:
 
 def reference_tables(clf, radius_max, grid_size, directions, radii, seed=0):
     rng = np.random.default_rng(seed)
-    dirs = _direction_set(clf.dim, directions, rng)
+    dirs = direction_set(rng, directions, clf.dim)
     shells = np.linspace(0.0, radius_max, radii)
     values = np.array([[float(clf.V(r * d)) for r in shells] for d in dirs])
     cummax = np.maximum.accumulate(values, axis=1)
@@ -137,12 +137,23 @@ def reference_tables(clf, radius_max, grid_size, directions, radii, seed=0):
     return levels, lower, upper, grid_tol, truncated
 
 
+def annulus_points(rng, dim, r_in, r_out, count):
+    """Random directions at uniform radii, the first and second eighth of the
+    rows pinned to the inner and the outer shell."""
+    dirs = unit_rows(rng, count, dim)
+    pts = dirs * rng.uniform(r_in, r_out, size=count)[:, None]
+    edge = max(count // 8, 1)
+    pts[:edge] = dirs[:edge] * r_in
+    pts[edge:2 * edge] = dirs[edge:2 * edge] * r_out
+    return pts
+
+
 def reference_guard(loop, clf, tables, eps, M, N, sys, probe):
     """Raw constants, delta and kappa of the rate guard, one point at a time."""
     rng = np.random.default_rng(probe.seed)
     outer = float(tables.upper_at(tables.lower_inv(N + M))) + 1.0
-    half = _annulus_points(rng, loop.n, eps / 2.0, outer + eps / 2.0, probe.points)
-    full = _annulus_points(rng, loop.n, 0.0, outer + eps, probe.points)
+    half = annulus_points(rng, loop.n, eps / 2.0, outer + eps / 2.0, probe.points)
+    full = annulus_points(rng, loop.n, 0.0, outer + eps, probe.points)
 
     def V(x):
         return float(clf.V(x))
@@ -198,9 +209,9 @@ def reference_guard(loop, clf, tables, eps, M, N, sys, probe):
 
 def reference_margin(sys, clf, k1, s, r, probes, seed):
     rng = np.random.default_rng(seed)
-    pds = _sphere_dirs(sys.m, probes, rng)
+    pds = direction_set(rng, probes, sys.m)
     best = -np.inf
-    for dx in _sphere_dirs(sys.n, probes, rng):
+    for dx in direction_set(rng, probes, sys.n):
         x = s * dx
         z, base, v_half = clf.subgrad(x), k1(x), 0.5 * float(clf.V(x))
         for dp in pds:

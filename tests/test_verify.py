@@ -6,9 +6,11 @@ import pytest
 
 from clfiss import (AlphaTables, Campaign, CampaignCase, ClosedLoop, Feedback,
                     RateGuard, adversarial_search, build_envelope,
-                    constant_signal, make_partition, nonlinear_loop,
-                    run_campaign, zero_feedback, zero_signal)
+                    constant_signal, lower_diameter, make_cases,
+                    make_partition, nonlinear_loop, run_campaign,
+                    zero_feedback, zero_signal)
 from clfiss.systems import counterexample_system, scalar_abs_clf
+from clfiss.verify import random_cases, random_disturbance, random_noise
 
 
 def contraction_loop(substeps=4):
@@ -142,3 +144,91 @@ class TestAdversarialSearch:
     def test_budget_validated(self):
         with pytest.raises(ValueError):
             adversarial_search(scalar_campaign(), budget=0)
+
+
+# ---------------------------------------------------------------------------
+# Draw sequences of the case generator
+# ---------------------------------------------------------------------------
+
+def reference_make_cases(n, m, guard, M, N, count, horizon, seed,
+                         step_fraction=0.9):
+    """make_cases' draws as first written: (x0, step, kind, u, e) per case."""
+    rng = np.random.default_rng(seed)
+    step = step_fraction * guard.delta
+    out = []
+    for k in range(count):
+        d = rng.normal(size=n)
+        x0 = rng.uniform(0.1, 1.0) * M * d / np.linalg.norm(d)
+        part = make_partition("uniform", horizon, step)
+        kind = ("piecewise", "constant", "sine")[k % 3]
+        u = random_disturbance(kind, m, N, part, rng)
+        e_bound = 0.99 * guard.kappa * lower_diameter(part) * rng.uniform(0.0, 1.0)
+        out.append((x0, step, kind, u, random_noise(n, e_bound, rng)))
+    return out
+
+
+def reference_adversarial_draws(n, m, guard, M, N, budget, horizon, seed):
+    """adversarial_search's draws as first written: (x0, step, kind, u, e)."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for k in range(budget):
+        d = rng.normal(size=n)
+        x0 = rng.uniform(0.05, 1.0) * M * d / np.linalg.norm(d)
+        step = rng.uniform(0.3, 0.9) * guard.delta
+        part = make_partition("uniform", horizon, step)
+        kind = ("piecewise", "constant", "sine")[k % 3]
+        u = random_disturbance(kind, m, N, part, rng)
+        e = random_noise(n, 0.99 * guard.kappa * lower_diameter(part) * rng.uniform(0, 1),
+                         rng)
+        out.append((x0, step, kind, u, e))
+    return out
+
+
+def plane_loop():
+    fb = Feedback(2, 2, lambda x: -np.asarray(x, float), "synthesized", "contraction")
+    return ClosedLoop(2, 2, lambda x, p, u: p + u, fb, 2)
+
+
+def assert_same_case(case, step, kind, ref):
+    x0, ref_step, ref_kind, u, e = ref
+    assert case.x0.tobytes() == x0.tobytes()
+    assert step == ref_step and kind == ref_kind
+    assert case.e.bound == e.bound
+    assert case.e.eval(0.0).tobytes() == e.eval(0.0).tobytes()
+    for t in (0.0, 0.0123, 0.2):
+        assert case.u.eval(t).tobytes() == u.eval(t).tobytes()
+
+
+class TestCaseGenerator:
+    @pytest.mark.parametrize("seed", [0, 1, 17])
+    @pytest.mark.parametrize("N", [0.0, 0.2])
+    def test_make_cases_draws(self, seed, N):
+        loop, guard = plane_loop(), loose_guard(M=2.0, N=N)
+        cases = make_cases(loop, guard, 2.0, N, 7, 0.3, seed)
+        refs = reference_make_cases(2, 2, guard, 2.0, N, 7, 0.3, seed)
+        for k, (case, ref) in enumerate(zip(cases, refs)):
+            assert_same_case(case, ref[1], ref[2], ref)
+            assert case.label == f"{ref[2]}-{k}"
+            assert np.array_equal(case.partition.times,
+                                  make_partition("uniform", 0.3, ref[1]).times)
+        assert len(cases) == len(refs)
+
+    @pytest.mark.parametrize("seed", [0, 1, 17])
+    def test_adversarial_draws(self, seed):
+        loop, guard = plane_loop(), loose_guard(M=2.0, N=0.2)
+        refs = reference_adversarial_draws(2, 2, guard, 2.0, 0.2, 7, 0.3, seed)
+        trials = list(random_cases(loop, guard, 2.0, 0.2, 7, 0.3,
+                                   np.random.default_rng(seed), (0.05, 1.0),
+                                   (0.3, 0.9)))
+        assert len(trials) == len(refs)
+        for (case, step, kind), ref in zip(trials, refs):
+            assert_same_case(case, step, kind, ref)
+
+        env = build_envelope(AlphaTables.identity(10.0), 0.05)
+        campaign = Campaign(loop, env, guard, [], M=2.0, N=0.2)
+        worst = adversarial_search(campaign, budget=7, seed=seed, horizon=0.3)
+        x0, step, kind, _, e = refs[worst["case"]["index"]]
+        assert worst["case"]["x0"] == x0.tolist()
+        assert worst["case"]["step"] == step
+        assert worst["case"]["disturbance"] == kind
+        assert worst["case"]["e_bound"] == e.bound
