@@ -41,6 +41,22 @@ def planar_radius(x) -> float:
     return float(math.hypot(x[0], x[1]))
 
 
+def planar_direction(x) -> tuple[float, float]:
+    """(x1, x2) / r(x) for r(x) > 0.
+
+    A subnormal r has lost relative precision, so there the components are
+    rescaled by their larger magnitude before normalising.
+    """
+    x = as_vector(x, 3)
+    x1, x2 = float(x[0]), float(x[1])
+    r = math.hypot(x1, x2)
+    if r < np.finfo(float).tiny:
+        m = max(abs(x1), abs(x2))
+        x1, x2 = x1 / m, x2 / m
+        r = math.hypot(x1, x2)
+    return x1 / r, x2 / r
+
+
 def cone_margin(x) -> float:
     """x3^2 - 4 r(x)^2; zero exactly on the nonsmooth cone of the max CLF."""
     x = as_vector(x, 3)
@@ -97,15 +113,15 @@ def integrator_b(x) -> Vector:
     """Casewise channel derivatives <subgrad, g_j> for the max CLF selection."""
     x = as_vector(x, 3)
     region = classify_region(x)
-    r = planar_radius(x)
     s3 = float(np.sign(x[2]))
     if region is IntegratorRegion.ORIGIN:
         return np.zeros(2)
     if region is IntegratorRegion.AXIS:
         return np.array([0.0, -1.0])
+    d1, d2 = planar_direction(x)
     if region is IntegratorRegion.POLAR:
-        return np.array([-x[1] * s3 - x[0] / r, x[0] * s3 - x[1] / r])
-    return np.array([x[0] / r, x[1] / r])
+        return np.array([-x[1] * s3 - d1, x[0] * s3 - d2])
+    return np.array([d1, d2])
 
 
 def integrator_max_clf() -> Clf:
@@ -153,7 +169,8 @@ def integrator_k1_k2(x):
         return np.array([0.0, a3]), np.array([0.0, a3])
     if region is IntegratorRegion.POLAR:
         mu1 = (r - a3) / (r * r + 1.0)
-        k1 = mu1 * np.array([-x[1] * s3 - x[0] / r, x[0] * s3 - x[1] / r])
+        d1, d2 = planar_direction(x)
+        k1 = mu1 * np.array([-x[1] * s3 - d1, x[0] * s3 - d2])
 
         def mu2(a, b):
             return (a3 - r) * float(np.sign(b * r * s3 - a))
