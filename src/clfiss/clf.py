@@ -28,15 +28,14 @@ class Clf:
     subgrad must be a selection of the limiting subdifferential with
     subgrad(0) = 0. control_bound(s) bounds the norm of admissible controls at
     states of norm s. domain marks where the semiconcavity estimates hold.
-    decay_weight optionally replaces the value function as the damping factor;
-    it defaults to the value function itself.
+    V also weights the signed damping term of the synthesized feedback.
 
     V and subgrad are row-wise: a state array of shape (..., n) maps to
     values of shape (...) and subgradients of shape (..., n), each row as it
     would map alone. A single state of shape (n,) is a batch with no leading
     axes. The level-set tables, the rate guard and the weak-ISS certificate
-    call them on whole batches. control_bound, domain and decay_weight take
-    one state norm or one state at a time.
+    call them on whole batches. control_bound and domain take one state norm
+    or one state at a time.
     """
 
     dim: int
@@ -44,13 +43,7 @@ class Clf:
     subgrad: Callable[[Vector], Vector]
     control_bound: Callable[[float], float]
     domain: Callable[[Vector], bool] = _always
-    decay_weight: Callable[[Vector], float] | None = None
     name: str = ""
-
-    def weight(self, x) -> float:
-        if self.decay_weight is None:
-            return float(self.V(x))
-        return float(self.decay_weight(x))
 
 
 def fd_gradient(V: Callable[[Vector], float], rel_step: float = 1e-6):

@@ -48,6 +48,32 @@ def zero_feedback(n: int, m: int) -> Feedback:
     return Feedback(n, m, lambda x: zero, "zero")
 
 
+def _channels(sys: ControlAffineSystem, clf: Clf, x: Vector):
+    """Subgradient selection z, input matrix G and channel derivatives G^T z at x."""
+    z = as_vector(clf.subgrad(x), sys.n)
+    G = np.asarray(sys.G(x), dtype=float)
+    return z, G, G.T @ z
+
+
+def _k1(sys: ControlAffineSystem, clf: Clf, x, decay_tol: float | None):
+    """synthesize_k1's control at x with the G^T subgrad(x) and V(x) it used."""
+    x = as_vector(x, sys.n)
+    if not np.any(x):
+        return np.zeros(sys.m), np.zeros(sys.m), 0.0
+    z, G, w = _channels(sys, clf, x)
+    wn = float(np.linalg.norm(w))
+    if wn == 0.0:
+        u = np.zeros(sys.m)
+    else:
+        u = -(float(clf.control_bound(float(np.linalg.norm(x)))) / wn) * w
+    drift = float(z @ (as_vector(sys.f(x), sys.n) + G @ u))
+    v = float(clf.V(x))
+    tol = 1e-9 * max(1.0, v) if decay_tol is None else decay_tol
+    if drift > -v + tol:
+        raise DecayViolation(x, drift + v)
+    return u, w, v
+
+
 def synthesize_k1(sys: ControlAffineSystem, clf: Clf, x,
                   decay_tol: float | None = None) -> Vector:
     """Ball-constrained minimizer of the decay direction at x.
@@ -59,49 +85,33 @@ def synthesize_k1(sys: ControlAffineSystem, clf: Clf, x,
     DecayViolation is raised when it fails, which means the certificate is not
     valid at x.
     """
-    x = as_vector(x, sys.n)
-    if not np.any(x):
-        return np.zeros(sys.m)
-    z = as_vector(clf.subgrad(x), sys.n)
-    G = np.asarray(sys.G(x), dtype=float)
-    w = G.T @ z
-    wn = float(np.linalg.norm(w))
-    if wn == 0.0:
-        u = np.zeros(sys.m)
-    else:
-        u = -(float(clf.control_bound(float(np.linalg.norm(x)))) / wn) * w
-    drift = float(z @ (as_vector(sys.f(x), sys.n) + G @ u))
-    v = float(clf.V(x))
-    tol = 1e-9 * max(1.0, v) if decay_tol is None else decay_tol
-    if drift > -v + tol:
-        raise DecayViolation(x, drift + v)
-    return u
+    return _k1(sys, clf, x, decay_tol)[0]
 
 
 def k2(sys: ControlAffineSystem, clf: Clf, x) -> Vector:
-    """Signed damping term: -weight(x) * sgn(<subgrad(x), g_j(x)>) per channel.
+    """Signed damping term: -V(x) * sgn(<subgrad(x), g_j(x)>) per channel.
 
     sgn follows the three-case convention with sgn(0) = 0, so the magnitude is
-    at most sqrt(m) * weight(x) and the term is continuous at the origin.
+    at most sqrt(m) * V(x) and the term is continuous at the origin.
     """
     x = as_vector(x, sys.n)
     if not np.any(x):
         return np.zeros(sys.m)
-    z = as_vector(clf.subgrad(x), sys.n)
-    b = np.asarray(sys.G(x), dtype=float).T @ z
-    return -clf.weight(x) * np.sign(b)
+    return -float(clf.V(x)) * np.sign(_channels(sys, clf, x)[2])
 
 
 def combined_feedback(sys: ControlAffineSystem, clf: Clf,
                       decay_tol: float | None = None) -> Feedback:
     """Sum of the ball minimizer and the signed damping term.
 
-    Certificate failures surface lazily: the first evaluation whose decay check
-    fails raises DecayViolation.
+    Both pieces share one evaluation of subgrad, G and V per call. Certificate
+    failures surface lazily: the first evaluation whose decay check fails
+    raises DecayViolation.
     """
 
     def ev(x):
-        return synthesize_k1(sys, clf, x, decay_tol) + k2(sys, clf, x)
+        u, w, v = _k1(sys, clf, x, decay_tol)
+        return u - v * np.sign(w)
 
     return Feedback(sys.n, sys.m, ev, "synthesized", clf.name)
 
@@ -114,9 +124,7 @@ def damping_feedback(sys: ControlAffineSystem, clf: Clf) -> Feedback:
     """
 
     def ev(x):
-        x = as_vector(x, sys.n)
-        z = as_vector(clf.subgrad(x), sys.n)
-        return -(np.asarray(sys.G(x), dtype=float).T @ z)
+        return -_channels(sys, clf, as_vector(x, sys.n))[2]
 
     return Feedback(sys.n, sys.m, ev, "damping", clf.name)
 

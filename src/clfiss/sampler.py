@@ -107,24 +107,18 @@ def sample_solve(loop: ClosedLoop, partition: Partition, x0,
     times = partition.times
     x = as_vector(x0, loop.n).copy()
     dense_t = [0.0]
-    dense_x = [x.copy()]
+    dense_x = [x]
     dense_idx = [0]
-    sample_t = [0.0]
-    sample_x = [x.copy()]
     held_list = []
 
-    status = Status(COMPLETED)
     left_at = None
     margin_prev = loop.domain_margin(x) if loop.domain_margin is not None else None
 
+    terminal, completed = None, partition.intervals
     if float(np.linalg.norm(x)) > loop.escape_radius:
-        return Trajectory(partition, np.array(sample_t), np.array(sample_x),
-                          np.array(dense_t), np.array(dense_x),
-                          np.zeros((0, loop.m)), np.array(dense_idx),
-                          Status(BLOWUP, 0.0, "initial state beyond escape radius"))
-
-    terminal = None
-    for i in range(partition.intervals):
+        terminal = Status(BLOWUP, 0.0, "initial state beyond escape radius")
+        completed = 0
+    for i in range(completed):
         t0, t1 = float(times[i]), float(times[i + 1])
         x_tilde = x + e.eval(t0)
         held = as_vector(loop.feedback.eval(x_tilde), loop.m)
@@ -138,17 +132,15 @@ def sample_solve(loop: ClosedLoop, partition: Partition, x0,
         h = (t1 - t0) / loop.substeps
         for k in range(loop.substeps):
             tau = t0 + k * h
-            x_new = _rk4_step(loop.F, x, tau, h, held, u.eval)
+            x = _rk4_step(loop.F, x, tau, h, held, u.eval)
             t_new = t1 if k == loop.substeps - 1 else tau + h
-            if not np.all(np.isfinite(x_new)):
+            if not np.all(np.isfinite(x)):
                 terminal = Status(NUMERICAL_FAILURE, tau, "nonfinite state")
                 break
-            norm_new = float(np.linalg.norm(x_new))
-            x = x_new
             dense_t.append(t_new)
-            dense_x.append(x.copy())
+            dense_x.append(x)
             dense_idx.append(i)
-            if norm_new > loop.escape_radius:
+            if float(np.linalg.norm(x)) > loop.escape_radius:
                 terminal = Status(BLOWUP, t_new, "escape radius reached")
                 break
             if loop.domain_margin is not None and left_at is None:
@@ -157,19 +149,22 @@ def sample_solve(loop: ClosedLoop, partition: Partition, x0,
                     left_at = t_new
                 margin_prev = mg
         if terminal is not None:
-            status = terminal
+            completed = i
             break
-        sample_t.append(t1)
-        sample_x.append(x.copy())
 
+    status = terminal or Status(COMPLETED)
     if terminal is None and left_at is not None:
         status = Status(LEFT_DOMAIN, left_at, "left CLF estimate region")
     elif terminal is not None and left_at is not None:
         status = Status(terminal.kind, terminal.time,
                         terminal.detail + f"; left CLF estimate region at t={left_at:g}")
 
-    return Trajectory(partition, np.array(sample_t), np.array(sample_x),
-                      np.array(dense_t), np.array(dense_x),
+    # each interval adds substeps dense rows, so the end state of a completed
+    # one is every substeps-th dense row
+    dense = np.array(dense_x)
+    return Trajectory(partition, times[:completed + 1],
+                      dense[:completed * loop.substeps + 1:loop.substeps],
+                      np.array(dense_t), dense,
                       np.array(held_list) if held_list else np.zeros((0, loop.m)),
                       np.array(dense_idx), status)
 
@@ -339,7 +334,7 @@ def _pair_lipschitz(values, pts, rng, pairs):
 
 def estimate_rate_guard(loop: ClosedLoop, clf: Clf, tables: AlphaTables,
                         epsilon: float, M: float, N: float,
-                        sys: ControlAffineSystem | None = None,
+                        sys: ControlAffineSystem,
                         probe: ProbeConfig = ProbeConfig()) -> RateGuard:
     """Estimate the sampling-rate guard constants on the working compact set.
 
@@ -372,17 +367,10 @@ def estimate_rate_guard(loop: ClosedLoop, clf: Clf, tables: AlphaTables,
     L_eps_raw = _pair_lipschitz(v_half, half, rng, probe.pairs)
     L_eps = max(L_eps_raw * infl, 1.0 + 1e-9)
 
-    if sys is not None:
-        f_full = rowwise(sys.f(full), full, (sys.n,))
-        G_full = rowwise(sys.G(full), full, (sys.n, sys.m))
-        L_f_raw = _pair_lipschitz(f_full, full, rng, probe.pairs)
-        L_G_raw = _pair_lipschitz(G_full, full, rng, probe.pairs)
-    else:
-        # fall back to the full closed-loop field with zero held control
-        zero = np.zeros(loop.m)
-        F_full = np.array([loop.F(p, zero, zero) for p in full])
-        L_f_raw = _pair_lipschitz(F_full, full, rng, probe.pairs)
-        L_G_raw = 0.0
+    f_full = rowwise(sys.f(full), full, (sys.n,))
+    G_full = rowwise(sys.G(full), full, (sys.n, sys.m))
+    L_f_raw = _pair_lipschitz(f_full, full, rng, probe.pairs)
+    L_G_raw = _pair_lipschitz(G_full, full, rng, probe.pairs)
     L_f = L_f_raw * infl
     L_G = L_G_raw * infl
 

@@ -21,7 +21,7 @@ import numpy as np
 from .clf import Clf
 from .core import (ControlAffineSystem, FullyNonlinearSystem, Vector,
                    as_vector, direction_set, rowdot, rowwise)
-from .feedback import Feedback, k2, synthesize_k1
+from .feedback import Feedback, _k1
 from .sampler import ClosedLoop, nonlinear_loop
 
 
@@ -42,19 +42,30 @@ def planar_radius(x) -> float:
 
 
 def planar_direction(x) -> tuple[float, float]:
-    """(x1, x2) / r(x) for r(x) > 0.
-
-    A subnormal r has lost relative precision, so there the components are
-    rescaled by their larger magnitude before normalising.
-    """
+    """(x1, x2) / r(x) for r(x) > 0, rescaled as in _tiny_safe where r is subnormal."""
     x = as_vector(x, 3)
     x1, x2 = float(x[0]), float(x[1])
     r = math.hypot(x1, x2)
     if r < np.finfo(float).tiny:
-        m = max(abs(x1), abs(x2))
-        x1, x2 = x1 / m, x2 / m
-        r = math.hypot(x1, x2)
+        x1, x2, r = (float(v) for v in _tiny_safe(x)[3:])
     return x1 / r, x2 / r
+
+
+def _tiny_safe(x):
+    """(x, k, r, p1, p2, rp): rows with r and |x3| under 2^-500 scaled by
+    2^k = 2^600 so that x3^2 and 4 r^2 do not underflow, r(x) of the result, and
+    the planar direction (p1, p2) / rp, with x1 and x2 scaled by 2^600 where r is
+    subnormal (rp = 1 at r = 0). Rows with r >= 2^-500 keep every bit (k = 0)."""
+    x = np.asarray(x, dtype=float)
+    r = np.hypot(x[..., 0], x[..., 1])
+    if not np.any(r < 2.0 ** -500):
+        return x, 0, r, x[..., 0], x[..., 1], r
+    kp = np.where(r < np.finfo(float).tiny, 600, 0)
+    p1, p2 = np.ldexp(x[..., 0], kp), np.ldexp(x[..., 1], kp)
+    rp = np.hypot(p1, p2)
+    k = np.where(np.maximum(r, np.abs(x[..., 2])) < 2.0 ** -500, 600, 0)[..., None]
+    x = np.ldexp(x, k)
+    return x, k, np.hypot(x[..., 0], x[..., 1]), p1, p2, np.where(rp == 0.0, 1.0, rp)
 
 
 def cone_margin(x) -> float:
@@ -69,6 +80,8 @@ def classify_region(x) -> IntegratorRegion:
     r = planar_radius(x)
     if r == 0.0:
         return IntegratorRegion.ORIGIN if x[2] == 0.0 else IntegratorRegion.AXIS
+    if max(r, abs(x[2])) < 2.0 ** -500:   # x3^2 and 4 r^2 would underflow
+        x, _, r = _tiny_safe(x)[:3]
     if x[2] * x[2] >= 4.0 * r * r:
         return IntegratorRegion.POLAR
     return IntegratorRegion.EQUATORIAL
@@ -137,14 +150,12 @@ def integrator_max_clf() -> Clf:
         return np.maximum(r, np.abs(x[..., 2]) - r)
 
     def subgrad(x):
-        x = np.asarray(x, dtype=float)
-        r = np.hypot(x[..., 0], x[..., 1])
+        x, _, r, p1, p2, rp = _tiny_safe(x)
         x3 = x[..., 2]
         s3 = np.sign(x3)
         polar = x3 * x3 >= 4.0 * r * r
         sgn = np.where(polar, -1.0, 1.0)
-        rr = np.where(r == 0.0, 1.0, r)
-        off_axis = np.stack([sgn * x[..., 0] / rr, sgn * x[..., 1] / rr,
+        off_axis = np.stack([sgn * p1 / rp, sgn * p2 / rp,
                              np.where(polar, s3, 0.0)], axis=-1)
         on_axis = np.stack([np.zeros_like(s3), np.where(s3 == 0.0, 0.0, -1.0),
                             s3], axis=-1)
@@ -213,20 +224,20 @@ def integrator_squared_clf() -> Clf:
         return gap * gap + x3 * x3
 
     def subgrad(x):
-        x = np.asarray(x, dtype=float)
-        r = np.hypot(x[..., 0], x[..., 1])
+        # the selection is 1-homogeneous, so a lifted row is scaled back after
+        x, k, r, p1, p2, rp = _tiny_safe(x)
         x3 = x[..., 2]
         a3 = np.abs(x3)
         gap = r - a3
-        rr = np.where(r == 0.0, 1.0, r)
         on_axis = np.stack([-2.0 * a3, np.zeros_like(r), 4.0 * x3], axis=-1)
         on_plane = np.stack([2.0 * x[..., 0], 2.0 * x[..., 1], -2.0 * r], axis=-1)
-        elsewhere = np.stack([2.0 * gap * x[..., 0] / rr, 2.0 * gap * x[..., 1] / rr,
+        elsewhere = np.stack([2.0 * gap * p1 / rp, 2.0 * gap * p2 / rp,
                               2.0 * x3 - 2.0 * gap * np.sign(x3)], axis=-1)
         origin = (r == 0.0) & (a3 == 0.0)
-        return np.select([origin[..., None], (r == 0.0)[..., None],
-                          (a3 == 0.0)[..., None]],
-                         [np.zeros(x.shape), on_axis, on_plane], elsewhere)
+        z = np.select([origin[..., None], (r == 0.0)[..., None],
+                       (a3 == 0.0)[..., None]],
+                      [np.zeros(x.shape), on_axis, on_plane], elsewhere)
+        return np.ldexp(z, -k)
 
     def domain(x):
         return bool(np.any(as_vector(x, 3)))
@@ -274,14 +285,13 @@ def integrator_feedback_crosscheck(count: int = 10000, seed: int = 0) -> dict:
         r2 = planar_radius(x) ** 2
         worst_b_low = min(worst_b_low, bn2)
         worst_b_high = max(worst_b_high, bn2 - (r2 + 1.0))
-        v = clf.V(x)
+        k1_syn, w, v = _k1(sys, clf, x, None)
         k1_formula = -b * v / bn2
         k1_explicit, k2_explicit = integrator_k1_k2(x)
         scale = max(np.linalg.norm(k1_formula), 1e-30)
         worst_k1 = max(worst_k1, float(np.linalg.norm(k1_explicit - k1_formula)) / scale)
-        k2_general = k2(sys, clf, x)
+        k2_general = -v * np.sign(w)
         worst_k2 = max(worst_k2, float(np.linalg.norm(k2_explicit - k2_general)))
-        k1_syn = synthesize_k1(sys, clf, x)
         ns = np.linalg.norm(k1_syn)
         ne = np.linalg.norm(k1_explicit)
         if ns > 0 and ne > 0:

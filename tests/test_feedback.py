@@ -1,3 +1,6 @@
+from collections import Counter
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,13 +10,27 @@ from clfiss import (Clf, DecayViolation, Feedback, combined_feedback,
                     continuity_probe, damping_feedback, k2, synthesize_k1,
                     zero_feedback)
 from clfiss.systems import (integrator_feedback, integrator_max_clf,
-                            integrator_system, scalar_abs_clf,
-                            scalar_integrator_system, scalar_square_clf)
+                            integrator_squared_clf, integrator_system,
+                            scalar_abs_clf, scalar_integrator_system,
+                            scalar_square_clf)
 
 
 @pytest.fixture
 def scalar():
     return scalar_integrator_system(), scalar_abs_clf()
+
+
+def under_powered_clf():
+    return Clf(1, lambda x: abs(float(np.atleast_1d(x)[0])),
+               lambda x: np.sign(np.atleast_1d(x)),
+               lambda s: 1e-4 * s)   # control authority far too small
+
+
+LOOPS = [
+    lambda: (scalar_integrator_system(), scalar_abs_clf()),
+    lambda: (integrator_system(), integrator_max_clf()),
+    lambda: (integrator_system(), integrator_squared_clf()),
+]
 
 
 class TestSynthesizeK1:
@@ -33,11 +50,8 @@ class TestSynthesizeK1:
 
     def test_decay_violation_raised(self, scalar):
         sys1, _ = scalar
-        weak = Clf(1, lambda x: abs(float(np.atleast_1d(x)[0])),
-                   lambda x: np.sign(np.atleast_1d(x)),
-                   lambda s: 1e-4 * s)   # control authority far too small
         with pytest.raises(DecayViolation):
-            synthesize_k1(sys1, weak, [1.0])
+            synthesize_k1(sys1, under_powered_clf(), [1.0])
 
     def test_annulus_decay_property(self, scalar):
         sys1, clf = scalar
@@ -72,13 +86,6 @@ class TestK2:
         val = k2(sys3, clf, x)
         assert np.linalg.norm(val) <= np.sqrt(2.0) * clf.V(x) + 1e-12
 
-    def test_decay_weight_override(self, scalar):
-        sys1, _ = scalar
-        clf = Clf(1, lambda x: abs(float(np.atleast_1d(x)[0])),
-                  lambda x: np.sign(np.atleast_1d(x)), lambda s: s,
-                  decay_weight=lambda x: 2.0 * abs(float(np.atleast_1d(x)[0])))
-        assert k2(sys1, clf, [0.5])[0] == pytest.approx(-1.0)
-
 
 class TestCombined:
     def test_scalar_sum(self, scalar):
@@ -93,14 +100,40 @@ class TestCombined:
         fb = combined_feedback(sys3, clf)
         assert np.allclose(fb.eval([0.0, 0.0, 2.0]), [0.0, 4.0])
 
-    def test_equals_sum_of_parts(self, scalar):
-        sys1, clf = scalar
-        fb = combined_feedback(sys1, clf)
-        rng = np.random.default_rng(11)
-        for _ in range(50):
-            x = rng.normal(size=1) * 3.0
-            expect = synthesize_k1(sys1, clf, x) + k2(sys1, clf, x)
-            assert np.array_equal(fb.eval(x), expect)
+    def test_equals_sum_of_parts(self):
+        for sys_clf in LOOPS:
+            sys, clf = sys_clf()
+            fb = combined_feedback(sys, clf)
+            rng = np.random.default_rng(11)
+            for _ in range(50):
+                x = rng.normal(size=sys.n) * 3.0
+                expect = synthesize_k1(sys, clf, x) + k2(sys, clf, x)
+                assert fb.eval(x).tobytes() == expect.tobytes()
+
+    def test_decay_violation_raised(self, scalar):
+        sys1, _ = scalar
+        fb = combined_feedback(sys1, under_powered_clf())
+        with pytest.raises(DecayViolation):
+            fb.eval([1.0])
+
+    def test_one_evaluation_per_call(self):
+        # subgrad, G and V are shared by both pieces at a non-origin state
+        sys3, clf = integrator_system(), integrator_squared_clf()
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapped(x):
+                calls[name] += 1
+                return fn(x)
+            return wrapped
+
+        fb = combined_feedback(
+            replace(sys3, G=counted("G", sys3.G)),
+            replace(clf, V=counted("V", clf.V),
+                    subgrad=counted("subgrad", clf.subgrad)))
+        calls.clear()
+        fb.eval([1.0, -0.5, 0.7])
+        assert calls == {"subgrad": 1, "G": 1, "V": 1}
 
 
 class TestDamping:
@@ -109,6 +142,16 @@ class TestDamping:
         fb = damping_feedback(sys1, scalar_square_clf())
         assert fb.eval([1.0])[0] == pytest.approx(-2.0)
         assert np.array_equal(fb.eval([0.0]), np.zeros(1))
+
+    @pytest.mark.parametrize("sys_clf", LOOPS)
+    def test_equals_negated_channel_derivatives(self, sys_clf):
+        sys, clf = sys_clf()
+        fb = damping_feedback(sys, clf)
+        rng = np.random.default_rng(12)
+        for _ in range(50):
+            x = rng.normal(size=sys.n) * 3.0
+            expect = -(sys.G(x).T @ clf.subgrad(x))
+            assert fb.eval(x).tobytes() == expect.tobytes()
 
     def test_integrator_probe_value(self):
         # equatorial probe (eps, eps, 0): value -(1/sqrt2, 1/sqrt2), any eps

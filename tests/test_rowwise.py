@@ -34,11 +34,15 @@ coord = st.floats(-10.0, 10.0, allow_nan=False)
 @st.composite
 def integrator_points(draw):
     """Generic points plus the origin, the x3 axis, polar, equatorial and
-    on-cone points of the max CLF."""
+    on-cone points of the max CLF, and tiny points whose squares underflow."""
     a = draw(st.floats(0.01, 5.0))
     sign = draw(st.sampled_from([-1.0, 1.0]))
     kind = draw(st.sampled_from(["generic", "origin", "axis", "polar",
-                                 "equatorial", "cone"]))
+                                 "equatorial", "cone", "tiny"]))
+    if kind == "tiny":
+        return draw(st.sampled_from([[5e-324, 5e-324, sign], [1e-170, 0.0, 0.0],
+                                     [1e-170, 1e-170, sign * 1e-171],
+                                     [a * 2.0 ** -501, a * 2.0 ** -502, 0.0]]))
     if kind == "generic":
         return [draw(coord), draw(coord), draw(coord)]
     if kind == "origin":

@@ -9,6 +9,7 @@ from clfiss import (BLOWUP, COMPLETED, LEFT_DOMAIN, ClosedLoop, Feedback,
                     estimate_rate_guard, gronwall_gap, kappa_formula,
                     lower_diameter, make_partition, nonlinear_loop,
                     sample_solve, zero_feedback, zero_signal)
+from clfiss.core import DEFAULT_ESCAPE_RADIUS
 from clfiss.systems import (cone_margin, counterexample_system,
                             integrator_feedback, integrator_max_clf,
                             integrator_system, scalar_abs_clf,
@@ -61,6 +62,23 @@ class TestSampleSolve:
         traj = sample_solve(loop, part, [4.0], constant_signal([1.0]))
         assert traj.status.kind == BLOWUP
         assert traj.status.time == pytest.approx(math.log(4.0 / 3.0), abs=0.01)
+
+    @pytest.mark.parametrize("x0, k", [(4.0, 2), (2.0 * DEFAULT_ESCAPE_RADIUS, 0)])
+    def test_sample_rows_of_early_stop(self, x0, k):
+        # from 4 the run escapes inside the third interval (blow-up at
+        # ln(4/3)); past the escape radius it stops before the first one
+        loop = nonlinear_loop(counterexample_system(), zero_feedback(1, 1),
+                              substeps=16)
+        part = make_partition("uniform", 0.5, 0.1)
+        traj = sample_solve(loop, part, [x0], constant_signal([1.0]))
+        assert traj.status.kind == BLOWUP
+        if k:
+            assert part.times[k] < traj.status.time < part.times[k + 1]
+        assert np.array_equal(traj.sample_times, part.times[:k + 1])
+        for t, x in zip(traj.sample_times, traj.sample_states):
+            r = int(np.nonzero(traj.dense_times == t)[0][0])
+            assert np.array_equal(traj.dense_states[r], x)
+        assert np.array_equal(traj.sample_states, traj.dense_states[:16 * k + 1:16])
 
     def test_determinism_bit_identical(self):
         loop = affine_loop(integrator_system(), integrator_feedback())

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from clfiss import constant_signal, make_partition, sample_solve, zero_feedback
@@ -83,13 +83,25 @@ class TestMaxClf:
     @settings(max_examples=200, deadline=None)
     def test_b_norm_bounds(self, x1, x2, x3):
         x = np.array([x1, x2, x3])
-        # below ~1e-150 the normalized planar direction loses float precision
-        if np.linalg.norm(x) < 1e-150:
-            return
+        assume(np.any(x))   # b vanishes at the origin only, at any magnitude
         b2 = float(integrator_b(x) @ integrator_b(x))
         r2 = x1 * x1 + x2 * x2
         assert b2 >= 1.0 - 1e-9
         assert b2 <= r2 + 1.0 + 1e-9
+
+    @pytest.mark.parametrize("x, region, z", [
+        ((5e-324, 5e-324, 1.0), IntegratorRegion.POLAR,
+         (-1 / math.sqrt(2.0), -1 / math.sqrt(2.0), 1.0)),
+        ((1e-170, 0.0, 0.0), IntegratorRegion.EQUATORIAL, (1.0, 0.0, 0.0)),
+        ((1e-170, 1e-170, 1e-171), IntegratorRegion.EQUATORIAL,
+         (1 / math.sqrt(2.0), 1 / math.sqrt(2.0), 0.0)),
+    ])
+    def test_tiny_states(self, x, region, z):
+        # a subnormal planar radius and underflowing squares keep the
+        # region and the unit planar direction of a normal-range multiple
+        assert classify_region(x) is region
+        assert np.allclose(integrator_max_clf().subgrad(np.array(x)), z,
+                           rtol=1e-15, atol=0.0)
 
     def test_domain_excludes_cone(self):
         clf = integrator_max_clf()
@@ -139,6 +151,19 @@ class TestSquaredClf:
         r = math.hypot(x1, x2)
         split = x1 * x1 + x2 * x2 + 2.0 * x3 * x3 - 2.0 * r * abs(x3)
         assert clf.V(x) == pytest.approx(split, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("x, z", [
+        ((5e-324, 5e-324, 1.0), (-math.sqrt(2.0), -math.sqrt(2.0), 4.0)),
+        ((1e-170, 0.0, 0.0), (2e-170, 0.0, -2e-170)),
+        # 2 gap (x1, x2) / r and 2 x3 - 2 gap with gap = (sqrt2 - 0.1) 1e-170
+        ((1e-170, 1e-170, 1e-171),
+         (math.sqrt(2.0) * (math.sqrt(2.0) - 0.1) * 1e-170,
+          math.sqrt(2.0) * (math.sqrt(2.0) - 0.1) * 1e-170,
+          (0.2 - 2.0 * (math.sqrt(2.0) - 0.1)) * 1e-170)),
+    ])
+    def test_subgrad_at_tiny_states(self, x, z):
+        z_got = integrator_squared_clf().subgrad(np.array(x))
+        assert np.allclose(z_got, z, rtol=1e-14, atol=0.0)
 
     def test_subgrad_matches_fd_at_smooth_points(self):
         from clfiss import fd_gradient
