@@ -46,10 +46,10 @@ class Clf:
     name: str = ""
 
 
-def fd_gradient(V: Callable[[Vector], float], rel_step: float = 1e-6):
+def fd_gradient(V: Callable[[Vector], float]):
     """Central-difference gradient fallback for smooth points.
 
-    Approximate by construction; step scales as rel_step * max(1, |x|). Returns
+    Approximate by construction; the step is 1e-6 * max(1, |x|). Returns
     exactly zero at the origin so it can serve as a subgradient selection.
     """
 
@@ -57,7 +57,7 @@ def fd_gradient(V: Callable[[Vector], float], rel_step: float = 1e-6):
         x = as_vector(x)
         if not np.any(x):
             return np.zeros_like(x)
-        h = rel_step * max(1.0, float(np.linalg.norm(x)))
+        h = 1e-6 * max(1.0, float(np.linalg.norm(x)))
         g = np.zeros_like(x)
         for i in range(x.size):
             e = np.zeros_like(x)
@@ -68,8 +68,7 @@ def fd_gradient(V: Callable[[Vector], float], rel_step: float = 1e-6):
     return grad
 
 
-def validate_clf(clf: Clf, samples: int = 300, radius: float = 10.0,
-                 seed: int = 0) -> dict:
+def validate_clf(clf: Clf, samples: int = 300, seed: int = 0) -> dict:
     """Sampled positive-definiteness / properness / zero-subgradient report."""
     rng = np.random.default_rng(seed)
     origin = np.zeros(clf.dim)
@@ -77,7 +76,7 @@ def validate_clf(clf: Clf, samples: int = 300, radius: float = 10.0,
         "V0": float(clf.V(origin)),
         "subgrad0_norm": float(np.linalg.norm(as_vector(clf.subgrad(origin), clf.dim))),
     }
-    vals = [float(clf.V(unit_rows(rng, 1, clf.dim)[0] * rng.uniform(1e-6, radius)))
+    vals = [float(clf.V(unit_rows(rng, 1, clf.dim)[0] * rng.uniform(1e-6, 10.0)))
             for _ in range(samples)]
     report["min_positive"] = min(vals) if vals else None
     shell_vals = [float(np.min(clf.V(10.0 ** k * unit_rows(rng, 16, clf.dim))))
@@ -142,9 +141,9 @@ class AlphaTables:
         object.__setattr__(self, "upper", up)
 
     @classmethod
-    def identity(cls, top: float, size: int = 129, grid_tol: float = 1e-12) -> "AlphaTables":
+    def identity(cls, top: float, size: int = 129) -> "AlphaTables":
         g = np.linspace(0.0, top, size)
-        return cls(g, g.copy(), g.copy(), grid_tol, top)
+        return cls(g, g.copy(), g.copy(), 1e-12, top)
 
     def lower_at(self, s):
         return np.interp(s, self.levels, self.lower)
@@ -176,11 +175,11 @@ class AlphaTables:
                 w.writerow([f"{s:.17g}", f"{lo:.17g}", f"{up:.17g}"])
 
     @classmethod
-    def from_csv(cls, path, grid_tol: float = 0.0, radius_max: float = 0.0) -> "AlphaTables":
+    def from_csv(cls, path) -> "AlphaTables":
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))[1:]
         arr = np.array([[float(v) for v in r] for r in rows])
-        return cls(arr[:, 0], arr[:, 1], arr[:, 2], grid_tol, radius_max)
+        return cls(arr[:, 0], arr[:, 1], arr[:, 2], 0.0, 0.0)
 
 
 def _angular_tol(dim: int, count: int) -> float:
@@ -201,8 +200,7 @@ _BLOCK_POINTS = 16384
 
 def estimate_alpha_tables(clf: Clf, radius_max: float, grid_size: int = 257,
                           directions: int = 64, radii: int = 512,
-                          levels=None, level_spacing: str = "quadratic",
-                          seed: int = 0) -> AlphaTables:
+                          levels=None, seed: int = 0) -> AlphaTables:
     """Tabulate level-set radius bounds by dense sampling on radial shells.
 
     For each level s, lower(s) approximates the smallest sampled |x| with
@@ -227,7 +225,7 @@ def estimate_alpha_tables(clf: Clf, radius_max: float, grid_size: int = 257,
     s_top = float(np.min(np.max(values, axis=1)))
     if levels is None:
         u = np.linspace(0.0, 1.0, grid_size)
-        levels = s_top * (u ** 2 if level_spacing == "quadratic" else u)
+        levels = s_top * u ** 2
     levels = np.asarray(levels, dtype=float)
 
     # reach[k]: largest sampled value on shells 0..k; floor[k]: smallest on

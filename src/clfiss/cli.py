@@ -20,7 +20,7 @@ import numpy as np
 from . import systems
 from .clf import (AlphaTables, build_envelope, estimate_alpha_tables)
 from .core import (BLOWUP, NUMERICAL_FAILURE, ControlAffineSystem, Signal,
-                   constant_signal, make_partition, sine_signal,
+                   as_vector, constant_signal, make_partition, sine_signal,
                    write_trajectory_csv, zero_signal)
 from .euler import check_iss_euler, euler_study, geometric_schedule
 from .feedback import Feedback, combined_feedback, damping_feedback, zero_feedback
@@ -81,14 +81,19 @@ def _build(registry: dict, kind: str, name: str):
     return registry[name]()
 
 
+def _checked(where: str, build, *args, **kwargs):
+    """build(*args, **kwargs), with a ValueError reported as a ConfigError."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
+
+
 def _build_partition(cfg, horizon: float):
     _check_fields(cfg, {"kind", "step", "fraction", "seed"}, {"kind", "step"},
                   "partition")
-    try:
-        return make_partition(cfg["kind"], horizon, cfg["step"],
-                              cfg.get("fraction", 0.0), cfg.get("seed", 0))
-    except ValueError as exc:
-        raise ConfigError(f"partition: {exc}")
+    return _checked("partition", make_partition, cfg["kind"], horizon,
+                    cfg["step"], cfg.get("fraction", 0.0), cfg.get("seed", 0))
 
 
 def _build_signal(cfg, dim: int, partition, seed: int) -> Signal:
@@ -129,7 +134,8 @@ def _build_loop(cfg, where: str) -> tuple:
     if sys_name == "counterexample":
         if fb_name != "zero":
             raise ConfigError(f"{where}: the counterexample loop supports only feedback 'zero'")
-        loop = nonlinear_loop(system, zero_feedback(1, 1), None, substeps, escape)
+        loop = _checked(where, nonlinear_loop, system, zero_feedback(1, 1), None,
+                        substeps, escape)
         return loop, system, clf
     if fb_name == "zero":
         fb = zero_feedback(system.n, system.m)
@@ -150,7 +156,7 @@ def _build_loop(cfg, where: str) -> tuple:
     margin = None
     if cfg.get("monitor_domain") and sys_name == "integrator":
         margin = systems.cone_margin
-    loop = affine_loop(system, fb, substeps, escape, margin)
+    loop = _checked(where, affine_loop, system, fb, substeps, escape, margin)
     return loop, system, clf
 
 
@@ -192,7 +198,7 @@ def cmd_simulate(cfg: dict, out_dir: str, seed: int, overrides=None) -> int:
     part = _build_partition(cfg["partition"], cfg["horizon"])
     u = _build_signal(cfg.get("disturbance"), loop.m, part, seed)
     e = _build_signal(cfg.get("noise"), loop.n, part, seed + 1)
-    x0 = np.asarray(cfg["x0"], dtype=float)
+    x0 = _checked("x0", as_vector, cfg["x0"], loop.n)
     traj = sample_solve(loop, part, x0, u, e)
     csv_path = _out_path(out_dir, "trajectory.csv")
     write_trajectory_csv(traj, csv_path)
@@ -273,7 +279,8 @@ def cmd_campaign(cfg: dict, out_dir: str, seed: int) -> int:
                        cfg["horizon"], ccfg.get("seed", seed),
                        ccfg.get("step_fraction", 0.9))
     if ccfg.get("include_inadmissible"):
-        part = make_partition("uniform", cfg["horizon"], 2.0 * guard.delta)
+        part = _checked("campaign", make_partition, "uniform", cfg["horizon"],
+                        2.0 * guard.delta)
         vec = np.zeros(loop.n)
         vec[0] = 10.0 * guard.kappa * guard.delta
         cases.append(CampaignCase(np.zeros(loop.n), zero_signal(loop.m),
@@ -307,12 +314,13 @@ def cmd_euler(cfg: dict, out_dir: str, seed: int) -> int:
         if "loop" not in cfg:
             raise ConfigError("euler: need loop or linear_test")
         loop, _, _ = _build_loop(cfg["loop"], "loop")
-    part0 = make_partition("uniform", cfg["horizon"], cfg["base_step"])
+    part0 = _checked("euler", make_partition, "uniform", cfg["horizon"],
+                     cfg["base_step"])
     u = _build_signal(cfg.get("disturbance"), loop.m, part0, seed)
-    sched = geometric_schedule(cfg["base_step"], cfg["levels"], cfg["horizon"],
-                               u, loop.n, cfg.get("error_exponent", 2.0),
-                               seed=seed)
-    x0 = np.asarray(cfg["x0"], dtype=float)
+    sched = _checked("euler", geometric_schedule, cfg["base_step"],
+                     cfg["levels"], cfg["horizon"], u, loop.n,
+                     cfg.get("error_exponent", 2.0), seed=seed)
+    x0 = _checked("x0", as_vector, cfg["x0"], loop.n)
     study = euler_study(loop, sched, x0)
     worst_env_margin = None
     if "envelope" in cfg and study.limit is not None:
@@ -340,10 +348,12 @@ def cmd_weakiss(cfg: dict, out_dir: str, seed: int) -> int:
     cert = systems.build_weak_iss_certificate(
         system, clf, k1, cfg.get("i_max", 8), cfg.get("safety", 0.9), seed=seed)
     cert.to_json(_out_path(out_dir, "certificate.json"))
-    loop = systems.weak_iss_loop(system, k1, cert, cfg.get("substeps", 16))
+    loop = _checked("weakiss", systems.weak_iss_loop, system, k1, cert,
+                    cfg.get("substeps", 16))
     tables = AlphaTables.identity(max(cfg["M"], cert.alpha4(cfg["N"])) * 4.0 + 8.0)
     env = build_envelope(tables, cfg["epsilon"], cert.alpha4)
-    part = make_partition("uniform", cfg["horizon"], cfg.get("step", 0.01))
+    part = _checked("weakiss", make_partition, "uniform", cfg["horizon"],
+                    cfg.get("step", 0.01))
     rows = []
     failed = 0
     for x0 in cfg["x0_values"]:

@@ -185,18 +185,17 @@ class Signal:
     dim: int
     bound: float
     eval: Callable[[float], Vector]
-    label: str = ""
 
     def __post_init__(self):
         if self.bound < 0.0:
             raise ValueError("signal bound must be nonnegative")
 
 
-def check_signal(sig: Signal, horizon: float, points: int = 1024,
-                 slack: float = 1e-9) -> float:
+def check_signal(sig: Signal, horizon: float, points: int = 1024) -> float:
     """Grid check of the declared bound on [0, horizon]; returns the observed sup.
 
-    Raises ValueError if any grid evaluation exceeds the bound beyond slack.
+    Raises ValueError if any grid evaluation exceeds the bound beyond a
+    relative slack of 1e-9 plus an absolute slack of a thousandth of that.
     """
     worst = 0.0
     worst_t = 0.0
@@ -204,28 +203,28 @@ def check_signal(sig: Signal, horizon: float, points: int = 1024,
         v = float(np.linalg.norm(as_vector(sig.eval(t), sig.dim)))
         if v > worst:
             worst, worst_t = v, float(t)
-    if worst > sig.bound * (1.0 + slack) + slack * 1e-3:
+    if worst > sig.bound * (1.0 + 1e-9) + 1e-9 * 1e-3:
         raise ValueError(
             f"signal exceeds declared bound {sig.bound:g} at t={worst_t:g} (|value|={worst:g})")
     return worst
 
 
 def checked_signal(dim: int, bound: float, fn: Callable[[float], Vector],
-                   horizon: float, points: int = 1024, label: str = "") -> Signal:
+                   horizon: float, points: int = 1024) -> Signal:
     """Construct a Signal and reject it if the bound fails on a dense grid."""
-    sig = Signal(dim, bound, fn, label)
+    sig = Signal(dim, bound, fn)
     check_signal(sig, horizon, points)
     return sig
 
 
 def zero_signal(dim: int) -> Signal:
     zero = np.zeros(dim)
-    return Signal(dim, 0.0, lambda t: zero, "zero")
+    return Signal(dim, 0.0, lambda t: zero)
 
 
 def constant_signal(value) -> Signal:
     v = as_vector(value)
-    return Signal(v.size, float(np.linalg.norm(v)), lambda t: v, "constant")
+    return Signal(v.size, float(np.linalg.norm(v)), lambda t: v)
 
 
 def sine_signal(direction, amplitude: float, frequency: float,
@@ -241,7 +240,7 @@ def sine_signal(direction, amplitude: float, frequency: float,
     def f(t):
         return amplitude * np.sin(w * t + phase) * unit
 
-    return Signal(d.size, abs(amplitude), f, "sine")
+    return Signal(d.size, abs(amplitude), f)
 
 
 def piecewise_constant_signal(times, values, bound: float | None = None) -> Signal:
@@ -265,7 +264,7 @@ def piecewise_constant_signal(times, values, bound: float | None = None) -> Sign
         k = int(np.searchsorted(t, s, side="right")) - 1
         return v[min(max(k, 0), v.shape[0] - 1)]
 
-    return Signal(v.shape[1], float(bound), f, "piecewise")
+    return Signal(v.shape[1], float(bound), f)
 
 
 @dataclass(frozen=True)
@@ -329,7 +328,9 @@ class Trajectory:
 def write_trajectory_csv(traj: Trajectory, path) -> None:
     """CSV dump: t,x1..xn,k1..km,interval_index with 17 significant digits."""
     n = traj.dense_states.shape[1]
-    m = traj.held_controls.shape[1] if traj.held_controls.size else 0
+    m = traj.held_controls.shape[1]
+    # a run stopped before its first interval held no control: nan cells
+    held = traj.held_controls if traj.held_controls.size else np.full((1, m), np.nan)
     header = (["t"] + [f"x{i + 1}" for i in range(n)]
               + [f"k{j + 1}" for j in range(m)] + ["interval_index"])
     with open(path, "w", newline="") as fh:
@@ -337,9 +338,8 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
         w.writerow(header)
         for r, t in enumerate(traj.dense_times):
             i = int(traj.interval_index[r])
-            held = traj.held_controls[min(i, traj.held_controls.shape[0] - 1)]
             row = ([f"{t:.17g}"] + [f"{v:.17g}" for v in traj.dense_states[r]]
-                   + [f"{v:.17g}" for v in held] + [str(i)])
+                   + [f"{v:.17g}" for v in held[min(i, len(held) - 1)]] + [str(i)])
             w.writerow(row)
 
 

@@ -33,6 +33,8 @@ class RefinementSchedule:
     reference_input: Signal | None = None
 
     def __post_init__(self):
+        if not self.partitions:
+            raise ValueError("a refinement schedule needs at least one level")
         if len(self.partitions) != len(self.errors):
             raise ValueError("need one error signal per partition")
         dbars = [upper_diameter(p) for p in self.partitions]
@@ -69,17 +71,14 @@ class RefinementSchedule:
 
 def geometric_schedule(base_step: float, levels: int, horizon: float,
                        input_signal: Signal | None = None, dim_e: int = 1,
-                       error_exponent: float | None = 2.0, error_direction=None,
+                       error_exponent: float | None = 2.0,
                        seed: int = 0, dim_u: int = 1) -> RefinementSchedule:
     """Uniform partitions with steps base_step * 2^-r and noise sup = step^exponent.
 
     error_exponent None produces noise-free levels. dim_u sizes the default
     zero disturbance when no input signal is given.
     """
-    rng = np.random.default_rng(seed)
-    if error_direction is None:
-        error_direction = rng.normal(size=dim_e)
-    d = as_vector(error_direction)
+    d = np.random.default_rng(seed).normal(size=dim_e)
     d = d / np.linalg.norm(d)
     parts, errs = [], []
     for r in range(levels):
@@ -111,18 +110,16 @@ class EulerStudy:
         }
 
 
-def euler_study(loop: ClosedLoop, schedule: RefinementSchedule, x0,
-                grid_points: int = 4096, cauchy_ratio: float = 0.8,
-                sustain: int = 3) -> EulerStudy:
+def euler_study(loop: ClosedLoop, schedule: RefinementSchedule, x0) -> EulerStudy:
     """Run every refinement level and measure sup-distances between neighbours.
 
-    Trajectories are linearly interpolated onto a shared grid before comparing.
-    The verdict is true when the trailing distance ratios stay at or below
-    cauchy_ratio; a blow-up at any level is reported as a divergent level and
-    the study stops there.
+    Trajectories are linearly interpolated onto a shared 4096-point grid
+    before comparing. The verdict is true when the last three distance ratios
+    stay at or below 0.8; a blow-up at any level is reported as a divergent
+    level and the study stops there.
     """
     horizon = min(p.horizon for p in schedule.partitions)
-    grid = np.linspace(0.0, horizon, grid_points)
+    grid = np.linspace(0.0, horizon, 4096)
     rows = []
     prev_states = None
     distances = []
@@ -161,8 +158,7 @@ def euler_study(loop: ClosedLoop, schedule: RefinementSchedule, x0,
                 ratios.append(0.0 if b <= 0.0 else np.inf)
             else:
                 ratios.append(b / a)
-        tail = ratios[-sustain:] if len(ratios) >= sustain else ratios
-        verdict = all(q <= cauchy_ratio for q in tail)
+        verdict = all(q <= 0.8 for q in ratios[-3:])
     elif divergent_level is None and len(distances) <= 1:
         # degenerate schedules (identical runs) converge trivially
         verdict = all(d == 0.0 for d in distances) if distances else True

@@ -55,7 +55,7 @@ def _channels(sys: ControlAffineSystem, clf: Clf, x: Vector):
     return z, G, G.T @ z
 
 
-def _k1(sys: ControlAffineSystem, clf: Clf, x, decay_tol: float | None):
+def _k1(sys: ControlAffineSystem, clf: Clf, x):
     """synthesize_k1's control at x with the G^T subgrad(x) and V(x) it used."""
     x = as_vector(x, sys.n)
     if not np.any(x):
@@ -68,24 +68,22 @@ def _k1(sys: ControlAffineSystem, clf: Clf, x, decay_tol: float | None):
         u = -(float(clf.control_bound(float(np.linalg.norm(x)))) / wn) * w
     drift = float(z @ (as_vector(sys.f(x), sys.n) + G @ u))
     v = float(clf.V(x))
-    tol = 1e-9 * max(1.0, v) if decay_tol is None else decay_tol
-    if drift > -v + tol:
+    if drift > -v + 1e-9 * max(1.0, v):
         raise DecayViolation(x, drift + v)
     return u, w, v
 
 
-def synthesize_k1(sys: ControlAffineSystem, clf: Clf, x,
-                  decay_tol: float | None = None) -> Vector:
+def synthesize_k1(sys: ControlAffineSystem, clf: Clf, x) -> Vector:
     """Ball-constrained minimizer of the decay direction at x.
 
     The inner product to minimize is affine in u over the control ball of
     radius control_bound(|x|), so the exact argmin is -bound * w / |w| with
     w = G(x)^T subgrad(x). The resulting decay inequality
-    <subgrad(x), f(x) + G(x) u> <= -V(x) + decay_tol is then verified, and a
-    DecayViolation is raised when it fails, which means the certificate is not
-    valid at x.
+    <subgrad(x), f(x) + G(x) u> <= -V(x) + 1e-9 max(1, V(x)) is then verified,
+    and a DecayViolation is raised when it fails, which means the certificate
+    is not valid at x.
     """
-    return _k1(sys, clf, x, decay_tol)[0]
+    return _k1(sys, clf, x)[0]
 
 
 def k2(sys: ControlAffineSystem, clf: Clf, x) -> Vector:
@@ -100,8 +98,7 @@ def k2(sys: ControlAffineSystem, clf: Clf, x) -> Vector:
     return -float(clf.V(x)) * np.sign(_channels(sys, clf, x)[2])
 
 
-def combined_feedback(sys: ControlAffineSystem, clf: Clf,
-                      decay_tol: float | None = None) -> Feedback:
+def combined_feedback(sys: ControlAffineSystem, clf: Clf) -> Feedback:
     """Sum of the ball minimizer and the signed damping term.
 
     Both pieces share one evaluation of subgrad, G and V per call. Certificate
@@ -110,7 +107,7 @@ def combined_feedback(sys: ControlAffineSystem, clf: Clf,
     """
 
     def ev(x):
-        u, w, v = _k1(sys, clf, x, decay_tol)
+        u, w, v = _k1(sys, clf, x)
         return u - v * np.sign(w)
 
     return Feedback(sys.n, sys.m, ev, "synthesized", clf.name)
@@ -158,19 +155,16 @@ class ContinuityReport:
     verdict: str   # continuous | discontinuous | inconclusive
 
 
-def continuity_probe(fb: Feedback, radii=None, directions: int = 64,
-                     seed: int = 0) -> ContinuityReport:
-    """Shell sup of |fb| on shrinking radii around the origin.
+def continuity_probe(fb: Feedback, seed: int = 0) -> ContinuityReport:
+    """Shell sup of |fb| on the radii 1e-2, ..., 1e-8 around the origin, over
+    64 random directions and the +-axes.
 
     Verdict is "continuous" when the final shell sup has decayed to within a
     factor 10 of the shell radius, "discontinuous" when the sups stay bounded
     away from zero across all shells.
     """
-    if radii is None:
-        radii = 10.0 ** -np.arange(2.0, 8.5, 1.0)
-    radii = np.asarray(radii, dtype=float)
-    rng = np.random.default_rng(seed)
-    dirs = direction_set(rng, directions, fb.n)
+    radii = 10.0 ** -np.arange(2.0, 8.5, 1.0)
+    dirs = direction_set(np.random.default_rng(seed), 64, fb.n)
     sups = np.array([
         max(float(np.linalg.norm(as_vector(fb.eval(r * d), fb.m))) for d in dirs)
         for r in radii

@@ -91,6 +91,16 @@ def _rk4_step(F, x, t, h, p, u_eval):
     return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+def _hold(loop: ClosedLoop, x, t0: float, t1: float, held, u: Signal):
+    """Hold the control over [t0, t1]: yields (tau, t, x) after each of the
+    loop's RK4 substeps from tau to t, the last one ending at t1 exactly."""
+    h = (t1 - t0) / loop.substeps
+    for k in range(loop.substeps):
+        tau = t0 + k * h
+        x = _rk4_step(loop.F, x, tau, h, held, u.eval)
+        yield tau, (t1 if k == loop.substeps - 1 else tau + h), x
+
+
 def sample_solve(loop: ClosedLoop, partition: Partition, x0,
                  u: Signal | None = None, e: Signal | None = None) -> Trajectory:
     """Run the hold-and-integrate recursion over the partition.
@@ -111,8 +121,18 @@ def sample_solve(loop: ClosedLoop, partition: Partition, x0,
     dense_idx = [0]
     held_list = []
 
+    monitor = loop.domain_margin
     left_at = None
-    margin_prev = loop.domain_margin(x) if loop.domain_margin is not None else None
+    margin_prev = monitor(x) if monitor is not None else None
+
+    def watch(state, t):
+        # the first state whose margin is near zero or has changed sign
+        nonlocal left_at, margin_prev
+        if monitor is not None and left_at is None:
+            m = monitor(state)
+            if abs(m) < DOMAIN_EXIT_TOL or m * margin_prev < 0:
+                left_at = t
+            margin_prev = m
 
     terminal, completed = None, partition.intervals
     if float(np.linalg.norm(x)) > loop.escape_radius:
@@ -123,17 +143,8 @@ def sample_solve(loop: ClosedLoop, partition: Partition, x0,
         x_tilde = x + e.eval(t0)
         held = as_vector(loop.feedback.eval(x_tilde), loop.m)
         held_list.append(held)
-        if loop.domain_margin is not None and left_at is None:
-            mt = loop.domain_margin(x_tilde)
-            if abs(mt) < DOMAIN_EXIT_TOL or (margin_prev is not None and mt * margin_prev < 0):
-                left_at = t0
-            margin_prev = mt
-
-        h = (t1 - t0) / loop.substeps
-        for k in range(loop.substeps):
-            tau = t0 + k * h
-            x = _rk4_step(loop.F, x, tau, h, held, u.eval)
-            t_new = t1 if k == loop.substeps - 1 else tau + h
+        watch(x_tilde, t0)
+        for tau, t_new, x in _hold(loop, x, t0, t1, held, u):
             if not np.all(np.isfinite(x)):
                 terminal = Status(NUMERICAL_FAILURE, tau, "nonfinite state")
                 break
@@ -143,11 +154,7 @@ def sample_solve(loop: ClosedLoop, partition: Partition, x0,
             if float(np.linalg.norm(x)) > loop.escape_radius:
                 terminal = Status(BLOWUP, t_new, "escape radius reached")
                 break
-            if loop.domain_margin is not None and left_at is None:
-                mg = loop.domain_margin(x)
-                if abs(mg) < DOMAIN_EXIT_TOL or (margin_prev is not None and mg * margin_prev < 0):
-                    left_at = t_new
-                margin_prev = mg
+            watch(x, t_new)
         if terminal is not None:
             completed = i
             break
@@ -214,14 +221,10 @@ def gronwall_gap(loop: ClosedLoop, partition: Partition, x0,
         err = as_vector(e.eval(t0), loop.n)
         x_tilde = x + err
         held = as_vector(loop.feedback.eval(x_tilde), loop.m)
-        h = (t1 - t0) / loop.substeps
-        xa, xb = x.copy(), x_tilde.copy()
-        gap = float(np.linalg.norm(xa - xb))
+        gap = float(np.linalg.norm(x - x_tilde))
         ok = True
-        for k in range(loop.substeps):
-            tau = t0 + k * h
-            xa = _rk4_step(loop.F, xa, tau, h, held, u.eval)
-            xb = _rk4_step(loop.F, xb, tau, h, held, u.eval)
+        for (_, _, xa), (_, _, xb) in zip(_hold(loop, x, t0, t1, held, u),
+                                          _hold(loop, x_tilde, t0, t1, held, u)):
             if not (np.all(np.isfinite(xa)) and np.all(np.isfinite(xb))):
                 ok = False
                 break

@@ -69,8 +69,11 @@ def _tiny_safe(x):
 
 
 def cone_margin(x) -> float:
-    """x3^2 - 4 r(x)^2; zero exactly on the nonsmooth cone of the max CLF."""
+    """x3^2 - 4 r(x)^2; zero exactly on the nonsmooth cone of the max CLF. States
+    with r and |x3| under 2^-500 are scaled by 2^600 first, as in _tiny_safe."""
     x = as_vector(x, 3)
+    if abs(x[2]) < 2.0 ** -500 and abs(x[0]) < 2.0 ** -500 and abs(x[1]) < 2.0 ** -500:
+        x = _tiny_safe(x)[0]
     return float(x[2] * x[2] - 4.0 * (x[0] * x[0] + x[1] * x[1]))
 
 
@@ -285,7 +288,7 @@ def integrator_feedback_crosscheck(count: int = 10000, seed: int = 0) -> dict:
         r2 = planar_radius(x) ** 2
         worst_b_low = min(worst_b_low, bn2)
         worst_b_high = max(worst_b_high, bn2 - (r2 + 1.0))
-        k1_syn, w, v = _k1(sys, clf, x, None)
+        k1_syn, w, v = _k1(sys, clf, x)
         k1_formula = -b * v / bn2
         k1_explicit, k2_explicit = integrator_k1_k2(x)
         scale = max(np.linalg.norm(k1_formula), 1e-30)
@@ -469,17 +472,16 @@ class WeakIssCertificate:
         return doc
 
 
-def _band_radius(margin_fn, lo: float, hi: float, band_grid: int,
-                 iters: int = 40, cap: float = 64.0) -> float:
+def _band_radius(margin_fn, lo: float, hi: float) -> float:
     """Largest b with negative decay margin for every s in the band and every
     disturbance magnitude up to b (scanned on sub-grids, bisected on b)."""
-    s_grid = np.linspace(lo, hi, band_grid)[:, None]
+    s_grid = np.linspace(lo, hi, 17)[:, None]
     fracs = np.linspace(0.0, 1.0, 9)
 
     def worst(b):
         return float(np.fmax.reduce(margin_fn(s_grid, b * fracs), axis=None))
 
-    tiny = 1e-9
+    tiny, cap = 1e-9, 64.0
     if worst(tiny) >= 0.0:
         return 0.0
     hi_b = 1.0
@@ -488,7 +490,7 @@ def _band_radius(margin_fn, lo: float, hi: float, band_grid: int,
     if hi_b >= cap:
         return cap
     lo_b = hi_b / 2.0 if hi_b > 1.0 else tiny
-    for _ in range(iters):
+    for _ in range(40):
         mid = 0.5 * (lo_b + hi_b)
         if worst(mid) < 0.0:
             lo_b = mid
@@ -499,10 +501,8 @@ def _band_radius(margin_fn, lo: float, hi: float, band_grid: int,
 
 def build_weak_iss_certificate(sys: FullyNonlinearSystem, clf: Clf,
                                k1: Feedback, i_max: int = 8,
-                               safety: float = 0.9, band_grid: int = 17,
-                               probes: int = 64, seed: int = 0,
-                               alpha4_max: float = 2.0,
-                               alpha4_points: int = 41) -> WeakIssCertificate:
+                               safety: float = 0.9,
+                               seed: int = 0) -> WeakIssCertificate:
     """Build the staircase / gain / threshold certificate for a nonlinear loop.
 
     Per band, a bisection finds the largest disturbance magnitude keeping the
@@ -516,17 +516,17 @@ def build_weak_iss_certificate(sys: FullyNonlinearSystem, clf: Clf,
         raise ValueError("need at least one band")
 
     def margin(s, r):
-        return estimate_decay_margin(sys, clf, k1.eval, s, r, probes, seed)
+        return estimate_decay_margin(sys, clf, k1.eval, s, r, 64, seed)
 
     raw_r = []
     for i in range(1, i_max + 1):
-        b = _band_radius(margin, float(i), float(i + 1), band_grid)
+        b = _band_radius(margin, float(i), float(i + 1))
         if b <= 0.0:
             raise BandInfeasible((i, i + 1))
         raw_r.append(safety * b)
     raw_rp = []
     for i in range(1, i_max + 1):
-        b = _band_radius(margin, 1.0 / (i + 1), 1.0 / i, band_grid)
+        b = _band_radius(margin, 1.0 / (i + 1), 1.0 / i)
         if b <= 0.0:
             raise BandInfeasible((1.0 / (i + 1), 1.0 / i))
         raw_rp.append(safety * b)
@@ -546,12 +546,11 @@ def build_weak_iss_certificate(sys: FullyNonlinearSystem, clf: Clf,
 
     # tabulate alpha4 against the installed gain: per input level, the last
     # shell where some probe still breaks the closed decay inequality
-    n_grid = np.linspace(0.0, alpha4_max, alpha4_points)
+    n_grid = np.linspace(0.0, 2.0, 41)
     shell_grid = np.linspace(1e-3, float(i_max + 1), 16 * (i_max + 1) + 1)
     gain = np.array([cert.g(float(s)) for s in shell_grid])
     hit = estimate_decay_margin(sys, clf, k1.eval, shell_grid,
-                                n_grid[:, None] * gain, max(probes // 4, 8),
-                                seed + 1) > 0.0
+                                n_grid[:, None] * gain, 16, seed + 1) > 0.0
     last = shell_grid.size - 1 - np.argmax(hit[:, ::-1], axis=1)
     spacing = shell_grid[1] - shell_grid[0]
     a4 = np.where(hit.any(axis=1), shell_grid[last] + spacing, 0.0)
@@ -606,7 +605,6 @@ def validate_certificate(cert: WeakIssCertificate, sys: FullyNonlinearSystem,
 
 
 def weak_iss_loop(sys: FullyNonlinearSystem, k1: Feedback,
-                  cert: WeakIssCertificate, substeps: int = 16,
-                  escape_radius: float = 1e9) -> ClosedLoop:
+                  cert: WeakIssCertificate, substeps: int = 16) -> ClosedLoop:
     """Closed loop dx/dt = f(x, held + G(x) u) with the certificate's gain."""
-    return nonlinear_loop(sys, k1, cert.G_matrix, substeps, escape_radius)
+    return nonlinear_loop(sys, k1, cert.G_matrix, substeps)

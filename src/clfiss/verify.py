@@ -56,7 +56,6 @@ class Campaign:
     clf: object = None
     check_decrease: bool = False
     s_level: float = 0.0
-    decrease_rel_tol: float = 1e-4
 
     def __post_init__(self):
         for k, case in enumerate(self.cases):
@@ -145,8 +144,7 @@ def run_campaign(c: Campaign) -> CampaignReport:
         else:
             row["pass"] = None
         if c.check_decrease and c.clf is not None:
-            rep = decrease_check(traj, c.clf, c.guard, c.s_level,
-                                 c.decrease_rel_tol)
+            rep = decrease_check(traj, c.clf, c.guard, c.s_level)
             row["decrease"] = {"checked": rep.checked, "excluded": rep.excluded,
                                "violations": len(rep.violations)}
         rows.append(row)
@@ -193,7 +191,7 @@ def random_noise(dim: int, bound: float, rng) -> Signal:
 
 def random_cases(loop: ClosedLoop, guard: RateGuard, M: float, N: float,
                  count: int, horizon: float, rng, x0_range: tuple,
-                 step_range: tuple, disturbance_kinds=DISTURBANCE_KINDS):
+                 step_range: tuple):
     """Random cases drawn from rng, yielded as (case, step, disturbance kind).
 
     |x0| is M times a uniform draw from x0_range; the uniform partition's step
@@ -207,7 +205,7 @@ def random_cases(loop: ClosedLoop, guard: RateGuard, M: float, N: float,
         lo, hi = step_range
         step = (lo if lo == hi else rng.uniform(lo, hi)) * guard.delta
         part = make_partition("uniform", horizon, step)
-        kind = disturbance_kinds[k % len(disturbance_kinds)]
+        kind = DISTURBANCE_KINDS[k % len(DISTURBANCE_KINDS)]
         u = random_disturbance(kind, loop.m, N, part, rng)
         e_bound = 0.99 * guard.kappa * lower_diameter(part) * rng.uniform(0.0, 1.0)
         e = random_noise(loop.n, e_bound, rng)
@@ -216,12 +214,11 @@ def random_cases(loop: ClosedLoop, guard: RateGuard, M: float, N: float,
 
 def make_cases(loop: ClosedLoop, guard: RateGuard, M: float, N: float,
                count: int, horizon: float, seed: int = 0,
-               step_fraction: float = 0.9,
-               disturbance_kinds=DISTURBANCE_KINDS) -> list:
+               step_fraction: float = 0.9) -> list:
     """Admissible random cases: |x0| <= M, sup u <= N, noise within the guard."""
     return [case for case, _, _ in random_cases(
         loop, guard, M, N, count, horizon, np.random.default_rng(seed),
-        (0.1, 1.0), (step_fraction, step_fraction), disturbance_kinds)]
+        (0.1, 1.0), (step_fraction, step_fraction))]
 
 
 def adversarial_search(c: Campaign, budget: int, seed: int = 0,

@@ -373,3 +373,60 @@ def test_trajectory_csv_writer_round_trip(tmp_path):
     assert np.array_equal(back["t"], traj.dense_times)
     assert np.array_equal(back["states"], traj.dense_states)
     assert back["interval_index"][-1] == traj.interval_index[-1]
+
+
+def test_start_beyond_escape_radius(tmp_path):
+    # the run stops at t = 0 before holding any control: one trajectory row
+    # whose control cells are nan, and a numerical-failure exit
+    doc = {
+        "schema": 1,
+        "loop": {"system": "scalar", "clf": "scalar_abs",
+                 "feedback": "combined", "escape_radius": 1.0},
+        "partition": {"kind": "uniform", "step": 0.05},
+        "horizon": 1.0,
+        "x0": [2.0],
+    }
+    cfg = write_config(tmp_path, "sim.json", doc)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 3
+    run = json.loads((tmp_path / "run.json").read_text())
+    assert run["status"]["kind"] == "blowup" and run["status"]["time"] == 0.0
+    data = read_trajectory_csv(tmp_path / "trajectory.csv")
+    assert np.array_equal(data["t"], [0.0])
+    assert np.array_equal(data["states"], [[2.0]])
+    assert data["controls"].shape == (1, 1) and np.isnan(data["controls"][0, 0])
+
+
+def _bad_config(command, **changes):
+    """A valid config of the command with some fields replaced."""
+    if command == "simulate":
+        doc = integrator_simulate_config()
+    elif command == "euler":
+        doc = {"schema": 1, "linear_test": True, "x0": [1.0],
+               "base_step": 0.2, "levels": 3, "horizon": 1.0}
+    else:
+        doc = {"schema": 1, "i_max": 1, "M": 4.0, "N": 1.0, "epsilon": 0.1,
+               "x0_values": [0.5], "horizon": 0.1, "step": 0.02}
+    for key, value in changes.items():
+        if key in ("substeps", "escape_radius"):
+            doc["loop"] = dict(doc["loop"], **{key: value})
+        else:
+            doc[key] = value
+    return command, doc
+
+
+@pytest.mark.parametrize("command, doc", [
+    _bad_config("euler", levels=0),
+    _bad_config("euler", horizon=0.1),
+    _bad_config("weakiss", horizon=0.01),
+    _bad_config("simulate", substeps=0),
+    _bad_config("simulate", escape_radius=0.0),
+    _bad_config("simulate", x0=[1.0, 0.5]),
+    _bad_config("euler", x0=[1.0, 0.0]),
+], ids=["euler-no-levels", "euler-horizon-below-step",
+        "weakiss-horizon-below-step", "substeps-zero", "escape-radius-zero",
+        "simulate-x0-length", "euler-x0-length"])
+def test_rejected_config_values_exit_2(tmp_path, capsys, command, doc):
+    cfg = write_config(tmp_path, "bad.json", doc)
+    assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "Traceback" not in err

@@ -253,3 +253,88 @@ class TestDecreaseCheck:
         traj = sample_solve(loop, part, [1.0, 0.0, 0.1])
         rep = decrease_check(traj, integrator_max_clf())
         assert rep.excluded
+
+
+def reference_gronwall_gap(loop, partition, x0, u=None, e=None, L=1.0,
+                           delta=None):
+    """gronwall_gap as first written, with its own RK4 loop per interval."""
+    from clfiss.core import as_vector, upper_diameter
+    from clfiss.sampler import _rk4_step
+    u = u if u is not None else zero_signal(loop.m)
+    e = e if e is not None else zero_signal(loop.n)
+    if delta is None:
+        delta = upper_diameter(partition)
+    times = partition.times
+    x = as_vector(x0, loop.n).copy()
+    idx, errs, obs, bds = [], [], [], []
+    for i in range(partition.intervals):
+        t0, t1 = float(times[i]), float(times[i + 1])
+        err = as_vector(e.eval(t0), loop.n)
+        x_tilde = x + err
+        held = as_vector(loop.feedback.eval(x_tilde), loop.m)
+        h = (t1 - t0) / loop.substeps
+        xa, xb = x.copy(), x_tilde.copy()
+        gap = float(np.linalg.norm(xa - xb))
+        ok = True
+        for k in range(loop.substeps):
+            tau = t0 + k * h
+            xa = _rk4_step(loop.F, xa, tau, h, held, u.eval)
+            xb = _rk4_step(loop.F, xb, tau, h, held, u.eval)
+            if not (np.all(np.isfinite(xa)) and np.all(np.isfinite(xb))):
+                ok = False
+                break
+            gap = max(gap, float(np.linalg.norm(xa - xb)))
+            if max(np.linalg.norm(xa), np.linalg.norm(xb)) > loop.escape_radius:
+                ok = False
+                break
+        idx.append(i)
+        errs.append(float(np.linalg.norm(err)))
+        obs.append(gap)
+        bds.append(float(np.linalg.norm(err)) * math.exp(L * delta))
+        if not ok:
+            break
+        x = xa
+    return np.array(idx), np.array(errs), np.array(obs), np.array(bds)
+
+
+def gronwall_runs():
+    """(loop, partition, x0, keyword arguments) of the runs compared below."""
+    drift = zero_feedback(1, 1)
+    return [
+        (held_loop(), make_partition("uniform", 1.0, 0.1), [1.0], {}),
+        (ClosedLoop(1, 1, lambda x, p, u: -x + p, drift, 16),
+         make_partition("uniform", 1.0, 0.1), [1.0],
+         {"e": constant_signal([1e-3])}),
+        (ClosedLoop(1, 1, lambda x, p, u: x, drift, 32),
+         make_partition("uniform", 0.5, 0.1), [1.0],
+         {"e": constant_signal([1e-3])}),
+        (ClosedLoop(1, 1, lambda x, p, u: x, drift, 16),
+         make_partition("uniform", 0.3, 0.1), [1.0],
+         {"e": constant_signal([2e-3])}),
+        # criterion 5's integrator loop, at about its guard's delta
+        (affine_loop(integrator_system(), integrator_feedback(), substeps=1,
+                     domain_margin=cone_margin),
+         make_partition("uniform", 600 * 3.6e-5, 3.6e-5), [1.0, -0.5, 0.5],
+         {"e": constant_signal([1e-7, 0.0, 0.0]), "L": 2.5, "delta": 4e-5}),
+        # escapes past radius 10 at t = 0.18
+        (nonlinear_loop(counterexample_system(), drift, None, 16, 10.0),
+         make_partition("uniform", 0.5, 0.005), [4.0],
+         {"u": constant_signal([1.0]), "e": constant_signal([1e-3])}),
+        # dx = x^2 from 10 overflows at the eleventh interval
+        (ClosedLoop(1, 1, lambda x, p, u: x * x, drift, 4, math.inf),
+         make_partition("uniform", 0.3, 0.01), [10.0],
+         {"e": constant_signal([1e-3])}),
+    ]
+
+
+@pytest.mark.parametrize("run", range(len(gronwall_runs())))
+def test_gronwall_gap_matches_reference_loop(run):
+    loop, part, x0, kwargs = gronwall_runs()[run]
+    with np.errstate(over="ignore", invalid="ignore"):
+        ref = reference_gronwall_gap(loop, part, x0, **kwargs)
+        rep = gronwall_gap(loop, part, x0, **kwargs)
+    got = (rep.intervals, rep.error_norms, rep.observed, rep.bounds)
+    for a, b in zip(got, ref):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    if run >= 5:   # the escaping and the overflowing run stop early
+        assert rep.intervals.size < part.intervals

@@ -309,3 +309,35 @@ class TestWeakIssLoop:
         raw = nonlinear_loop(sysc, k1)
         traj_raw = sample_solve(raw, part, [4.0], u)
         assert not traj_raw.status.ok
+
+
+@pytest.mark.parametrize("x", [(1e-170, 0.0, 0.0), (1e-170, 1e-170, 1e-171)])
+def test_cone_margin_agrees_at_tiny_states(x):
+    # squares of these coordinates underflow; the margin must still place
+    # the state where classify_region and subgrad do, off the cone
+    clf = integrator_max_clf()
+    assert classify_region(x) is IntegratorRegion.EQUATORIAL
+    assert cone_margin(x) < 0.0
+    assert clf.domain(x)
+    assert clf.subgrad(np.array(x))[2] == 0.0   # the equatorial selection
+
+
+def test_cone_margin_bits_above_tiny_scale():
+    # rows with r or |x3| at least 2^-500 give the plain formula's value
+    rng = np.random.default_rng(0)
+    x = rng.choice([-1.0, 1.0], size=(30000, 3)) * 10.0 ** rng.uniform(-300, 300, size=(30000, 3))
+    x[:5000, 2] = 0.0
+    x[5000:10000, :2] = 0.0
+    # near the scale threshold, where all three coordinates may sit below
+    # 2^-500 while r does not
+    near = x[10000:15000]
+    near *= 2.0 ** rng.uniform(-502, -499, size=near.shape) / np.abs(near)
+    keep = np.maximum(np.hypot(x[:, 0], x[:, 1]), np.abs(x[:, 2])) >= 2.0 ** -500
+    assert keep.sum() > 25000
+    assert np.count_nonzero(keep[10000:15000]
+                            & (np.abs(near).max(axis=1) < 2.0 ** -500)) > 100
+    with np.errstate(over="ignore", invalid="ignore"):
+        for row in x[keep]:
+            want = float(row[2] * row[2] - 4.0 * (row[0] * row[0] + row[1] * row[1]))
+            got = cone_margin(row)
+            assert got == want or (math.isnan(got) and math.isnan(want))

@@ -1,0 +1,113 @@
+"""SHA-256 digests of every CLI artefact, for byte-identity checks between checkouts.
+
+    python3 tools/artifact_digests.py ROOT
+
+ROOT is the root of a source checkout. The script imports clfiss from
+ROOT/src and the benchmark's configs from ROOT/perfbench/workloads.py (read,
+never written), then runs through clfiss.cli.main, in a temporary directory
+and at CLI --seed 0:
+
+- every ROOT/configs/*.json, with the subcommand its file name starts with;
+- the set-up and full invocations of every benchmark workload at benchmark
+  seeds 0 and 1.
+
+It prints one line per output file, `SHA-256  invocation  file  exit=CODE`,
+plus one line each for the invocation's stdout and stderr. Paths are relative
+to the temporary directory, so two checkouts of the same program print the
+same lines: run it on both and diff the outputs.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import importlib.util
+import io
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+BENCHMARK_SEEDS = (0, 1)
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _import_checkout(root: Path):
+    """clfiss.cli from root/src and the workloads module from root/perfbench."""
+    sys.dont_write_bytecode = True
+    src = root / "src"
+    sys.path.insert(0, str(src))
+    import clfiss.cli as cli
+    if Path(cli.__file__).resolve().parent != (src / "clfiss").resolve():
+        raise SystemExit(f"imported {cli.__file__}, not the checkout's source")
+    spec = importlib.util.spec_from_file_location(
+        "workloads", root / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules["workloads"] = workloads   # dataclasses look their module up
+    spec.loader.exec_module(workloads)
+    return cli, workloads
+
+
+def _invocations(root: Path, workloads):
+    """(name, subcommand, config) for every shipped and benchmark config."""
+    for path in sorted((root / "configs").glob("*.json")):
+        command = path.stem.split("_")[0]
+        yield f"configs/{path.name}", command, json.loads(path.read_text())
+    for wname, make in workloads.WORKLOADS.items():
+        for seed in BENCHMARK_SEEDS:
+            work = make(seed)
+            for inv in [work.setup, *work.full]:
+                yield f"{wname}/seed{seed}/{inv.name}", inv.command, inv.config
+
+
+def _run(main, name: str, command: str, config: dict) -> list:
+    tag = name.replace("/", "__")
+    cfg_path = Path("configs") / f"{tag}.json"
+    out_dir = Path("out") / tag
+    cfg_path.write_text(json.dumps(config))
+    argv = [command, "--config", str(cfg_path), "--out", str(out_dir),
+            "--seed", "0"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        except Exception as exc:  # recorded, so a traceback shows in the diff
+            code = f"raised:{type(exc).__name__}"
+            print(exc, file=err)
+    lines = []
+    if out_dir.is_dir():
+        for path in sorted(p for p in out_dir.rglob("*") if p.is_file()):
+            lines.append((_sha(path.read_bytes()), path.relative_to(out_dir)))
+    lines.append((_sha(out.getvalue().encode()), "<stdout>"))
+    lines.append((_sha(err.getvalue().encode()), "<stderr>"))
+    return [f"{digest}  {name}  {fname}  exit={code}" for digest, fname in lines]
+
+
+def main(argv=None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) != 1:
+        print("usage: python3 tools/artifact_digests.py ROOT", file=sys.stderr)
+        return 2
+    root = Path(args[0]).resolve()
+    cli, workloads = _import_checkout(root)
+    here = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            Path("configs").mkdir()
+            for name, command, config in _invocations(root, workloads):
+                for line in _run(cli.main, name, command, config):
+                    print(line, flush=True)
+        finally:
+            os.chdir(here)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
