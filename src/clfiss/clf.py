@@ -43,7 +43,6 @@ class Clf:
     subgrad: Callable[[Vector], Vector]
     control_bound: Callable[[float], float]
     domain: Callable[[Vector], bool] = _always
-    name: str = ""
 
 
 def fd_gradient(V: Callable[[Vector], float]):

@@ -26,8 +26,9 @@ from .euler import check_iss_euler, euler_study, geometric_schedule
 from .feedback import Feedback, combined_feedback, damping_feedback, zero_feedback
 from .sampler import (ClosedLoop, ProbeConfig, affine_loop, decrease_check,
                       estimate_rate_guard, nonlinear_loop, sample_solve)
-from .verify import (Campaign, CampaignCase, adversarial_search, make_cases,
-                     random_disturbance, run_campaign)
+from .verify import (ADVERSARIAL_STEP_FRACTIONS, Campaign, CampaignCase,
+                     adversarial_search, make_cases, random_disturbance,
+                     run_campaign)
 
 SCHEMA_VERSION = 1
 
@@ -134,7 +135,7 @@ def _build_loop(cfg, where: str) -> tuple:
     if sys_name == "counterexample":
         if fb_name != "zero":
             raise ConfigError(f"{where}: the counterexample loop supports only feedback 'zero'")
-        loop = _checked(where, nonlinear_loop, system, zero_feedback(1, 1), None,
+        loop = _checked(where, nonlinear_loop, system, zero_feedback(1, 1),
                         substeps, escape)
         return loop, system, clf
     if fb_name == "zero":
@@ -275,9 +276,17 @@ def cmd_campaign(cfg: dict, out_dir: str, seed: int) -> int:
     ccfg = cfg["cases"]
     _check_fields(ccfg, {"count", "seed", "step_fraction", "include_inadmissible"},
                   {"count"}, "cases")
+    step_fraction = ccfg.get("step_fraction", 0.9)
+    # each case and each adversarial trial must fit one whole step
+    fractions = [step_fraction] if ccfg["count"] > 0 else []
+    if cfg.get("adversarial_budget"):
+        fractions.append(ADVERSARIAL_STEP_FRACTIONS[1])
+    if fractions and cfg["horizon"] < max(fractions) * guard.delta:
+        raise ConfigError(
+            f"campaign: horizon {cfg['horizon']:g} is shorter than the largest "
+            f"case step, {max(fractions):g} * delta with delta {guard.delta:g}")
     cases = make_cases(loop, guard, cfg["M"], cfg["N"], ccfg["count"],
-                       cfg["horizon"], ccfg.get("seed", seed),
-                       ccfg.get("step_fraction", 0.9))
+                       cfg["horizon"], ccfg.get("seed", seed), step_fraction)
     if ccfg.get("include_inadmissible"):
         part = _checked("campaign", make_partition, "uniform", cfg["horizon"],
                         2.0 * guard.delta)

@@ -110,7 +110,7 @@ def combined_feedback(sys: ControlAffineSystem, clf: Clf) -> Feedback:
         u, w, v = _k1(sys, clf, x)
         return u - v * np.sign(w)
 
-    return Feedback(sys.n, sys.m, ev, "synthesized", clf.name)
+    return Feedback(sys.n, sys.m, ev, "synthesized")
 
 
 def damping_feedback(sys: ControlAffineSystem, clf: Clf) -> Feedback:
@@ -123,7 +123,7 @@ def damping_feedback(sys: ControlAffineSystem, clf: Clf) -> Feedback:
     def ev(x):
         return -_channels(sys, clf, as_vector(x, sys.n))[2]
 
-    return Feedback(sys.n, sys.m, ev, "damping", clf.name)
+    return Feedback(sys.n, sys.m, ev, "damping")
 
 
 def write_feedback_grid_csv(fb: Feedback, axes, path) -> None:

@@ -64,18 +64,14 @@ def affine_loop(sys: ControlAffineSystem, feedback: Feedback, substeps: int = 16
 
 
 def nonlinear_loop(sys: FullyNonlinearSystem, feedback: Feedback,
-                   gain: Callable[[Vector], np.ndarray] | None = None,
                    substeps: int = 16,
                    escape_radius: float = DEFAULT_ESCAPE_RADIUS) -> ClosedLoop:
-    """Loop dx/dt = f(x, held + gain(x) u); identity gain when none is given."""
+    """Loop dx/dt = f(x, held + disturbance)."""
 
     f = sys.f
-    if gain is None:
-        def F(x, p, u):
-            return f(x, p + u)
-    else:
-        def F(x, p, u):
-            return f(x, p + np.asarray(gain(x), dtype=float) @ u)
+
+    def F(x, p, u):
+        return f(x, p + u)
 
     return ClosedLoop(sys.n, sys.m, F, feedback, substeps, escape_radius)
 

@@ -13,43 +13,20 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Callable
 
 import numpy as np
 
 from .clf import Clf
-from .core import (ControlAffineSystem, FullyNonlinearSystem, Vector,
-                   as_vector, direction_set, rowdot, rowwise)
+from .core import (ControlAffineSystem, FullyNonlinearSystem, as_vector,
+                   direction_set, rowdot, rowwise)
 from .feedback import Feedback, _k1
-from .sampler import ClosedLoop, nonlinear_loop
+from .sampler import ClosedLoop
 
 
 # ---------------------------------------------------------------------------
 # Nonholonomic integrator
 # ---------------------------------------------------------------------------
-
-class IntegratorRegion(Enum):
-    ORIGIN = "origin"
-    AXIS = "axis"              # x3 axis minus the origin
-    POLAR = "polar"            # |x3| >= 2 r(x) > 0, around the axis
-    EQUATORIAL = "equatorial"  # |x3| < 2 r(x)
-
-
-def planar_radius(x) -> float:
-    x = as_vector(x, 3)
-    return float(math.hypot(x[0], x[1]))
-
-
-def planar_direction(x) -> tuple[float, float]:
-    """(x1, x2) / r(x) for r(x) > 0, rescaled as in _tiny_safe where r is subnormal."""
-    x = as_vector(x, 3)
-    x1, x2 = float(x[0]), float(x[1])
-    r = math.hypot(x1, x2)
-    if r < np.finfo(float).tiny:
-        x1, x2, r = (float(v) for v in _tiny_safe(x)[3:])
-    return x1 / r, x2 / r
-
 
 def _tiny_safe(x):
     """(x, k, r, p1, p2, rp): rows with r and |x3| under 2^-500 scaled by
@@ -75,19 +52,6 @@ def cone_margin(x) -> float:
     if abs(x[2]) < 2.0 ** -500 and abs(x[0]) < 2.0 ** -500 and abs(x[1]) < 2.0 ** -500:
         x = _tiny_safe(x)[0]
     return float(x[2] * x[2] - 4.0 * (x[0] * x[0] + x[1] * x[1]))
-
-
-def classify_region(x) -> IntegratorRegion:
-    """Total classification: every point gets exactly one region tag."""
-    x = as_vector(x, 3)
-    r = planar_radius(x)
-    if r == 0.0:
-        return IntegratorRegion.ORIGIN if x[2] == 0.0 else IntegratorRegion.AXIS
-    if max(r, abs(x[2])) < 2.0 ** -500:   # x3^2 and 4 r^2 would underflow
-        x, _, r = _tiny_safe(x)[:3]
-    if x[2] * x[2] >= 4.0 * r * r:
-        return IntegratorRegion.POLAR
-    return IntegratorRegion.EQUATORIAL
 
 
 def integrator_system() -> ControlAffineSystem:
@@ -125,21 +89,6 @@ def cart_to_integrator(state, controls):
     return z, u
 
 
-def integrator_b(x) -> Vector:
-    """Casewise channel derivatives <subgrad, g_j> for the max CLF selection."""
-    x = as_vector(x, 3)
-    region = classify_region(x)
-    s3 = float(np.sign(x[2]))
-    if region is IntegratorRegion.ORIGIN:
-        return np.zeros(2)
-    if region is IntegratorRegion.AXIS:
-        return np.array([0.0, -1.0])
-    d1, d2 = planar_direction(x)
-    if region is IntegratorRegion.POLAR:
-        return np.array([-x[1] * s3 - d1, x[0] * s3 - d2])
-    return np.array([d1, d2])
-
-
 def integrator_max_clf() -> Clf:
     """Max-form CLF max(r, |x3| - r) with its casewise subgradient selection.
 
@@ -167,32 +116,41 @@ def integrator_max_clf() -> Clf:
     def domain(x):
         return cone_margin(x) != 0.0
 
-    return Clf(3, V, subgrad, lambda s: s, domain, name="integrator_max")
+    return Clf(3, V, subgrad, lambda s: s, domain)
 
 
 def integrator_k1_k2(x):
-    """Explicit casewise feedback pieces for the integrator with the max CLF."""
+    """Explicit casewise feedback pieces for the integrator with the max CLF.
+
+    On the x3 axis (r = 0, the origin included) both pieces are (0, |x3|); in
+    the polar region |x3| >= 2 r and the equatorial region |x3| < 2 r they
+    take their closed forms. Where r and |x3| are under 2^-500 the region test
+    runs on the scaled state of _tiny_safe, and where r is subnormal so does
+    the planar direction.
+    """
     x = as_vector(x, 3)
-    region = classify_region(x)
-    r = planar_radius(x)
-    a3 = abs(float(x[2]))
-    s3 = float(np.sign(x[2]))
-    if region is IntegratorRegion.ORIGIN:
-        return np.zeros(2), np.zeros(2)
-    if region is IntegratorRegion.AXIS:
+    x1, x2, x3 = float(x[0]), float(x[1]), float(x[2])
+    r = math.hypot(x1, x2)
+    a3 = abs(x3)
+    if r == 0.0:
         return np.array([0.0, a3]), np.array([0.0, a3])
-    if region is IntegratorRegion.POLAR:
-        mu1 = (r - a3) / (r * r + 1.0)
-        d1, d2 = planar_direction(x)
-        k1 = mu1 * np.array([-x[1] * s3 - d1, x[0] * s3 - d2])
-
-        def mu2(a, b):
-            return (a3 - r) * float(np.sign(b * r * s3 - a))
-
-        k2v = -np.array([mu2(x[0], -x[1]), mu2(x[1], x[0])])
-        return k1, k2v
-    k1 = -np.array([x[0], x[1]])
-    k2v = -r * np.sign(np.array([x[0], x[1]]))
+    tiny = None
+    if max(r, a3) < 2.0 ** -500:   # x3^2 and 4 r^2 would underflow
+        tiny = _tiny_safe(x)
+        xs, _, rs = tiny[:3]
+        polar = xs[2] * xs[2] >= 4.0 * rs * rs
+    else:
+        polar = x3 * x3 >= 4.0 * r * r
+    if not polar:
+        xy = np.array([x1, x2])
+        return -xy, -r * np.sign(xy)
+    s3 = math.copysign(1.0, x3)   # the polar test fails at x3 = 0 when r > 0
+    d1, d2, rd = x1, x2, r
+    if r < np.finfo(float).tiny:
+        d1, d2, rd = (float(v) for v in (tiny or _tiny_safe(x))[3:])
+    d1, d2 = d1 / rd, d2 / rd
+    k1 = (r - a3) / (r * r + 1.0) * np.array([-x2 * s3 - d1, x1 * s3 - d2])
+    k2v = -((a3 - r) * np.sign(np.array([-x2 * r * s3 - x1, x1 * r * s3 - x2])))
     return k1, k2v
 
 
@@ -245,8 +203,7 @@ def integrator_squared_clf() -> Clf:
     def domain(x):
         return bool(np.any(as_vector(x, 3)))
 
-    return Clf(3, V, subgrad, lambda s: max(s, 1.0), domain,
-               name="integrator_squared")
+    return Clf(3, V, subgrad, lambda s: max(s, 1.0), domain)
 
 
 def integrator_feedback_crosscheck(count: int = 10000, seed: int = 0) -> dict:
@@ -283,17 +240,16 @@ def integrator_feedback_crosscheck(count: int = 10000, seed: int = 0) -> dict:
         if not np.any(x):
             continue
         pts.append(x)
-        b = integrator_b(x)
+        k1_syn, b, v = _k1(sys, clf, x)
         bn2 = float(b @ b)
-        r2 = planar_radius(x) ** 2
+        r2 = math.hypot(x[0], x[1]) ** 2
         worst_b_low = min(worst_b_low, bn2)
         worst_b_high = max(worst_b_high, bn2 - (r2 + 1.0))
-        k1_syn, w, v = _k1(sys, clf, x)
         k1_formula = -b * v / bn2
         k1_explicit, k2_explicit = integrator_k1_k2(x)
         scale = max(np.linalg.norm(k1_formula), 1e-30)
         worst_k1 = max(worst_k1, float(np.linalg.norm(k1_explicit - k1_formula)) / scale)
-        k2_general = -v * np.sign(w)
+        k2_general = -v * np.sign(b)
         worst_k2 = max(worst_k2, float(np.linalg.norm(k2_explicit - k2_general)))
         ns = np.linalg.norm(k1_syn)
         ne = np.linalg.norm(k1_explicit)
@@ -324,8 +280,7 @@ def scalar_abs_clf() -> Clf:
     return Clf(1,
                lambda x: np.abs(np.asarray(x, dtype=float)[..., 0]),
                lambda x: np.sign(np.asarray(x, dtype=float)),
-               lambda s: s,
-               name="scalar_abs")
+               lambda s: s)
 
 
 def scalar_square_clf() -> Clf:
@@ -335,8 +290,7 @@ def scalar_square_clf() -> Clf:
         x = np.asarray(x, dtype=float)[..., 0]
         return x * x
 
-    return Clf(1, V, lambda x: 2.0 * np.asarray(x, dtype=float), lambda s: s,
-               name="scalar_square")
+    return Clf(1, V, lambda x: 2.0 * np.asarray(x, dtype=float), lambda s: s)
 
 
 def counterexample_system() -> FullyNonlinearSystem:
@@ -435,10 +389,6 @@ class WeakIssCertificate:
         step = tau * tau * (3.0 - 2.0 * tau)
         return lo + (hi - lo) * step
 
-    def G_matrix(self, x) -> np.ndarray:
-        x = as_vector(x)
-        return self.g(float(np.linalg.norm(x))) * np.eye(self.k1.m)
-
     def alpha4(self, s: float) -> float:
         """Tabulated threshold radius, at least the identity, nondecreasing."""
         if s <= 0.0:
@@ -449,14 +399,9 @@ class WeakIssCertificate:
         return max(v, float(s))
 
     def bands(self) -> list:
-        out = []
-        for i in range(1, self.i_max + 1):
-            out.append({"lo": float(i), "hi": float(i + 1),
-                        "radius": float(self.r_seq[i - 1])})
-        for i in range(1, self.i_max + 1):
-            out.append({"lo": 1.0 / (i + 1), "hi": 1.0 / i,
-                        "radius": float(self.r_prime_seq[i - 1])})
-        return out
+        radii = [*self.r_seq, *self.r_prime_seq]
+        return [{"lo": float(lo), "hi": float(hi), "radius": float(r)}
+                for (lo, hi), r in zip(_band_edges(self.i_max), radii)]
 
     def to_json(self, path=None) -> dict:
         knots = [[float(k), self._level(k)] for k in range(1, self.i_max + 2)]
@@ -470,6 +415,12 @@ class WeakIssCertificate:
             with open(path, "w") as fh:
                 json.dump(doc, fh, indent=2)
         return doc
+
+
+def _band_edges(i_max: int) -> list:
+    """(lo, hi) of the bands [i, i+1), then of the reciprocal bands [1/(i+1), 1/i)."""
+    return ([(i, i + 1) for i in range(1, i_max + 1)]
+            + [(1.0 / (i + 1), 1.0 / i) for i in range(1, i_max + 1)])
 
 
 def _band_radius(margin_fn, lo: float, hi: float) -> float:
@@ -518,18 +469,13 @@ def build_weak_iss_certificate(sys: FullyNonlinearSystem, clf: Clf,
     def margin(s, r):
         return estimate_decay_margin(sys, clf, k1.eval, s, r, 64, seed)
 
-    raw_r = []
-    for i in range(1, i_max + 1):
-        b = _band_radius(margin, float(i), float(i + 1))
+    raw = []
+    for band in _band_edges(i_max):
+        b = _band_radius(margin, float(band[0]), float(band[1]))
         if b <= 0.0:
-            raise BandInfeasible((i, i + 1))
-        raw_r.append(safety * b)
-    raw_rp = []
-    for i in range(1, i_max + 1):
-        b = _band_radius(margin, 1.0 / (i + 1), 1.0 / i)
-        if b <= 0.0:
-            raise BandInfeasible((1.0 / (i + 1), 1.0 / i))
-        raw_rp.append(safety * b)
+            raise BandInfeasible(band)
+        raw.append(safety * b)
+    raw_r, raw_rp = raw[:i_max], raw[i_max:]
 
     # interleave r_1 > r'_1 > r_2 > r'_2 > ... strictly
     shrink = 1.0 - 1e-6
@@ -598,7 +544,8 @@ def validate_certificate(cert: WeakIssCertificate, sys: FullyNonlinearSystem,
         base = as_vector(cert.k1.eval(x), sys.m)
         du = rng.normal(size=sys.m)
         du *= nv / max(np.linalg.norm(du), 1e-30)
-        val = float(z @ as_vector(sys.f(x, base + cert.G_matrix(x) @ du), sys.n))
+        u = base + cert.g(float(np.linalg.norm(x))) * du
+        val = float(z @ as_vector(sys.f(x, u), sys.n))
         if val > -0.5 * float(clf.V(x)) + 1e-9:
             report["decay_holds"] = False
     return report
@@ -606,5 +553,10 @@ def validate_certificate(cert: WeakIssCertificate, sys: FullyNonlinearSystem,
 
 def weak_iss_loop(sys: FullyNonlinearSystem, k1: Feedback,
                   cert: WeakIssCertificate, substeps: int = 16) -> ClosedLoop:
-    """Closed loop dx/dt = f(x, held + G(x) u) with the certificate's gain."""
-    return nonlinear_loop(sys, k1, cert.G_matrix, substeps)
+    """Closed loop dx/dt = f(x, held + g(|x|) u) with the certificate's gain."""
+    f, g = sys.f, cert.g
+
+    def F(x, p, u):
+        return f(x, p + g(float(np.linalg.norm(x))) * u)
+
+    return ClosedLoop(sys.n, sys.m, F, k1, substeps)

@@ -158,6 +158,8 @@ def run_campaign(c: Campaign) -> CampaignReport:
 
 
 DISTURBANCE_KINDS = ("piecewise", "constant", "sine")
+# the adversarial trials' partition steps, as fractions of the guard's delta
+ADVERSARIAL_STEP_FRACTIONS = (0.3, 0.9)
 
 
 def random_disturbance(kind: str, dim: int, bound: float, partition: Partition,
@@ -234,7 +236,8 @@ def adversarial_search(c: Campaign, budget: int, seed: int = 0,
         horizon = max(case.partition.horizon for case in c.cases) if c.cases else 1.0
     worst = {"violation_margin": -math.inf, "case": None, "status": None}
     trials = random_cases(c.loop, c.guard, c.M, c.N, budget, horizon,
-                          np.random.default_rng(seed), (0.05, 1.0), (0.3, 0.9))
+                          np.random.default_rng(seed), (0.05, 1.0),
+                          ADVERSARIAL_STEP_FRACTIONS)
     for k, (case, step, kind) in enumerate(trials):
         traj, add_m, *_ = _run_case(c, case)
         if traj.status.kind in (BLOWUP, NUMERICAL_FAILURE):

@@ -20,7 +20,7 @@ def square_clf():
 def double_abs_clf():
     return Clf(1, lambda x: 2.0 * np.abs(np.asarray(x, dtype=float)[..., 0]),
                lambda x: 2.0 * np.sign(np.asarray(x, dtype=float)),
-               lambda s: s, name="double_abs")
+               lambda s: s)
 
 
 class TestAlphaTables:

@@ -29,6 +29,18 @@ def integrator_simulate_config(x0=(1.0, 0.5, 0.3)):
     }
 
 
+def scalar_campaign_config():
+    return {
+        "schema": 1,
+        "loop": {"system": "scalar", "clf": "scalar_abs",
+                 "feedback": "combined", "substeps": 4},
+        "M": 1.0, "N": 0.0, "epsilon": 0.25, "horizon": 1.0,
+        "tables": {"radius_max": 10.0, "radii": 2001, "grid_size": 64},
+        "cases": {"count": 3, "seed": 1},
+        "guard": {"points": 512, "pairs": 800},
+    }
+
+
 class TestSimulate:
     def test_integrator_demo_shapes(self, tmp_path):
         cfg = write_config(tmp_path, "sim.json", integrator_simulate_config())
@@ -112,16 +124,7 @@ class TestEnvelopeCmd:
 
 class TestCampaignCmd:
     def test_scalar_campaign_passes(self, tmp_path):
-        doc = {
-            "schema": 1,
-            "loop": {"system": "scalar", "clf": "scalar_abs",
-                     "feedback": "combined", "substeps": 4},
-            "M": 1.0, "N": 0.0, "epsilon": 0.25, "horizon": 1.0,
-            "tables": {"radius_max": 10.0, "radii": 2001, "grid_size": 64},
-            "cases": {"count": 3, "seed": 1},
-            "guard": {"points": 512, "pairs": 800},
-        }
-        cfg = write_config(tmp_path, "camp.json", doc)
+        cfg = write_config(tmp_path, "camp.json", scalar_campaign_config())
         assert main(["campaign", "--config", cfg, "--out", str(tmp_path)]) == 0
         rep = json.loads((tmp_path / "campaign.json").read_text())
         assert rep["summary"]["failed"] == 0
@@ -400,6 +403,8 @@ def _bad_config(command, **changes):
     """A valid config of the command with some fields replaced."""
     if command == "simulate":
         doc = integrator_simulate_config()
+    elif command == "campaign":
+        doc = scalar_campaign_config()
     elif command == "euler":
         doc = {"schema": 1, "linear_test": True, "x0": [1.0],
                "base_step": 0.2, "levels": 3, "horizon": 1.0}
@@ -422,9 +427,13 @@ def _bad_config(command, **changes):
     _bad_config("simulate", escape_radius=0.0),
     _bad_config("simulate", x0=[1.0, 0.5]),
     _bad_config("euler", x0=[1.0, 0.0]),
+    _bad_config("campaign", horizon=1e-6),
+    _bad_config("campaign", horizon=0.0, cases={"count": 0},
+                adversarial_budget=2),
 ], ids=["euler-no-levels", "euler-horizon-below-step",
         "weakiss-horizon-below-step", "substeps-zero", "escape-radius-zero",
-        "simulate-x0-length", "euler-x0-length"])
+        "simulate-x0-length", "euler-x0-length", "campaign-horizon-below-step",
+        "adversarial-horizon-below-step"])
 def test_rejected_config_values_exit_2(tmp_path, capsys, command, doc):
     cfg = write_config(tmp_path, "bad.json", doc)
     assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2

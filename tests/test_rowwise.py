@@ -5,7 +5,8 @@ row. The protocol tests check that a batch gives, bit for bit, what the same
 callable gives one state at a time. The reference tests recompute the
 level-set tables, the rate guard, the weak-ISS certificate and the per-step
 decrease check with per-point loops and compare them with the batched
-implementations.
+implementations, and compare the one-pass explicit integrator feedback and
+weak-ISS right-hand side with their casewise and gain-matrix forms.
 """
 
 import math
@@ -19,14 +20,14 @@ from clfiss import (Feedback, ProbeConfig, affine_loop, combined_feedback,
                     kappa_formula, make_partition, sample_solve, sine_signal,
                     zero_feedback)
 from clfiss.clf import _angular_tol
-from clfiss.core import direction_set, unit_rows
-from clfiss.systems import (build_weak_iss_certificate,
+from clfiss.core import as_vector, direction_set, unit_rows
+from clfiss.systems import (_tiny_safe, build_weak_iss_certificate,
                             counterexample_system, cone_margin,
-                            estimate_decay_margin,
-                            integrator_feedback, integrator_max_clf,
+                            estimate_decay_margin, integrator_feedback,
+                            integrator_k1_k2, integrator_max_clf,
                             integrator_squared_clf, integrator_system,
                             scalar_abs_clf, scalar_integrator_system,
-                            scalar_square_clf)
+                            scalar_square_clf, weak_iss_loop)
 
 coord = st.floats(-10.0, 10.0, allow_nan=False)
 
@@ -257,7 +258,96 @@ def reference_certificate(sys, clf, k1, i_max, safety=0.9, band_grid=17,
     return np.array(r_seq), np.array(rp_seq), margin
 
 
+def reference_region(x):
+    """Region of the max CLF at x: origin, axis, polar or equatorial."""
+    x = as_vector(x, 3)
+    r = float(math.hypot(x[0], x[1]))
+    if r == 0.0:
+        return "origin" if x[2] == 0.0 else "axis"
+    if max(r, abs(x[2])) < 2.0 ** -500:   # x3^2 and 4 r^2 would underflow
+        x, _, r = _tiny_safe(x)[:3]
+    return "polar" if x[2] * x[2] >= 4.0 * r * r else "equatorial"
+
+
+def reference_direction(x):
+    """(x1, x2) / r(x), rescaled as in _tiny_safe where r is subnormal."""
+    x = as_vector(x, 3)
+    x1, x2 = float(x[0]), float(x[1])
+    r = math.hypot(x1, x2)
+    if r < np.finfo(float).tiny:
+        x1, x2, r = (float(v) for v in _tiny_safe(x)[3:])
+    return x1 / r, x2 / r
+
+
+def reference_k1_k2(x):
+    """The explicit feedback pieces, case by case through the region helpers."""
+    x = as_vector(x, 3)
+    region = reference_region(x)
+    r = float(math.hypot(x[0], x[1]))
+    a3 = abs(float(x[2]))
+    s3 = float(np.sign(x[2]))
+    if region == "origin":
+        return np.zeros(2), np.zeros(2)
+    if region == "axis":
+        return np.array([0.0, a3]), np.array([0.0, a3])
+    if region == "polar":
+        mu1 = (r - a3) / (r * r + 1.0)
+        d1, d2 = reference_direction(x)
+        k1 = mu1 * np.array([-x[1] * s3 - d1, x[0] * s3 - d2])
+
+        def mu2(a, b):
+            return (a3 - r) * float(np.sign(b * r * s3 - a))
+
+        return k1, -np.array([mu2(x[0], -x[1]), mu2(x[1], x[0])])
+    return -np.array([x[0], x[1]]), -r * np.sign(np.array([x[0], x[1]]))
+
+
+def assert_same_pieces(x):
+    got, want = integrator_k1_k2(x), reference_k1_k2(x)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape == (2,) and g.tobytes() == w.tobytes(), x
+
+
 class TestReferences:
+    @given(x=integrator_points())
+    @settings(max_examples=300, deadline=None)
+    def test_integrator_k1_k2(self, x):
+        assert_same_pieces(x)
+
+    def test_integrator_k1_k2_across_magnitudes(self):
+        # coordinates and whole rows from 1e-320 to 1e300, with axis, plane,
+        # on-cone and subnormal-radius rows
+        rng = np.random.default_rng(0)
+        x = rng.choice([-1.0, 1.0], size=(12000, 3)) * 10.0 ** rng.uniform(
+            -320, 300, size=(12000, 3))
+        x[6000:] = rng.normal(size=(6000, 3)) * 10.0 ** rng.uniform(
+            -320, 300, size=(6000, 1))
+        x[:1000, :2] = 0.0
+        x[1000:2000, 2] = 0.0
+        x[2000:3000, 2] = 2.0 * np.hypot(x[2000:3000, 0], x[2000:3000, 1])
+        x[6000:7000, 2] = -2.0 * np.hypot(x[6000:7000, 0], x[6000:7000, 1])
+        x[7000:8000, :2] = 0.0
+        x[8000:9000, :2] = rng.normal(size=(1000, 2)) * 10.0 ** rng.uniform(
+            -323, -308, size=(1000, 1))   # subnormal r
+        regions = set()
+        with np.errstate(over="ignore", invalid="ignore"):
+            for row in x:
+                assert_same_pieces(row)
+                regions.add(reference_region(row))
+        assert regions == {"axis", "polar", "equatorial"}
+
+    def test_weak_iss_rhs(self):
+        # the scalar gain times u against the gain matrix g(|x|) I times u
+        sysc, k1 = counterexample_system(), zero_feedback(1, 1)
+        cert = build_weak_iss_certificate(sysc, scalar_abs_clf(), k1, i_max=2)
+        F = weak_iss_loop(sysc, k1, cert).F
+        rng = np.random.default_rng(0)
+        xs = rng.normal(size=(3000, 1)) * rng.uniform(0.0, 5.0, size=(3000, 1))
+        ps, us = rng.normal(size=(2, 3000, 1))
+        for x, p, u in zip(xs, ps, us):
+            gain = cert.g(float(np.linalg.norm(x))) * np.eye(1)
+            assert F(x, p, u).tobytes() == sysc.f(x, p + gain @ u).tobytes()
+
     def test_alpha_tables(self):
         for clf, radius, dirs, radii in ((integrator_max_clf(), 8.0, 64, 300),
                                          (integrator_squared_clf(), 4.0, 40, 128),

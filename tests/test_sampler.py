@@ -317,7 +317,7 @@ def gronwall_runs():
          make_partition("uniform", 600 * 3.6e-5, 3.6e-5), [1.0, -0.5, 0.5],
          {"e": constant_signal([1e-7, 0.0, 0.0]), "L": 2.5, "delta": 4e-5}),
         # escapes past radius 10 at t = 0.18
-        (nonlinear_loop(counterexample_system(), drift, None, 16, 10.0),
+        (nonlinear_loop(counterexample_system(), drift, 16, 10.0),
          make_partition("uniform", 0.5, 0.005), [4.0],
          {"u": constant_signal([1.0]), "e": constant_signal([1e-3])}),
         # dx = x^2 from 10 overflows at the eleventh interval

@@ -6,11 +6,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from clfiss import constant_signal, make_partition, sample_solve, zero_feedback
-from clfiss.feedback import synthesize_k1
-from clfiss.systems import (BandInfeasible, IntegratorRegion,
-                            build_weak_iss_certificate, cart_to_integrator,
-                            classify_region, cone_margin, counterexample_system,
-                            estimate_decay_margin, integrator_b,
+from clfiss.feedback import damping_feedback, synthesize_k1
+from clfiss.systems import (BandInfeasible, build_weak_iss_certificate,
+                            cart_to_integrator, cone_margin,
+                            counterexample_system, estimate_decay_margin,
                             integrator_feedback_crosscheck, integrator_k1_k2,
                             integrator_max_clf, integrator_squared_clf,
                             integrator_system, scalar_abs_clf,
@@ -53,20 +52,9 @@ class TestCartTransform:
         assert u[1] == pytest.approx(0.7 - (-0.2) * z[2])
 
 
-class TestRegions:
-    def test_examples(self):
-        assert classify_region([0.0, 0.0, 1.0]) is IntegratorRegion.AXIS
-        assert classify_region([1.0, 0.0, 3.0]) is IntegratorRegion.POLAR
-        assert classify_region([1.0, 0.0, 1.0]) is IntegratorRegion.EQUATORIAL
-        assert classify_region([0.0, 0.0, 0.0]) is IntegratorRegion.ORIGIN
-
-    @given(x1=st.floats(-10, 10), x2=st.floats(-10, 10), x3=st.floats(-10, 10))
-    @settings(max_examples=300, deadline=None)
-    def test_total_partition(self, x1, x2, x3):
-        region = classify_region([x1, x2, x3])
-        assert isinstance(region, IntegratorRegion)
-        if (x1, x2, x3) != (0.0, 0.0, 0.0):
-            assert region is not IntegratorRegion.ORIGIN or (x1 == x2 == 0.0 and x3 == 0.0)
+def max_clf_channels(x):
+    """b = G(x)^T subgrad(x) of the max CLF: the negated damping feedback."""
+    return -damping_feedback(integrator_system(), integrator_max_clf()).eval(x)
 
 
 class TestMaxClf:
@@ -77,31 +65,35 @@ class TestMaxClf:
         assert np.array_equal(clf.subgrad(np.zeros(3)), np.zeros(3))
 
     def test_axis_channel_derivative(self):
-        assert np.allclose(integrator_b([0.0, 0.0, 1.0]), [0.0, -1.0])
+        assert np.allclose(max_clf_channels([0.0, 0.0, 1.0]), [0.0, -1.0])
 
     @given(x1=st.floats(-5, 5), x2=st.floats(-5, 5), x3=st.floats(-5, 5))
     @settings(max_examples=200, deadline=None)
     def test_b_norm_bounds(self, x1, x2, x3):
         x = np.array([x1, x2, x3])
         assume(np.any(x))   # b vanishes at the origin only, at any magnitude
-        b2 = float(integrator_b(x) @ integrator_b(x))
+        b = max_clf_channels(x)
+        b2 = float(b @ b)
         r2 = x1 * x1 + x2 * x2
         assert b2 >= 1.0 - 1e-9
         assert b2 <= r2 + 1.0 + 1e-9
 
-    @pytest.mark.parametrize("x, region, z", [
-        ((5e-324, 5e-324, 1.0), IntegratorRegion.POLAR,
-         (-1 / math.sqrt(2.0), -1 / math.sqrt(2.0), 1.0)),
-        ((1e-170, 0.0, 0.0), IntegratorRegion.EQUATORIAL, (1.0, 0.0, 0.0)),
-        ((1e-170, 1e-170, 1e-171), IntegratorRegion.EQUATORIAL,
-         (1 / math.sqrt(2.0), 1 / math.sqrt(2.0), 0.0)),
+    @pytest.mark.parametrize("x, z", [
+        ((5e-324, 5e-324, 1.0), (-1 / math.sqrt(2.0), -1 / math.sqrt(2.0), 1.0)),
+        ((1e-170, 0.0, 0.0), (1.0, 0.0, 0.0)),
+        ((1e-170, 1e-170, 1e-171), (1 / math.sqrt(2.0), 1 / math.sqrt(2.0), 0.0)),
     ])
-    def test_tiny_states(self, x, region, z):
-        # a subnormal planar radius and underflowing squares keep the
-        # region and the unit planar direction of a normal-range multiple
-        assert classify_region(x) is region
+    def test_tiny_states(self, x, z):
+        # a subnormal planar radius and underflowing squares keep the region
+        # (polar, then equatorial twice) and the unit planar direction of a
+        # normal-range multiple, in the subgradient and the explicit feedback
         assert np.allclose(integrator_max_clf().subgrad(np.array(x)), z,
                            rtol=1e-15, atol=0.0)
+        b = max_clf_channels(x)
+        v = float(integrator_max_clf().V(np.array(x)))
+        k1v, k2v = integrator_k1_k2(x)
+        assert np.allclose(k1v, -b * v / float(b @ b), rtol=1e-15, atol=0.0)
+        assert np.allclose(k2v, -v * np.sign(b), rtol=1e-15, atol=0.0)
 
     def test_domain_excludes_cone(self):
         clf = integrator_max_clf()
@@ -294,10 +286,6 @@ class TestWeakIssLoop:
         exact = 4.0 * np.exp(-traj.dense_times)
         assert np.max(np.abs(traj.dense_states[:, 0] - exact)) < 1e-6
 
-    def test_identity_gain_inside_unit_ball(self, certificate):
-        _, _, _, cert = certificate
-        assert np.array_equal(cert.G_matrix([0.5]), np.eye(1))
-
     def test_bounded_under_unit_input_where_raw_loop_blows_up(self, certificate):
         sysc, _, k1, cert = certificate
         u = constant_signal([1.0])
@@ -314,9 +302,9 @@ class TestWeakIssLoop:
 @pytest.mark.parametrize("x", [(1e-170, 0.0, 0.0), (1e-170, 1e-170, 1e-171)])
 def test_cone_margin_agrees_at_tiny_states(x):
     # squares of these coordinates underflow; the margin must still place
-    # the state where classify_region and subgrad do, off the cone
+    # the state where integrator_k1_k2 and subgrad do, off the cone
     clf = integrator_max_clf()
-    assert classify_region(x) is IntegratorRegion.EQUATORIAL
+    assert np.array_equal(integrator_k1_k2(x)[0], -np.array(x[:2]))   # equatorial
     assert cone_margin(x) < 0.0
     assert clf.domain(x)
     assert clf.subgrad(np.array(x))[2] == 0.0   # the equatorial selection
