@@ -17,7 +17,7 @@ from .feedback import (ContinuityReport, DecayViolation, Feedback,
 from .sampler import (ClosedLoop, DecreaseReport, GronwallReport, ProbeConfig,
                       RateGuard, admissible, affine_loop, decrease_check,
                       estimate_rate_guard, gronwall_gap, kappa_formula,
-                      nonlinear_loop, sample_solve)
+                      nonlinear_loop, sample_solve, sample_solve_batch)
 from .verify import (Campaign, CampaignCase, CampaignReport,
                      adversarial_search, make_cases, run_campaign)
 

@@ -24,8 +24,11 @@ from .core import (BLOWUP, NUMERICAL_FAILURE, ControlAffineSystem, Signal,
                    write_trajectory_csv, zero_signal)
 from .euler import check_iss_euler, euler_study, geometric_schedule
 from .feedback import Feedback, combined_feedback, damping_feedback, zero_feedback
+# the benchmark's tracer (perfbench/tracer.py) patches sample_solve here and
+# in verify and euler
 from .sampler import (ClosedLoop, ProbeConfig, affine_loop, decrease_check,
-                      estimate_rate_guard, nonlinear_loop, sample_solve)
+                      estimate_rate_guard, nonlinear_loop, sample_solve,
+                      sample_solve_batch)
 from .verify import (ADVERSARIAL_STEP_FRACTIONS, Campaign, CampaignCase,
                      adversarial_search, make_cases, random_disturbance,
                      run_campaign)
@@ -260,6 +263,18 @@ def cmd_campaign(cfg: dict, out_dir: str, seed: int) -> int:
     if not isinstance(system, ControlAffineSystem):
         raise ConfigError(f"campaign: system {cfg['loop']['system']!r} is not "
                           "control-affine; the rate guard needs its f and G")
+    ccfg = cfg["cases"]
+    _check_fields(ccfg, {"count", "seed", "step_fraction", "include_inadmissible"},
+                  {"count"}, "cases")
+    step_fraction = ccfg.get("step_fraction", 0.9)
+    if not 0.0 < step_fraction < 1.0:
+        # a case's step is this fraction of the guard's delta, which an
+        # admissible partition must stay below
+        raise ConfigError(f"cases: step_fraction must lie in (0, 1), got {step_fraction!r}")
+    budget = cfg.get("adversarial_budget", 0)
+    if isinstance(budget, bool) or not isinstance(budget, int) or budget < 0:
+        raise ConfigError("campaign: adversarial_budget must be a nonnegative "
+                          f"integer, got {budget!r}")
     tcfg = cfg.get("tables", {})
     _check_fields(tcfg, {"radius_max", "grid_size", "directions", "radii"},
                   set(), "tables")
@@ -273,13 +288,9 @@ def cmd_campaign(cfg: dict, out_dir: str, seed: int) -> int:
                         gcfg.get("inflation", 1.25), gcfg.get("seed", seed))
     guard = estimate_rate_guard(loop, clf, tables, cfg["epsilon"], cfg["M"],
                                 cfg["N"], system, probe)
-    ccfg = cfg["cases"]
-    _check_fields(ccfg, {"count", "seed", "step_fraction", "include_inadmissible"},
-                  {"count"}, "cases")
-    step_fraction = ccfg.get("step_fraction", 0.9)
     # each case and each adversarial trial must fit one whole step
     fractions = [step_fraction] if ccfg["count"] > 0 else []
-    if cfg.get("adversarial_budget"):
+    if budget:
         fractions.append(ADVERSARIAL_STEP_FRACTIONS[1])
     if fractions and cfg["horizon"] < max(fractions) * guard.delta:
         raise ConfigError(
@@ -299,9 +310,8 @@ def cmd_campaign(cfg: dict, out_dir: str, seed: int) -> int:
     report = run_campaign(campaign)
     doc = report.to_json()
     doc["guard"] = guard.to_dict()
-    if cfg.get("adversarial_budget"):
-        doc["adversarial"] = adversarial_search(campaign, cfg["adversarial_budget"],
-                                                seed, cfg["horizon"])
+    if budget:
+        doc["adversarial"] = adversarial_search(campaign, budget, seed, cfg["horizon"])
     with open(_out_path(out_dir, "campaign.json"), "w") as fh:
         json.dump(doc, fh, indent=2)
     ok = report.all_passed
@@ -363,18 +373,18 @@ def cmd_weakiss(cfg: dict, out_dir: str, seed: int) -> int:
     env = build_envelope(tables, cfg["epsilon"], cert.alpha4)
     part = _checked("weakiss", make_partition, "uniform", cfg["horizon"],
                     cfg.get("step", 0.01))
+    runs = [([float(x0)], sign * cfg["N"]) for x0 in cfg["x0_values"]
+            for sign in (1.0, -1.0)]
+    trajs = sample_solve_batch(loop, [part] * len(runs), [x0 for x0, _ in runs],
+                               [constant_signal([u]) for _, u in runs])
     rows = []
     failed = 0
-    for x0 in cfg["x0_values"]:
-        for sign in (1.0, -1.0):
-            u = constant_signal([sign * cfg["N"]])
-            traj = sample_solve(loop, part, [float(x0)], u)
-            chk = check_iss_euler(traj, env, [float(x0)], cfg["N"])
-            ok = traj.status.ok and chk.ok
-            failed += 0 if ok else 1
-            rows.append({"x0": float(x0), "u": sign * cfg["N"],
-                         "status": traj.status.kind, "pass": bool(ok),
-                         **chk.to_dict()})
+    for (x0, u), traj in zip(runs, trajs):
+        chk = check_iss_euler(traj, env, x0, cfg["N"])
+        ok = traj.status.ok and chk.ok
+        failed += 0 if ok else 1
+        rows.append({"x0": x0[0], "u": u, "status": traj.status.kind,
+                     "pass": bool(ok), **chk.to_dict()})
     doc = {"cases": rows, "failed": failed,
            "alpha4_at_N": cert.alpha4(cfg["N"])}
     with open(_out_path(out_dir, "weakiss.json"), "w") as fh:

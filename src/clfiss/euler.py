@@ -15,6 +15,7 @@ from .clf import IssEnvelope
 from .core import (BLOWUP, NUMERICAL_FAILURE, Signal, Trajectory,
                    as_vector, constant_signal, lower_diameter, make_partition,
                    upper_diameter, zero_signal)
+# the benchmark's tracer (perfbench/tracer.py) patches sample_solve here
 from .sampler import ClosedLoop, sample_solve
 
 

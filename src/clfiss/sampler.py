@@ -29,7 +29,9 @@ DOMAIN_EXIT_TOL = 1e-9
 class ClosedLoop:
     """Closed-loop right-hand side (x, held, disturbance) -> dx/dt plus knobs.
 
-    domain_margin, when given, is a scalar function whose zero set marks the
+    F is row-wise: states (..., n), held controls and disturbances (..., m)
+    map to (..., n), each row as it would map alone. domain_margin, when
+    given, is a row-wise function, (..., n) to (...), whose zero set marks the
     boundary of the region where the CLF estimates are valid; a sign change or
     a near-zero value along the run flags the trajectory as having left that
     region (the run itself continues to the horizon).
@@ -41,7 +43,7 @@ class ClosedLoop:
     feedback: Feedback
     substeps: int = 16
     escape_radius: float = DEFAULT_ESCAPE_RADIUS
-    domain_margin: Callable[[Vector], float] | None = None
+    domain_margin: Callable[[Vector], np.ndarray] | None = None
 
     def __post_init__(self):
         if self.substeps < 1:
@@ -58,7 +60,8 @@ def affine_loop(sys: ControlAffineSystem, feedback: Feedback, substeps: int = 16
     f, G = sys.f, sys.G
 
     def F(x, p, u):
-        return f(x) + G(x) @ (p + u)
+        # G times a one-column matrix, which is bit for bit the 1-D G(x) @ w
+        return f(x) + (G(x) @ (p + u)[..., None])[..., 0]
 
     return ClosedLoop(sys.n, sys.m, F, feedback, substeps, escape_radius, domain_margin)
 
@@ -87,14 +90,211 @@ def _rk4_step(F, x, t, h, p, u_eval):
     return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _hold(loop: ClosedLoop, x, t0: float, t1: float, held, u: Signal):
-    """Hold the control over [t0, t1]: yields (tau, t, x) after each of the
-    loop's RK4 substeps from tau to t, the last one ending at t1 exactly."""
+def _signal_rows(evals, t, dim: int) -> np.ndarray:
+    """Row j is evals[j] at time t, or at t[j] for a column of times."""
+    if isinstance(t, float):
+        if len(evals) == 1:   # one row: the signal's own vector, not a copy
+            return np.asarray(evals[0](t), dtype=float).reshape(1, dim)
+        values = [ev(t) for ev in evals]
+    else:
+        values = [ev(s) for ev, s in zip(evals, t.ravel().tolist())]
+    return np.array(values, dtype=float).reshape(len(evals), dim)
+
+
+def _take(v, keep):
+    """The rows keep of a column; a float shared by every row stays as it is."""
+    return v if isinstance(v, float) else v[keep]
+
+
+def _hold(loop: ClosedLoop, x, t0, t1, held, u, after):
+    """Hold each row's control over its own [t0, t1] through the loop's RK4
+    substeps, all rows at once.
+
+    x and held are (B, n) and (B, m), t0 and t1 (B, 1) columns, or floats
+    when every row shares them, and u is one signal evaluator per row. After
+    each substep from tau to t (the last one ends at t1 exactly),
+    after(tau, t, x) returns the positions of the rows to go on with, or None
+    for all of them. Returns the states of the rows that reach t1.
+    """
     h = (t1 - t0) / loop.substeps
+    last = loop.substeps - 1
+
+    def u_eval(t):
+        return _signal_rows(u, t, loop.m)
+
     for k in range(loop.substeps):
         tau = t0 + k * h
-        x = _rk4_step(loop.F, x, tau, h, held, u.eval)
-        yield tau, (t1 if k == loop.substeps - 1 else tau + h), x
+        x = _rk4_step(loop.F, x, tau, h, held, u_eval)
+        keep = after(tau, t1 if k == last else tau + h, x)
+        if keep is not None:
+            x, held, u = x[keep], held[keep], [u[j] for j in keep.tolist()]
+            t0, t1, h = _take(t0, keep), _take(t1, keep), _take(h, keep)
+            if not keep.size:
+                break
+    return x
+
+
+def sample_solve_batch(loop: ClosedLoop, partitions, x0, u=None,
+                       e=None) -> list:
+    """Run the hold-and-integrate recursion for B independent rows in lockstep.
+
+    Row j runs on partitions[j] from x0[j] under the disturbance u[j] and the
+    observation error e[j] (None, or a None entry, is the zero signal), with
+    its own interval boundaries and substep length. Every row takes interval
+    i together; a row that reaches its horizon, escapes or turns nonfinite
+    leaves the batch. Returns one Trajectory per row, byte for byte the one
+    the row gives alone, as sample_solve describes.
+    """
+    B, n, m, S = len(partitions), loop.n, loop.m, loop.substeps
+    u = [zero_signal(m) if s is None else s for s in (u or [None] * B)]
+    e = [zero_signal(n) if s is None else s for s in (e or [None] * B)]
+    if not len(x0) == len(u) == len(e) == B:
+        raise ValueError("need one x0, disturbance and error per partition")
+    if any(s.dim != m for s in u) or any(s.dim != n for s in e):
+        raise ValueError("signal dimensions must match the loop")
+    if not B:
+        return []
+    x = np.array([as_vector(v, n) for v in x0]).reshape(B, n)
+    K = np.array([p.intervals for p in partitions], dtype=int)
+    k_max = int(K.max(initial=0))
+    times = np.full((B, k_max + 1), np.nan)
+    for j, p in enumerate(partitions):
+        times[j, :K[j] + 1] = p.times
+    # interval i is shared when every row that reaches it has the same ends,
+    # and some row's last interval is i - 1 when ends[i]
+    same = (np.nanmin(times, axis=0) == np.nanmax(times, axis=0)).tolist()
+    ends = np.isin(np.arange(k_max), K).tolist()
+    # each running row writes dense row s at the run's s-th substep
+    dense_x = np.empty((B, k_max * S + 1, n))
+    dense_t = np.empty((B, k_max * S + 1))
+    held_all = np.empty((B, k_max, m))
+    dense_x[:, 0], dense_t[:, 0] = x, 0.0
+    # per row: dense rows, whole intervals and held controls at its end
+    count, done, held_n = K * S + 1, K.copy(), K.copy()
+    terminal = [None] * B
+    left_at = np.full(B, np.nan)
+    # a state whose norm is at most limit is finite and inside the radius
+    limit = min(loop.escape_radius, float(np.finfo(float).max))
+    monitor = loop.domain_margin
+
+    # the running rows: their ids (a slice while none has stopped), signal
+    # evaluators and last domain margins, and the positions among them of the
+    # rows still watched (a slice while all are, None when there is no
+    # monitor or none is left); x holds their states
+    rows, u_ev, e_ev = slice(0, B), [s.eval for s in u], [s.eval for s in e]
+    prev = rowwise(monitor(x), x) if monitor is not None else None
+    watched = slice(0, B) if monitor is not None else None
+
+    def ids(pos):
+        # the row ids at positions pos among the running rows
+        return np.arange(B)[rows][pos]
+
+    def select(keep):
+        # go on with the running rows at positions keep only
+        nonlocal rows, u_ev, e_ev, prev, watched
+        if isinstance(watched, slice):
+            watched = np.arange(len(u_ev))
+        if watched is not None:
+            # positions of kept rows, then those of the kept watched rows
+            where = np.full(len(u_ev), -1)
+            where[keep] = np.arange(keep.size)
+            watched = where[watched][where[watched] >= 0]
+            prev = prev[keep]
+        rows = ids(keep)
+        u_ev, e_ev = [u_ev[j] for j in keep.tolist()], [e_ev[j] for j in keep.tolist()]
+
+    def per_row(t, pos):
+        # the times of the running rows at positions pos, t a float or column
+        return np.broadcast_to(np.ravel(t), (len(u_ev),))[pos]
+
+    def watch(states, t):
+        # the first state whose margin is near zero or has changed sign
+        nonlocal watched
+        margin = rowwise(monitor(states[watched]), states[watched])
+        hit = (np.abs(margin) < DOMAIN_EXIT_TOL) | (margin * prev[watched] < 0)
+        prev[watched] = margin
+        if np.count_nonzero(hit):
+            pos = np.arange(len(u_ev))[watched]
+            left_at[ids(pos[hit])] = per_row(t, pos[hit])
+            watched = pos[~hit] if (~hit).any() else None
+
+    def stop(pos, t, kind, detail, recorded):
+        stopped = ids(pos)
+        for j, tj in zip(stopped.tolist(), per_row(t, pos).tolist()):
+            terminal[j] = Status(kind, tj, detail)
+        count[stopped], done[stopped], held_n[stopped] = recorded, i, i + 1
+
+    def after(tau, t, x):
+        nonlocal step
+        step += 1
+        norms = np.sqrt(rowdot(x, x))
+        if norms.max() <= limit:   # false at a nan norm too
+            dense_x[rows, step] = x
+            dense_t[rows, step] = t if isinstance(t, float) else t[:, 0]
+            if watched is not None:
+                watch(x, t)
+            return None
+        # some row is nonfinite or at or past the escape radius
+        bad = ~np.isfinite(x).all(axis=1)
+        stop(bad, tau, NUMERICAL_FAILURE, "nonfinite state", step)
+        ok = np.flatnonzero(~bad)
+        dense_x[ids(ok), step] = x[ok]
+        dense_t[ids(ok), step] = per_row(t, ok)
+        out = np.zeros_like(bad)
+        out[ok] = norms[ok] > loop.escape_radius
+        stop(out, t, BLOWUP, "escape radius reached", step + 1)
+        keep = np.flatnonzero(~(bad | out))
+        t = per_row(t, keep)[:, None]
+        select(keep)
+        if watched is not None:
+            watch(x[keep], t)
+        return keep
+
+    out = np.sqrt(rowdot(x, x)) > loop.escape_radius
+    for j in np.flatnonzero(out).tolist():
+        terminal[j] = Status(BLOWUP, 0.0, "initial state beyond escape radius")
+    count[out], done[out], held_n[out] = 1, 0, 0
+    if out.any():
+        select(np.flatnonzero(~out))
+        x = x[~out]
+    step = 0
+    for i in range(k_max):
+        if ends[i]:
+            going = K[rows] > i
+            select(np.flatnonzero(going))
+            x = x[going]
+        if not x.shape[0]:
+            break
+        if same[i] and same[i + 1]:
+            lead = rows.start if isinstance(rows, slice) else rows[0]
+            t0, t1 = float(times[lead, i]), float(times[lead, i + 1])
+        else:
+            t0, t1 = times[rows, i, None], times[rows, i + 1, None]
+        x_tilde = x + _signal_rows(e_ev, t0, n)
+        held = np.array([as_vector(loop.feedback.eval(v), m) for v in x_tilde])
+        held_all[rows, i] = held
+        if watched is not None:
+            watch(x_tilde, t0)
+        x = _hold(loop, x, t0, t1, held, u_ev, after)
+
+    trajectories = []
+    for j, p in enumerate(partitions):
+        status = terminal[j] or Status(COMPLETED)
+        if not np.isnan(left_at[j]):
+            t_left = float(left_at[j])
+            if terminal[j] is None:
+                status = Status(LEFT_DOMAIN, t_left, "left CLF estimate region")
+            else:
+                status = Status(status.kind, status.time, status.detail
+                                + f"; left CLF estimate region at t={t_left:g}")
+        # each interval adds S dense rows, so the end state of a completed
+        # one is every S-th dense row; the copies free the batch's buffers
+        dense = dense_x[j, :count[j]].copy()
+        trajectories.append(Trajectory(
+            p, p.times[:done[j] + 1], dense[:done[j] * S + 1:S],
+            dense_t[j, :count[j]].copy(), dense, held_all[j, :held_n[j]].copy(),
+            np.maximum(np.arange(count[j]) - 1, 0) // S, status))
+    return trajectories
 
 
 def sample_solve(loop: ClosedLoop, partition: Partition, x0,
@@ -103,73 +303,9 @@ def sample_solve(loop: ClosedLoop, partition: Partition, x0,
 
     The held control on [t_i, t_{i+1}) is feedback(x_i + e(t_i)). Escape past
     escape_radius records a blow-up time rather than raising; a nonfinite state
-    is a numerical failure.
+    is a numerical failure. This is the one-row batch of sample_solve_batch.
     """
-    u = u if u is not None else zero_signal(loop.m)
-    e = e if e is not None else zero_signal(loop.n)
-    if u.dim != loop.m or e.dim != loop.n:
-        raise ValueError("signal dimensions must match the loop")
-
-    times = partition.times
-    x = as_vector(x0, loop.n).copy()
-    dense_t = [0.0]
-    dense_x = [x]
-    dense_idx = [0]
-    held_list = []
-
-    monitor = loop.domain_margin
-    left_at = None
-    margin_prev = monitor(x) if monitor is not None else None
-
-    def watch(state, t):
-        # the first state whose margin is near zero or has changed sign
-        nonlocal left_at, margin_prev
-        if monitor is not None and left_at is None:
-            m = monitor(state)
-            if abs(m) < DOMAIN_EXIT_TOL or m * margin_prev < 0:
-                left_at = t
-            margin_prev = m
-
-    terminal, completed = None, partition.intervals
-    if float(np.linalg.norm(x)) > loop.escape_radius:
-        terminal = Status(BLOWUP, 0.0, "initial state beyond escape radius")
-        completed = 0
-    for i in range(completed):
-        t0, t1 = float(times[i]), float(times[i + 1])
-        x_tilde = x + e.eval(t0)
-        held = as_vector(loop.feedback.eval(x_tilde), loop.m)
-        held_list.append(held)
-        watch(x_tilde, t0)
-        for tau, t_new, x in _hold(loop, x, t0, t1, held, u):
-            if not np.all(np.isfinite(x)):
-                terminal = Status(NUMERICAL_FAILURE, tau, "nonfinite state")
-                break
-            dense_t.append(t_new)
-            dense_x.append(x)
-            dense_idx.append(i)
-            if float(np.linalg.norm(x)) > loop.escape_radius:
-                terminal = Status(BLOWUP, t_new, "escape radius reached")
-                break
-            watch(x, t_new)
-        if terminal is not None:
-            completed = i
-            break
-
-    status = terminal or Status(COMPLETED)
-    if terminal is None and left_at is not None:
-        status = Status(LEFT_DOMAIN, left_at, "left CLF estimate region")
-    elif terminal is not None and left_at is not None:
-        status = Status(terminal.kind, terminal.time,
-                        terminal.detail + f"; left CLF estimate region at t={left_at:g}")
-
-    # each interval adds substeps dense rows, so the end state of a completed
-    # one is every substeps-th dense row
-    dense = np.array(dense_x)
-    return Trajectory(partition, times[:completed + 1],
-                      dense[:completed * loop.substeps + 1:loop.substeps],
-                      np.array(dense_t), dense,
-                      np.array(held_list) if held_list else np.zeros((0, loop.m)),
-                      np.array(dense_idx), status)
+    return sample_solve_batch(loop, [partition], [x0], [u], [e])[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -212,29 +348,37 @@ def gronwall_gap(loop: ClosedLoop, partition: Partition, x0,
     times = partition.times
     x = as_vector(x0, loop.n).copy()
     idx, errs, obs, bds = [], [], [], []
+    stopped = np.empty(0, dtype=int)
     for i in range(partition.intervals):
-        t0, t1 = float(times[i]), float(times[i + 1])
-        err = as_vector(e.eval(t0), loop.n)
+        err = as_vector(e.eval(float(times[i])), loop.n)
         x_tilde = x + err
         held = as_vector(loop.feedback.eval(x_tilde), loop.m)
         gap = float(np.linalg.norm(x - x_tilde))
         ok = True
-        for (_, _, xa), (_, _, xb) in zip(_hold(loop, x, t0, t1, held, u),
-                                          _hold(loop, x_tilde, t0, t1, held, u)):
+
+        def after(tau, t, pair):
+            nonlocal gap, ok
+            xa, xb = pair
             if not (np.all(np.isfinite(xa)) and np.all(np.isfinite(xb))):
                 ok = False
-                break
+                return stopped
             gap = max(gap, float(np.linalg.norm(xa - xb)))
             if max(np.linalg.norm(xa), np.linalg.norm(xb)) > loop.escape_radius:
                 ok = False
-                break
+                return stopped
+            return None
+
+        # the run and its companion as two rows that hold the run's control
+        pair = _hold(loop, np.stack([x, x_tilde]), float(times[i]),
+                     float(times[i + 1]), np.stack([held, held]),
+                     [u.eval, u.eval], after)
         idx.append(i)
         errs.append(float(np.linalg.norm(err)))
         obs.append(gap)
         bds.append(float(np.linalg.norm(err)) * math.exp(L * delta))
         if not ok:
             break
-        x = xa
+        x = pair[0]
     return GronwallReport(np.array(idx), np.array(errs), np.array(obs), np.array(bds))
 
 

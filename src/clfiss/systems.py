@@ -35,7 +35,7 @@ def _tiny_safe(x):
     subnormal (rp = 1 at r = 0). Rows with r >= 2^-500 keep every bit (k = 0)."""
     x = np.asarray(x, dtype=float)
     r = np.hypot(x[..., 0], x[..., 1])
-    if not np.any(r < 2.0 ** -500):
+    if not (r < 2.0 ** -500).any():
         return x, 0, r, x[..., 0], x[..., 1], r
     kp = np.where(r < np.finfo(float).tiny, 600, 0)
     p1, p2 = np.ldexp(x[..., 0], kp), np.ldexp(x[..., 1], kp)
@@ -45,13 +45,13 @@ def _tiny_safe(x):
     return x, k, np.hypot(x[..., 0], x[..., 1]), p1, p2, np.where(rp == 0.0, 1.0, rp)
 
 
-def cone_margin(x) -> float:
-    """x3^2 - 4 r(x)^2; zero exactly on the nonsmooth cone of the max CLF. States
-    with r and |x3| under 2^-500 are scaled by 2^600 first, as in _tiny_safe."""
-    x = as_vector(x, 3)
-    if abs(x[2]) < 2.0 ** -500 and abs(x[0]) < 2.0 ** -500 and abs(x[1]) < 2.0 ** -500:
-        x = _tiny_safe(x)[0]
-    return float(x[2] * x[2] - 4.0 * (x[0] * x[0] + x[1] * x[1]))
+def cone_margin(x):
+    """x3^2 - 4 r(x)^2 row by row, zero exactly on the nonsmooth cone of the max
+    CLF; a float for one state. Rows with r and |x3| under 2^-500 are scaled by
+    2^600 first, as in _tiny_safe."""
+    sq = np.square(_tiny_safe(x)[0])
+    margin = sq[..., 2] - 4.0 * (sq[..., 0] + sq[..., 1])
+    return float(margin) if margin.ndim == 0 else margin
 
 
 def integrator_system() -> ControlAffineSystem:
@@ -379,15 +379,26 @@ class WeakIssCertificate:
         rk = float(self.r_seq[min(k, self.i_max) - 1])
         return min(1.0, rk / (k + 1.0))
 
-    def g(self, s: float) -> float:
-        """Smooth monotone gain: 1 on [0, 1], then bridged down staircase levels."""
+    def _gain(self, s: float) -> float:
         if s <= 1.0:
             return 1.0
+        if not math.isfinite(s):
+            return math.nan
         k = int(math.floor(s))
         tau = s - k
         lo, hi = self._level(k), self._level(k + 1)
         step = tau * tau * (3.0 - 2.0 * tau)
         return lo + (hi - lo) * step
+
+    def g(self, s):
+        """Smooth monotone gain: 1 on [0, 1], then bridged down staircase
+        levels; nan at a nan or infinite s. Entry by entry on an array (the
+        batches here are a few runs, where that is faster than array
+        arithmetic); a float for a float."""
+        s = np.asarray(s, dtype=float)
+        if not s.ndim:
+            return self._gain(float(s))
+        return np.array([self._gain(v) for v in s.ravel().tolist()]).reshape(s.shape)
 
     def alpha4(self, s: float) -> float:
         """Tabulated threshold radius, at least the identity, nondecreasing."""
@@ -494,7 +505,7 @@ def build_weak_iss_certificate(sys: FullyNonlinearSystem, clf: Clf,
     # shell where some probe still breaks the closed decay inequality
     n_grid = np.linspace(0.0, 2.0, 41)
     shell_grid = np.linspace(1e-3, float(i_max + 1), 16 * (i_max + 1) + 1)
-    gain = np.array([cert.g(float(s)) for s in shell_grid])
+    gain = cert.g(shell_grid)
     hit = estimate_decay_margin(sys, clf, k1.eval, shell_grid,
                                 n_grid[:, None] * gain, 16, seed + 1) > 0.0
     last = shell_grid.size - 1 - np.argmax(hit[:, ::-1], axis=1)
@@ -557,6 +568,7 @@ def weak_iss_loop(sys: FullyNonlinearSystem, k1: Feedback,
     f, g = sys.f, cert.g
 
     def F(x, p, u):
-        return f(x, p + g(float(np.linalg.norm(x))) * u)
+        gain = np.asarray(g(np.sqrt(rowdot(x, x))))
+        return f(x, p + gain[..., None] * u)
 
     return ClosedLoop(sys.n, sys.m, F, k1, substeps)

@@ -22,7 +22,14 @@ from .core import (BLOWUP, NUMERICAL_FAILURE, Partition, Signal, as_vector,
                    piecewise_constant_signal, sine_signal, zero_signal)
 from .euler import check_iss_euler
 from .sampler import (ClosedLoop, RateGuard, admissible, decrease_check,
-                      sample_solve)
+                      sample_solve_batch)
+# not called here; the benchmark's tracer (perfbench/tracer.py) patches it
+from .sampler import sample_solve  # noqa: F401
+
+# the most dense rows a lockstep batch of cases holds: its case count times
+# its longest case's rows (intervals * substeps + 1). The 50 integrator cases
+# of ~55k rows each in the acceptance campaign run nine at a time.
+DENSE_ROW_BUDGET = 1 << 19
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,10 +75,31 @@ class Campaign:
                     f"case {k}: not admissible for the guard; tag it assert_envelope=False")
 
 
-def _run_case(c: Campaign, case: CampaignCase):
-    """Simulate one case; returns the trajectory, then its envelope margins
-    (additive, max form, additive on the refined grid) and first violation time."""
-    traj = sample_solve(c.loop, case.partition, case.x0, case.u, case.e)
+def _trajectories(loop: ClosedLoop, cases):
+    """Each case's trajectory, in case order, from lockstep batches of
+    consecutive cases that hold at most DENSE_ROW_BUDGET dense rows (a single
+    case may hold more)."""
+
+    def solve(batch):
+        return sample_solve_batch(loop, [c.partition for c in batch],
+                                  [c.x0 for c in batch], [c.u for c in batch],
+                                  [c.e for c in batch])
+
+    batch, width = [], 0
+    for case in cases:
+        rows = case.partition.intervals * loop.substeps + 1
+        if batch and (len(batch) + 1) * max(width, rows) > DENSE_ROW_BUDGET:
+            yield from solve(batch)
+            batch, width = [], 0
+        batch.append(case)
+        width = max(width, rows)
+    if batch:
+        yield from solve(batch)
+
+
+def _margins(c: Campaign, case: CampaignCase, traj):
+    """The case's envelope margins (additive, max form, additive on the
+    refined grid) and first violation time."""
     add = check_iss_euler(traj, c.envelope, case.x0, c.N)
     t = traj.dense_times
     norms = traj.norms()
@@ -89,7 +117,7 @@ def _run_case(c: Campaign, case: CampaignCase):
     if worse.size:
         firsts.append(float(t[worse[0]]))
     first = min(firsts) if firsts else None
-    return traj, add.worst_margin, float(np.min(max_margins)), fine_add, first
+    return add.worst_margin, float(np.min(max_margins)), fine_add, first
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,8 +148,8 @@ def run_campaign(c: Campaign) -> CampaignReport:
     failed = 0
     asserted = 0
     worst = math.inf
-    for k, case in enumerate(c.cases):
-        traj, add_m, max_m, fine_m, first = _run_case(c, case)
+    for k, (case, traj) in enumerate(zip(c.cases, _trajectories(c.loop, c.cases))):
+        add_m, max_m, fine_m, first = _margins(c, case, traj)
         row = {
             "id": k,
             "label": case.label,
@@ -235,11 +263,12 @@ def adversarial_search(c: Campaign, budget: int, seed: int = 0,
     if horizon is None:
         horizon = max(case.partition.horizon for case in c.cases) if c.cases else 1.0
     worst = {"violation_margin": -math.inf, "case": None, "status": None}
-    trials = random_cases(c.loop, c.guard, c.M, c.N, budget, horizon,
-                          np.random.default_rng(seed), (0.05, 1.0),
-                          ADVERSARIAL_STEP_FRACTIONS)
-    for k, (case, step, kind) in enumerate(trials):
-        traj, add_m, *_ = _run_case(c, case)
+    trials = list(random_cases(c.loop, c.guard, c.M, c.N, budget, horizon,
+                               np.random.default_rng(seed), (0.05, 1.0),
+                               ADVERSARIAL_STEP_FRACTIONS))
+    runs = _trajectories(c.loop, [case for case, _, _ in trials])
+    for k, ((case, step, kind), traj) in enumerate(zip(trials, runs)):
+        add_m = _margins(c, case, traj)[0]
         if traj.status.kind in (BLOWUP, NUMERICAL_FAILURE):
             viol = math.inf
         else:

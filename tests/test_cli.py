@@ -430,10 +430,14 @@ def _bad_config(command, **changes):
     _bad_config("campaign", horizon=1e-6),
     _bad_config("campaign", horizon=0.0, cases={"count": 0},
                 adversarial_budget=2),
+    _bad_config("campaign", adversarial_budget=-1),
+    _bad_config("campaign", cases={"count": 3, "seed": 1, "step_fraction": 0.0}),
+    _bad_config("campaign", cases={"count": 3, "seed": 1, "step_fraction": 1.0}),
 ], ids=["euler-no-levels", "euler-horizon-below-step",
         "weakiss-horizon-below-step", "substeps-zero", "escape-radius-zero",
         "simulate-x0-length", "euler-x0-length", "campaign-horizon-below-step",
-        "adversarial-horizon-below-step"])
+        "adversarial-horizon-below-step", "adversarial-budget-negative",
+        "step-fraction-zero", "step-fraction-one"])
 def test_rejected_config_values_exit_2(tmp_path, capsys, command, doc):
     cfg = write_config(tmp_path, "bad.json", doc)
     assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2

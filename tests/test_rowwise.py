@@ -21,7 +21,8 @@ from clfiss import (Feedback, ProbeConfig, affine_loop, combined_feedback,
                     zero_feedback)
 from clfiss.clf import _angular_tol
 from clfiss.core import as_vector, direction_set, unit_rows
-from clfiss.systems import (_tiny_safe, build_weak_iss_certificate,
+from clfiss.systems import (WeakIssCertificate, _band_edges, _tiny_safe,
+                            build_weak_iss_certificate,
                             counterexample_system, cone_margin,
                             estimate_decay_margin, integrator_feedback,
                             integrator_k1_k2, integrator_max_clf,
@@ -348,6 +349,18 @@ class TestReferences:
             gain = cert.g(float(np.linalg.norm(x))) * np.eye(1)
             assert F(x, p, u).tobytes() == sysc.f(x, p + gain @ u).tobytes()
 
+    def test_weak_iss_rhs_rowwise(self):
+        # one call on a batch gives each row's own right-hand side
+        sysc, k1 = counterexample_system(), zero_feedback(1, 1)
+        cert = build_weak_iss_certificate(sysc, scalar_abs_clf(), k1, i_max=2)
+        F = weak_iss_loop(sysc, k1, cert).F
+        rng = np.random.default_rng(1)
+        xs = rng.normal(size=(3000, 1)) * rng.uniform(0.0, 5.0, size=(3000, 1))
+        ps, us = rng.normal(size=(2, 3000, 1))
+        got = F(xs, ps, us)
+        for row, x, p, u in zip(got, xs, ps, us):
+            assert row.tobytes() == F(x, p, u).tobytes()
+
     def test_alpha_tables(self):
         for clf, radius, dirs, radii in ((integrator_max_clf(), 8.0, 64, 300),
                                          (integrator_squared_clf(), 4.0, 40, 128),
@@ -418,6 +431,43 @@ class TestReferences:
                 want = reference_margin(sysc, clf, k1.eval, float(s[a, 0]),
                                         float(r[b]), 64, 0)
                 assert got[a, b] == want
+
+
+def reference_gain(cert, s):
+    """WeakIssCertificate.g as first written, one float at a time."""
+
+    def level(k):
+        if k <= 1:
+            return 1.0
+        rk = float(cert.r_seq[min(k, cert.i_max) - 1])
+        return min(1.0, rk / (k + 1.0))
+
+    if s <= 1.0:
+        return 1.0
+    k = int(math.floor(s))
+    tau = s - k
+    lo, hi = level(k), level(k + 1)
+    step = tau * tau * (3.0 - 2.0 * tau)
+    return lo + (hi - lo) * step
+
+
+def test_gain_rowwise_matches_scalar():
+    # at s <= 1, the integer knots, both sides of every band edge and
+    # beyond i_max + 1, with levels below 1 and levels clipped to 1
+    for i_max, top in ((1, 3.0), (2, 0.9), (4, 2.5), (6, 8.0)):
+        r_seq = top * 0.7 ** np.arange(i_max)
+        cert = WeakIssCertificate(zero_feedback(1, 1), None, r_seq, 0.9 * r_seq,
+                                  i_max, np.array([0.0, 1.0]), np.array([0.0, 1.0]))
+        edges = np.array([e for band in _band_edges(i_max) for e in band], dtype=float)
+        s = np.concatenate([np.linspace(0.0, 1.0, 65), np.arange(0.0, i_max + 4.0),
+                            np.nextafter(edges, 0.0), np.nextafter(edges, np.inf),
+                            np.linspace(i_max + 1.0, 4.0 * (i_max + 1), 301),
+                            [1e6, 2.0 ** 53, 1e300]])
+        want = np.array([reference_gain(cert, float(v)) for v in s])
+        assert cert.g(s).tobytes() == want.tobytes()
+        assert cert.g(s.reshape(-1, 1)).tobytes() == want.tobytes()
+        assert all(type(cert.g(float(v))) is float and cert.g(float(v)) == w
+                   for v, w in zip(s, want))
 
 
 def reference_decrease(traj, clf, S_level, rel_tol, abs_tol):

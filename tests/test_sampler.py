@@ -1,15 +1,21 @@
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from clfiss import (BLOWUP, COMPLETED, LEFT_DOMAIN, ClosedLoop, Feedback,
-                    ProbeConfig, admissible, affine_loop, combined_feedback,
-                    constant_signal, decrease_check, estimate_alpha_tables,
-                    estimate_rate_guard, gronwall_gap, kappa_formula,
-                    lower_diameter, make_partition, nonlinear_loop,
-                    sample_solve, zero_feedback, zero_signal)
+from clfiss import (BLOWUP, COMPLETED, LEFT_DOMAIN, NUMERICAL_FAILURE,
+                    ClosedLoop, Feedback, ProbeConfig, admissible, affine_loop,
+                    combined_feedback, constant_signal, decrease_check,
+                    estimate_alpha_tables, estimate_rate_guard, gronwall_gap,
+                    kappa_formula, lower_diameter, make_partition,
+                    nonlinear_loop, sample_solve, sine_signal, zero_feedback,
+                    zero_signal)
 from clfiss.core import DEFAULT_ESCAPE_RADIUS
+from clfiss.sampler import sample_solve_batch
+from clfiss.verify import random_disturbance
 from clfiss.systems import (cone_margin, counterexample_system,
                             integrator_feedback, integrator_max_clf,
                             integrator_system, scalar_abs_clf,
@@ -338,3 +344,113 @@ def test_gronwall_gap_matches_reference_loop(run):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
     if run >= 5:   # the escaping and the overflowing run stop early
         assert rep.intervals.size < part.intervals
+
+
+# ---------------------------------------------------------------------------
+# Lockstep batches: every row equals its own one-row run, byte for byte
+# ---------------------------------------------------------------------------
+
+def batch_pools():
+    """(loop, rows) per loop; a row is (partition, x0, u, e)."""
+    rng = np.random.default_rng(7)
+    sys1, clf1 = scalar_integrator_system(), scalar_abs_clf()
+    delta = 0.01
+    fine = make_partition("uniform", 0.3, 0.9 * delta)
+    coarse = make_partition("uniform", 0.3, 2.0 * delta)   # inadmissible-by-design
+    jitter = make_partition("jitter", 0.3, 0.5 * delta, 0.4, seed=2)
+    scalar = (affine_loop(sys1, combined_feedback(sys1, clf1), substeps=4), [
+        (fine, [0.8], random_disturbance("piecewise", 1, 0.1, fine, rng),
+         constant_signal([2e-5])),
+        (fine, [-0.4], constant_signal([-0.1]), None),
+        (fine, [0.0], sine_signal([1.0], 0.1, 1.3, 0.2), constant_signal([-1e-5])),
+        (coarse, [0.6], None, constant_signal([1e-3])),
+        (jitter, [-1.0], random_disturbance("piecewise", 1, 0.1, jitter, rng), None),
+    ])
+    # escapes past radius 10 near t = 0.18; the others stay bounded
+    counter = (nonlinear_loop(counterexample_system(), zero_feedback(1, 1), 16, 10.0), [
+        (make_partition("uniform", 0.5, 0.005), [4.0], constant_signal([1.0]), None),
+        (make_partition("uniform", 0.5, 0.01), [0.5], constant_signal([1.0]),
+         constant_signal([1e-3])),
+        (make_partition("uniform", 0.3, 0.02), [-2.0], sine_signal([1.0], 0.5, 2.0), None),
+        (make_partition("uniform", 0.5, 0.1), [20.0], None, None),   # starts outside
+    ])
+    # dx = x^2 from 10 overflows to a nonfinite state; from -1 it decays
+    square = (ClosedLoop(1, 1, lambda x, p, u: x * x, zero_feedback(1, 1), 4, math.inf), [
+        (make_partition("uniform", 0.3, 0.01), [10.0], None, None),
+        (make_partition("uniform", 0.3, 0.02), [-1.0], None, constant_signal([1e-3])),
+        (make_partition("uniform", 0.2, 0.05), [10.0], None, None),
+    ])
+    # criterion 5's monitored loop; the first row crosses the cone
+    integrator = (affine_loop(integrator_system(), integrator_feedback(), substeps=2,
+                              domain_margin=cone_margin), [
+        (make_partition("uniform", 2.0, 0.01), [1.0, 0.0, 0.1], None, None),
+        (make_partition("uniform", 1.0, 0.01), [1.0, -0.5, 0.8],
+         sine_signal([1.0, -0.5], 0.05, 0.5), None),
+        (make_partition("jitter", 1.0, 0.02, 0.3, seed=1), [0.2, 0.3, -1.5],
+         constant_signal([0.01, 0.0]), constant_signal([1e-4, 0.0, 0.0])),
+        (make_partition("uniform", 1.5, 0.015), [-0.7, 0.4, 0.3], None, None),
+    ])
+    return [scalar, counter, square, integrator]
+
+
+POOLS = batch_pools()
+
+
+@lru_cache(maxsize=None)
+def single_run(pool: int, row: int):
+    loop, rows = POOLS[pool]
+    with np.errstate(over="ignore", invalid="ignore"):
+        return sample_solve(loop, *rows[row])
+
+
+def assert_same_trajectory(a, b):
+    assert a.partition is b.partition
+    for name in ("sample_times", "sample_states", "dense_times", "dense_states",
+                 "held_controls", "interval_index"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and x.shape == y.shape, name
+        assert x.tobytes() == y.tobytes(), name
+    assert a.status == b.status
+
+
+def test_batch_pools_cover_every_outcome():
+    kinds = {single_run(p, r).status.kind
+             for p, (_, rows) in enumerate(POOLS) for r in range(len(rows))}
+    assert kinds == {COMPLETED, BLOWUP, LEFT_DOMAIN, NUMERICAL_FAILURE}
+    assert single_run(1, 3).dense_states.shape == (1, 1)   # stopped at t = 0
+
+
+@st.composite
+def pool_batches(draw):
+    pool = draw(st.integers(0, len(POOLS) - 1))
+    size = len(POOLS[pool][1])
+    return pool, draw(st.lists(st.integers(0, size - 1), min_size=1, max_size=7))
+
+
+@settings(max_examples=40, deadline=None)
+@given(pool_batches())
+def test_batch_rows_equal_single_runs(batch):
+    # any batch size and row order, rows repeated, on different partitions
+    pool, picks = batch
+    loop, rows = POOLS[pool]
+    with np.errstate(over="ignore", invalid="ignore"):
+        trajs = sample_solve_batch(loop, *zip(*[rows[r] for r in picks]))
+    assert len(trajs) == len(picks)
+    for r, traj in zip(picks, trajs):
+        assert_same_trajectory(traj, single_run(pool, r))
+
+
+def test_affine_rhs_matches_matrix_vector_product():
+    # the batched G @ w against the 1-D product, across magnitudes
+    rng = np.random.default_rng(3)
+    for sys in (integrator_system(), scalar_integrator_system()):
+        F = affine_loop(sys, zero_feedback(sys.n, sys.m)).F
+        size = (4000, sys.n)
+        x = rng.choice([-1.0, 1.0], size=size) * 10.0 ** rng.uniform(-300, 300, size=size)
+        p, u = (rng.choice([-1.0, 1.0], size=(4000, sys.m))
+                * 10.0 ** rng.uniform(-300, 300, size=(4000, sys.m)) for _ in range(2))
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = F(x, p, u)
+            for row, xr, pr, ur in zip(got, x, p, u):
+                want = sys.f(xr) + sys.G(xr) @ (pr + ur)
+                assert row.tobytes() == want.tobytes()

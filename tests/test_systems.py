@@ -310,8 +310,10 @@ def test_cone_margin_agrees_at_tiny_states(x):
     assert clf.subgrad(np.array(x))[2] == 0.0   # the equatorial selection
 
 
-def test_cone_margin_bits_above_tiny_scale():
-    # rows with r or |x3| at least 2^-500 give the plain formula's value
+def cone_rows():
+    """Rows across magnitudes, on the planes x3 = 0 and r = 0 and near the
+    tiny-state scale, with the mask of those where r or |x3| is at least
+    2^-500."""
     rng = np.random.default_rng(0)
     x = rng.choice([-1.0, 1.0], size=(30000, 3)) * 10.0 ** rng.uniform(-300, 300, size=(30000, 3))
     x[:5000, 2] = 0.0
@@ -324,8 +326,26 @@ def test_cone_margin_bits_above_tiny_scale():
     assert keep.sum() > 25000
     assert np.count_nonzero(keep[10000:15000]
                             & (np.abs(near).max(axis=1) < 2.0 ** -500)) > 100
+    assert np.count_nonzero(~keep) > 100
+    return x, keep
+
+
+def test_cone_margin_bits_above_tiny_scale():
+    # rows with r or |x3| at least 2^-500 give the plain formula's value
+    x, keep = cone_rows()
     with np.errstate(over="ignore", invalid="ignore"):
         for row in x[keep]:
             want = float(row[2] * row[2] - 4.0 * (row[0] * row[0] + row[1] * row[1]))
             got = cone_margin(row)
             assert got == want or (math.isnan(got) and math.isnan(want))
+
+
+def test_cone_margin_rowwise():
+    # one call on all rows, tiny ones among them, gives each row's own margin
+    x, _ = cone_rows()
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = cone_margin(x)
+        assert rows.shape == (x.shape[0],)
+        for row, got in zip(x, rows):
+            assert np.float64(cone_margin(row)).tobytes() == got.tobytes()
+        assert cone_margin(x.reshape(100, 300, 3)).tobytes() == rows.tobytes()

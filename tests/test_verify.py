@@ -120,6 +120,25 @@ class TestRunCampaign:
         assert row["decrease"]["violations"] == 0
 
 
+@pytest.mark.parametrize("budget", [1, 200, 700])
+def test_reports_do_not_depend_on_batching(monkeypatch, budget):
+    # one case per batch, a few per batch, all in one: the same bytes
+    guard = loose_guard(N=0.2)
+    loop = contraction_loop()
+    cases = make_cases(loop, guard, M=1.0, N=0.2, count=7, horizon=1.0, seed=3)
+    cases.append(CampaignCase(np.array([0.3]), zero_signal(1), constant_signal([1e-3]),
+                              make_partition("uniform", 1.0, 2.0 * guard.delta),
+                              "coarse", assert_envelope=False))
+    campaign = Campaign(loop, build_envelope(AlphaTables.identity(10.0), 0.05),
+                        guard, cases, M=1.0, N=0.2)
+    want = (json.dumps(run_campaign(campaign).to_json()),
+            json.dumps(adversarial_search(campaign, budget=6, seed=2)))
+    monkeypatch.setattr("clfiss.verify.DENSE_ROW_BUDGET", budget)
+    got = (json.dumps(run_campaign(campaign).to_json()),
+           json.dumps(adversarial_search(campaign, budget=6, seed=2)))
+    assert got == want
+
+
 class TestAdversarialSearch:
     def test_contraction_finds_no_violation(self):
         campaign = scalar_campaign()
