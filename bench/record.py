@@ -1,6 +1,7 @@
 """Record the benchmark of this checkout into BENCH_<label>.json.
 
     python3 bench/record.py --label L
+    python3 bench/record.py --compare BENCH_A.json BENCH_B.json
 
 Run from anywhere; the checkout is the directory above bench/. The script
 
@@ -17,7 +18,9 @@ Run from anywhere; the checkout is the directory above bench/. The script
 
 Runs are sequential, so one label takes about (len(SEEDS) + 1) * 3 runs of
 run_seconds each. Record two checkouts on the same host in one session to
-compare them.
+compare them. --compare A B runs nothing: per workload and end-to-end
+metric it prints A's and B's median with its quartiles, and the relative
+change of the median from A to B.
 """
 
 from __future__ import annotations
@@ -74,11 +77,37 @@ def _summary(values: list) -> dict:
             "values": values}
 
 
+def compare(path_a, path_b) -> list:
+    """Lines comparing the end-to-end metrics of two BENCH files."""
+    a, b = (json.loads(Path(p).read_text()) for p in (path_a, path_b))
+    lines = [f"{a['label']} ({a['commit'][:12]}) -> {b['label']} ({b['commit'][:12]}), "
+             "median [q1, q3]"]
+    for name, wa in a["workloads"].items():
+        wb = b["workloads"].get(name)
+        if wb is None:
+            lines.append(f"{name}: not in {path_b}")
+            continue
+        for metric, ma in wa["end_to_end"].items():
+            mb = wb["end_to_end"][metric]
+            change = ((mb["median"] - ma["median"]) / ma["median"]
+                      if ma["median"] else float("nan"))
+            lines.append(
+                f"{name:20s} {metric:12s} {ma['median']:9.4g} [{ma['q1']:.4g}, "
+                f"{ma['q3']:.4g}] -> {mb['median']:9.4g} [{mb['q1']:.4g}, "
+                f"{mb['q3']:.4g}] {ma['unit']:3s} {change:+.1%}")
+    return lines
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--label", required=True,
-                        help="names the output file BENCH_<label>.json")
+    mode = parser.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--label", help="names the output file BENCH_<label>.json")
+    mode.add_argument("--compare", nargs=2, metavar=("A.json", "B.json"),
+                      help="print the end-to-end change from A to B")
     args = parser.parse_args(argv)
+    if args.compare:
+        print("\n".join(compare(*args.compare)))
+        return 0
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     command, seconds = bench["command"], bench["run_seconds"]

@@ -33,15 +33,16 @@ class Clf:
     V and subgrad are row-wise: a state array of shape (..., n) maps to
     values of shape (...) and subgradients of shape (..., n), each row as it
     would map alone. A single state of shape (n,) is a batch with no leading
-    axes. The level-set tables, the rate guard and the weak-ISS certificate
-    call them on whole batches. control_bound and domain take one state norm
-    or one state at a time.
+    axes. control_bound is element-wise: state norms of shape (...) map to
+    bounds of shape (...). The level-set tables, the rate guard, the
+    synthesized feedback and the weak-ISS certificate call them on whole
+    batches. domain takes one state at a time.
     """
 
     dim: int
-    V: Callable[[Vector], float]
+    V: Callable[[Vector], np.ndarray]
     subgrad: Callable[[Vector], Vector]
-    control_bound: Callable[[float], float]
+    control_bound: Callable[[np.ndarray], np.ndarray]
     domain: Callable[[Vector], bool] = _always
 
 

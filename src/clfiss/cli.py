@@ -100,16 +100,17 @@ def _build_partition(cfg, horizon: float):
                     cfg["step"], cfg.get("fraction", 0.0), cfg.get("seed", 0))
 
 
-def _build_signal(cfg, dim: int, partition, seed: int) -> Signal:
+def _build_signal(cfg, dim: int, partition, seed: int, where: str) -> Signal:
     if cfg is None:
         return zero_signal(dim)
     _check_fields(cfg, {"kind", "value", "amplitude", "frequency", "phase",
-                        "bound", "seed"}, {"kind"}, "signal")
+                        "bound", "seed"}, {"kind"}, where)
     kind = cfg["kind"]
     if kind == "zero":
         return zero_signal(dim)
     if kind == "constant":
-        return constant_signal(cfg.get("value", [0.0] * dim))
+        value = _checked(where, as_vector, cfg.get("value", [0.0] * dim), dim)
+        return constant_signal(value)
     if kind == "sine":
         rng = np.random.default_rng(cfg.get("seed", seed))
         d = rng.normal(size=dim)
@@ -117,9 +118,9 @@ def _build_signal(cfg, dim: int, partition, seed: int) -> Signal:
                            cfg.get("frequency", 1.0), cfg.get("phase", 0.0))
     if kind == "piecewise":
         rng = np.random.default_rng(cfg.get("seed", seed))
-        return random_disturbance("piecewise", dim, cfg.get("bound", 0.0),
-                                  partition, rng)
-    raise ConfigError(f"signal: unknown kind {kind!r}")
+        return _checked(where, random_disturbance, "piecewise", dim,
+                        cfg.get("bound", 0.0), partition, rng)
+    raise ConfigError(f"{where}: unknown kind {kind!r}")
 
 
 def _build_loop(cfg, where: str) -> tuple:
@@ -200,8 +201,8 @@ def cmd_simulate(cfg: dict, out_dir: str, seed: int, overrides=None) -> int:
         cfg.setdefault("loop", {})["escape_radius"] = overrides["escape_radius"]
     loop, system, clf = _build_loop(cfg["loop"], "loop")
     part = _build_partition(cfg["partition"], cfg["horizon"])
-    u = _build_signal(cfg.get("disturbance"), loop.m, part, seed)
-    e = _build_signal(cfg.get("noise"), loop.n, part, seed + 1)
+    u = _build_signal(cfg.get("disturbance"), loop.m, part, seed, "disturbance")
+    e = _build_signal(cfg.get("noise"), loop.n, part, seed + 1, "noise")
     x0 = _checked("x0", as_vector, cfg["x0"], loop.n)
     traj = sample_solve(loop, part, x0, u, e)
     csv_path = _out_path(out_dir, "trajectory.csv")
@@ -335,7 +336,7 @@ def cmd_euler(cfg: dict, out_dir: str, seed: int) -> int:
         loop, _, _ = _build_loop(cfg["loop"], "loop")
     part0 = _checked("euler", make_partition, "uniform", cfg["horizon"],
                      cfg["base_step"])
-    u = _build_signal(cfg.get("disturbance"), loop.m, part0, seed)
+    u = _build_signal(cfg.get("disturbance"), loop.m, part0, seed, "disturbance")
     sched = _checked("euler", geometric_schedule, cfg["base_step"],
                      cfg["levels"], cfg["horizon"], u, loop.n,
                      cfg.get("error_exponent", 2.0), seed=seed)

@@ -179,16 +179,25 @@ class Signal:
     """Bounded time signal: a callable t -> R^dim with a declared sup-norm bound.
 
     Measurability is replaced by evaluability at any t; the declared bound is
-    what admissibility guards and envelope checks consume.
+    what admissibility guards and envelope checks consume. eval is row-wise:
+    times of shape (...) map to values of shape (..., dim), each time as it
+    would map alone, and a single time is a batch with no axes.
     """
 
     dim: int
     bound: float
-    eval: Callable[[float], Vector]
+    eval: Callable[[np.ndarray], np.ndarray]
 
     def __post_init__(self):
         if self.bound < 0.0:
             raise ValueError("signal bound must be nonnegative")
+
+
+def signal_at(sig: Signal, t) -> np.ndarray:
+    """sig.eval(t) as a float array, checked to hold one value of R^dim per
+    entry of the times t (the row-wise protocol of Signal)."""
+    t = np.asarray(t, dtype=float)
+    return rowwise(sig.eval(t), t[..., None], (sig.dim,))
 
 
 def check_signal(sig: Signal, horizon: float, points: int = 1024) -> float:
@@ -197,34 +206,34 @@ def check_signal(sig: Signal, horizon: float, points: int = 1024) -> float:
     Raises ValueError if any grid evaluation exceeds the bound beyond a
     relative slack of 1e-9 plus an absolute slack of a thousandth of that.
     """
-    worst = 0.0
-    worst_t = 0.0
-    for t in np.linspace(0.0, horizon, points):
-        v = float(np.linalg.norm(as_vector(sig.eval(t), sig.dim)))
-        if v > worst:
-            worst, worst_t = v, float(t)
+    ts = np.linspace(0.0, horizon, points)
+    vals = signal_at(sig, ts)
+    norms = np.sqrt(rowdot(vals, vals))
+    worst = float(np.fmax.reduce(norms, initial=0.0))   # a nan norm is skipped
+    worst_t = float(ts[np.argmax(norms == worst)]) if worst > 0.0 else 0.0
     if worst > sig.bound * (1.0 + 1e-9) + 1e-9 * 1e-3:
         raise ValueError(
             f"signal exceeds declared bound {sig.bound:g} at t={worst_t:g} (|value|={worst:g})")
     return worst
 
 
-def checked_signal(dim: int, bound: float, fn: Callable[[float], Vector],
+def checked_signal(dim: int, bound: float, fn: Callable[[np.ndarray], np.ndarray],
                    horizon: float, points: int = 1024) -> Signal:
-    """Construct a Signal and reject it if the bound fails on a dense grid."""
+    """Construct a Signal from a row-wise fn and reject it if the bound fails
+    on a dense grid."""
     sig = Signal(dim, bound, fn)
     check_signal(sig, horizon, points)
     return sig
 
 
 def zero_signal(dim: int) -> Signal:
-    zero = np.zeros(dim)
-    return Signal(dim, 0.0, lambda t: zero)
+    return Signal(dim, 0.0, lambda t: np.zeros(np.shape(t) + (dim,)))
 
 
 def constant_signal(value) -> Signal:
     v = as_vector(value)
-    return Signal(v.size, float(np.linalg.norm(v)), lambda t: v)
+    return Signal(v.size, float(np.linalg.norm(v)),
+                  lambda t: np.broadcast_to(v, np.shape(t) + v.shape))
 
 
 def sine_signal(direction, amplitude: float, frequency: float,
@@ -238,7 +247,8 @@ def sine_signal(direction, amplitude: float, frequency: float,
     w = 2.0 * np.pi * frequency
 
     def f(t):
-        return amplitude * np.sin(w * t + phase) * unit
+        s = amplitude * np.sin(w * np.asarray(t, dtype=float) + phase)
+        return s[..., None] * unit
 
     return Signal(d.size, abs(amplitude), f)
 
@@ -261,8 +271,8 @@ def piecewise_constant_signal(times, values, bound: float | None = None) -> Sign
         raise ValueError(f"piecewise value norm {top:g} exceeds declared bound {bound:g}")
 
     def f(s):
-        k = int(np.searchsorted(t, s, side="right")) - 1
-        return v[min(max(k, 0), v.shape[0] - 1)]
+        k = np.searchsorted(t, s, side="right") - 1
+        return v[np.clip(k, 0, v.shape[0] - 1)]
 
     return Signal(v.shape[1], float(bound), f)
 

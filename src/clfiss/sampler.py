@@ -18,11 +18,16 @@ from .clf import AlphaTables, Clf
 from .core import (BLOWUP, COMPLETED, DEFAULT_ESCAPE_RADIUS, LEFT_DOMAIN,
                    NUMERICAL_FAILURE, ControlAffineSystem, FullyNonlinearSystem,
                    Partition, Signal, Status, Trajectory, Vector, as_vector,
-                   lower_diameter, rowdot, rowwise, unit_rows, upper_diameter,
-                   zero_signal)
+                   lower_diameter, rowdot, rowwise, signal_at, unit_rows,
+                   upper_diameter, zero_signal)
 from .feedback import Feedback
 
 DOMAIN_EXIT_TOL = 1e-9
+# sample_solve_batch evaluates each row's signals once per block of this many
+# intervals, so its signal tables do not grow with the horizon; 16 keeps them
+# to tens of kilobytes at a few rows (64 raised the benchmark's peak RSS by
+# ~0.15 MB) while one call still covers 48 * substeps RK4 stage times
+BLOCK = 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,26 +84,23 @@ def nonlinear_loop(sys: FullyNonlinearSystem, feedback: Feedback,
     return ClosedLoop(sys.n, sys.m, F, feedback, substeps, escape_radius)
 
 
-def _rk4_step(F, x, t, h, p, u_eval):
-    u0 = u_eval(t)
+def _rk4_step(F, x, h, p, u0, um, u1):
+    """One RK4 step of length h holding p, with the disturbance u0, um and u1
+    at its start, midpoint and end."""
     k1 = F(x, p, u0)
-    um = u_eval(t + 0.5 * h)
     k2 = F(x + (0.5 * h) * k1, p, um)
     k3 = F(x + (0.5 * h) * k2, p, um)
-    u1 = u_eval(t + h)
     k4 = F(x + h * k3, p, u1)
     return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _signal_rows(evals, t, dim: int) -> np.ndarray:
-    """Row j is evals[j] at time t, or at t[j] for a column of times."""
-    if isinstance(t, float):
-        if len(evals) == 1:   # one row: the signal's own vector, not a copy
-            return np.asarray(evals[0](t), dtype=float).reshape(1, dim)
-        values = [ev(t) for ev in evals]
-    else:
-        values = [ev(s) for ev, s in zip(evals, t.ravel().tolist())]
-    return np.array(values, dtype=float).reshape(len(evals), dim)
+def _stage_times(t0, t1, substeps: int) -> np.ndarray:
+    """The RK4 stage times (tau, tau + h/2, tau + h) of every substep of the
+    intervals [t0, t1], shape t0.shape + (substeps, 3), by the float
+    operations _hold steps with: h = (t1 - t0) / substeps, tau = t0 + k h."""
+    h = ((t1 - t0) / substeps)[..., None]
+    tau = t0[..., None] + np.arange(substeps) * h
+    return np.stack([tau, tau + 0.5 * h, tau + h], axis=-1)
 
 
 def _take(v, keep):
@@ -111,23 +113,20 @@ def _hold(loop: ClosedLoop, x, t0, t1, held, u, after):
     substeps, all rows at once.
 
     x and held are (B, n) and (B, m), t0 and t1 (B, 1) columns, or floats
-    when every row shares them, and u is one signal evaluator per row. After
-    each substep from tau to t (the last one ends at t1 exactly),
-    after(tau, t, x) returns the positions of the rows to go on with, or None
-    for all of them. Returns the states of the rows that reach t1.
+    when every row shares them, and u (B, substeps, 3, m) holds each row's
+    disturbance at the stage times of _stage_times. After each substep from
+    tau to t (the last one ends at t1 exactly), after(tau, t, x) returns the
+    positions of the rows to go on with, or None for all of them. Returns the
+    states of the rows that reach t1.
     """
     h = (t1 - t0) / loop.substeps
     last = loop.substeps - 1
-
-    def u_eval(t):
-        return _signal_rows(u, t, loop.m)
-
     for k in range(loop.substeps):
         tau = t0 + k * h
-        x = _rk4_step(loop.F, x, tau, h, held, u_eval)
+        x = _rk4_step(loop.F, x, h, held, u[:, k, 0], u[:, k, 1], u[:, k, 2])
         keep = after(tau, t1 if k == last else tau + h, x)
         if keep is not None:
-            x, held, u = x[keep], held[keep], [u[j] for j in keep.tolist()]
+            x, held, u = x[keep], held[keep], u[keep]
             t0, t1, h = _take(t0, keep), _take(t1, keep), _take(h, keep)
             if not keep.size:
                 break
@@ -143,7 +142,10 @@ def sample_solve_batch(loop: ClosedLoop, partitions, x0, u=None,
     its own interval boundaries and substep length. Every row takes interval
     i together; a row that reaches its horizon, escapes or turns nonfinite
     leaves the batch. Returns one Trajectory per row, byte for byte the one
-    the row gives alone, as sample_solve describes.
+    the row gives alone, as sample_solve describes. The feedback is called
+    once per interval, on the noisy samples of every running row; each row's
+    disturbance and noise once per BLOCK intervals, at their RK4 stage times
+    and sample times.
     """
     B, n, m, S = len(partitions), loop.n, loop.m, loop.substeps
     u = [zero_signal(m) if s is None else s for s in (u or [None] * B)]
@@ -177,11 +179,14 @@ def sample_solve_batch(loop: ClosedLoop, partitions, x0, u=None,
     limit = min(loop.escape_radius, float(np.finfo(float).max))
     monitor = loop.domain_margin
 
-    # the running rows: their ids (a slice while none has stopped), signal
-    # evaluators and last domain margins, and the positions among them of the
-    # rows still watched (a slice while all are, None when there is no
-    # monitor or none is left); x holds their states
-    rows, u_ev, e_ev = slice(0, B), [s.eval for s in u], [s.eval for s in e]
+    # the running rows: their count and ids (a slice while none has
+    # stopped), their disturbance at the stage times and their noise at the
+    # sample times of the current block of intervals, their last domain
+    # margins, and the positions among them of the rows still watched (a
+    # slice while all are, None when there is no monitor or none is left); x
+    # holds their states
+    live, rows = B, slice(0, B)
+    u_tab, e_tab = np.empty((B, 0, S, 3, m)), np.empty((B, 0, n))
     prev = rowwise(monitor(x), x) if monitor is not None else None
     watched = slice(0, B) if monitor is not None else None
 
@@ -191,21 +196,34 @@ def sample_solve_batch(loop: ClosedLoop, partitions, x0, u=None,
 
     def select(keep):
         # go on with the running rows at positions keep only
-        nonlocal rows, u_ev, e_ev, prev, watched
+        nonlocal live, rows, u_tab, e_tab, prev, watched
         if isinstance(watched, slice):
-            watched = np.arange(len(u_ev))
+            watched = np.arange(live)
         if watched is not None:
             # positions of kept rows, then those of the kept watched rows
-            where = np.full(len(u_ev), -1)
+            where = np.full(live, -1)
             where[keep] = np.arange(keep.size)
             watched = where[watched][where[watched] >= 0]
             prev = prev[keep]
-        rows = ids(keep)
-        u_ev, e_ev = [u_ev[j] for j in keep.tolist()], [e_ev[j] for j in keep.tolist()]
+        live, rows = keep.size, ids(keep)
+        u_tab, e_tab = u_tab[keep], e_tab[keep]
 
     def per_row(t, pos):
         # the times of the running rows at positions pos, t a float or column
-        return np.broadcast_to(np.ravel(t), (len(u_ev),))[pos]
+        return np.broadcast_to(np.ravel(t), (live,))[pos]
+
+    def tabulate(i):
+        # each running row's signals over its intervals i, ..., i + BLOCK - 1
+        # (fewer where its partition ends sooner), one call per signal
+        nonlocal u_tab, e_tab
+        span = times[rows, i:i + BLOCK + 1]
+        stages = _stage_times(span[:, :-1], span[:, 1:], S)
+        u_tab = np.empty(stages.shape + (m,))
+        e_tab = np.empty(span[:, :-1].shape + (n,))
+        for r, j in enumerate(ids(slice(None)).tolist()):
+            k = min(BLOCK, K[j] - i)
+            u_tab[r, :k] = signal_at(u[j], stages[r, :k])
+            e_tab[r, :k] = signal_at(e[j], span[r, :k])
 
     def watch(states, t):
         # the first state whose margin is near zero or has changed sign
@@ -214,7 +232,7 @@ def sample_solve_batch(loop: ClosedLoop, partitions, x0, u=None,
         hit = (np.abs(margin) < DOMAIN_EXIT_TOL) | (margin * prev[watched] < 0)
         prev[watched] = margin
         if np.count_nonzero(hit):
-            pos = np.arange(len(u_ev))[watched]
+            pos = np.arange(live)[watched]
             left_at[ids(pos[hit])] = per_row(t, pos[hit])
             watched = pos[~hit] if (~hit).any() else None
 
@@ -270,12 +288,15 @@ def sample_solve_batch(loop: ClosedLoop, partitions, x0, u=None,
             t0, t1 = float(times[lead, i]), float(times[lead, i + 1])
         else:
             t0, t1 = times[rows, i, None], times[rows, i + 1, None]
-        x_tilde = x + _signal_rows(e_ev, t0, n)
-        held = np.array([as_vector(loop.feedback.eval(v), m) for v in x_tilde])
+        c = i % BLOCK
+        if not c:
+            tabulate(i)
+        x_tilde = x + e_tab[:, c]
+        held = rowwise(loop.feedback.eval(x_tilde), x_tilde, (m,))
         held_all[rows, i] = held
         if watched is not None:
             watch(x_tilde, t0)
-        x = _hold(loop, x, t0, t1, held, u_ev, after)
+        x = _hold(loop, x, t0, t1, held, u_tab[:, c], after)
 
     trajectories = []
     for j, p in enumerate(partitions):
@@ -346,11 +367,14 @@ def gronwall_gap(loop: ClosedLoop, partition: Partition, x0,
     if delta is None:
         delta = upper_diameter(partition)
     times = partition.times
+    # the noise at every sample time and the disturbance at every stage time
+    errs_all = signal_at(e, times[:-1])
+    u_all = signal_at(u, _stage_times(times[:-1], times[1:], loop.substeps))
     x = as_vector(x0, loop.n).copy()
     idx, errs, obs, bds = [], [], [], []
     stopped = np.empty(0, dtype=int)
     for i in range(partition.intervals):
-        err = as_vector(e.eval(float(times[i])), loop.n)
+        err = errs_all[i]
         x_tilde = x + err
         held = as_vector(loop.feedback.eval(x_tilde), loop.m)
         gap = float(np.linalg.norm(x - x_tilde))
@@ -371,7 +395,7 @@ def gronwall_gap(loop: ClosedLoop, partition: Partition, x0,
         # the run and its companion as two rows that hold the run's control
         pair = _hold(loop, np.stack([x, x_tilde]), float(times[i]),
                      float(times[i + 1]), np.stack([held, held]),
-                     [u.eval, u.eval], after)
+                     np.stack([u_all[i], u_all[i]]), after)
         idx.append(i)
         errs.append(float(np.linalg.norm(err)))
         obs.append(gap)
@@ -517,8 +541,8 @@ def estimate_rate_guard(loop: ClosedLoop, clf: Clf, tables: AlphaTables,
     L_f = L_f_raw * infl
     L_G = L_G_raw * infl
 
-    sup_K_raw = max(float(np.linalg.norm(as_vector(loop.feedback.eval(p), loop.m)))
-                    for p in half)
+    k_half = rowwise(loop.feedback.eval(half), half, (loop.m,))
+    sup_K_raw = float(np.max(np.sqrt(rowdot(k_half, k_half))))
     R = N + sup_K_raw * infl
     L = L_f + R * L_G
 

@@ -159,13 +159,23 @@ def integrator_feedback(component: str = "combined") -> Feedback:
     if component not in ("combined", "k1", "k2"):
         raise ValueError("component must be combined, k1 or k2")
 
-    def ev(x):
+    def one(x):
         k1v, k2v = integrator_k1_k2(x)
         if component == "k1":
             return k1v
         if component == "k2":
             return k2v
         return k1v + k2v
+
+    def ev(x):
+        # the casewise scalar body per row: at the few rows of a lockstep
+        # batch it is faster than masked array arithmetic over all cases
+        x = np.asarray(x, dtype=float)
+        rows = x.reshape(-1, 3)
+        out = np.empty((rows.shape[0], 2))
+        for j in range(rows.shape[0]):
+            out[j] = one(rows[j])
+        return out.reshape(x.shape[:-1] + (2,))
 
     return Feedback(3, 2, ev, "explicit", f"integrator:{component}")
 
@@ -203,7 +213,7 @@ def integrator_squared_clf() -> Clf:
     def domain(x):
         return bool(np.any(as_vector(x, 3)))
 
-    return Clf(3, V, subgrad, lambda s: max(s, 1.0), domain)
+    return Clf(3, V, subgrad, lambda s: np.maximum(s, 1.0), domain)
 
 
 def integrator_feedback_crosscheck(count: int = 10000, seed: int = 0) -> dict:
@@ -331,8 +341,7 @@ def estimate_decay_margin(sys: FullyNonlinearSystem, clf: Clf, k1_eval,
     rng = np.random.default_rng(seed)
     pds = direction_set(rng, probes, sys.m)
     x = s[..., None, None] * direction_set(rng, probes, sys.n)
-    base = np.array([as_vector(k1_eval(p), sys.m) for p in x.reshape(-1, sys.n)])
-    base = base.reshape(x.shape[:-1] + (1, sys.m))
+    base = rowwise(k1_eval(x), x, (sys.m,))[..., None, :]
     # axes: (*broadcast(s, r), state direction, disturbance direction, coordinate)
     u = base + r[..., None, None, None] * pds
     xs = np.broadcast_to(x[..., None, :], u.shape[:-1] + (sys.n,))

@@ -193,6 +193,8 @@ ADVERSARIAL_STEP_FRACTIONS = (0.3, 0.9)
 def random_disturbance(kind: str, dim: int, bound: float, partition: Partition,
                        rng) -> Signal:
     """Disturbance families used by campaigns and the adversarial search."""
+    if bound < 0.0:
+        raise ValueError(f"disturbance bound must be nonnegative, got {bound!r}")
     if bound == 0.0:
         return zero_signal(dim)
     if kind == "piecewise":

@@ -433,11 +433,18 @@ def _bad_config(command, **changes):
     _bad_config("campaign", adversarial_budget=-1),
     _bad_config("campaign", cases={"count": 3, "seed": 1, "step_fraction": 0.0}),
     _bad_config("campaign", cases={"count": 3, "seed": 1, "step_fraction": 1.0}),
+    _bad_config("simulate", disturbance={"kind": "constant", "value": [0.1]}),
+    _bad_config("simulate", noise={"kind": "constant", "value": [0.1, 0.0]}),
+    _bad_config("simulate", disturbance={"kind": "piecewise", "bound": -0.5}),
+    _bad_config("euler", disturbance={"kind": "constant", "value": [0.1, 0.0]}),
+    _bad_config("euler", disturbance={"kind": "piecewise", "bound": -0.5}),
 ], ids=["euler-no-levels", "euler-horizon-below-step",
         "weakiss-horizon-below-step", "substeps-zero", "escape-radius-zero",
         "simulate-x0-length", "euler-x0-length", "campaign-horizon-below-step",
         "adversarial-horizon-below-step", "adversarial-budget-negative",
-        "step-fraction-zero", "step-fraction-one"])
+        "step-fraction-zero", "step-fraction-one", "disturbance-length",
+        "noise-length", "piecewise-bound-negative", "euler-disturbance-length",
+        "euler-piecewise-bound-negative"])
 def test_rejected_config_values_exit_2(tmp_path, capsys, command, doc):
     cfg = write_config(tmp_path, "bad.json", doc)
     assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2

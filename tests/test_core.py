@@ -100,9 +100,9 @@ def test_system_G_shape_checked():
 def test_signal_bound_rejected_on_grid():
     # exceeds the declared bound somewhere on a >= 1024-point grid
     with pytest.raises(ValueError):
-        checked_signal(1, 0.5, lambda t: np.array([np.sin(3.0 * t)]),
+        checked_signal(1, 0.5, lambda t: np.sin(3.0 * t)[..., None],
                        horizon=10.0, points=1024)
-    sig = checked_signal(1, 1.0, lambda t: np.array([np.sin(3.0 * t)]),
+    sig = checked_signal(1, 1.0, lambda t: np.sin(3.0 * t)[..., None],
                          horizon=10.0, points=1024)
     assert sig.bound == 1.0
 

@@ -12,13 +12,15 @@ weak-ISS right-hand side with their casewise and gain-matrix forms.
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clfiss import (Feedback, ProbeConfig, affine_loop, combined_feedback,
+from clfiss import (Clf, DecayViolation, Feedback, ProbeConfig, affine_loop,
+                    combined_feedback, constant_signal, damping_feedback,
                     decrease_check, estimate_alpha_tables, estimate_rate_guard,
-                    kappa_formula, make_partition, sample_solve, sine_signal,
-                    zero_feedback)
+                    kappa_formula, make_partition, piecewise_constant_signal,
+                    sample_solve, sine_signal, zero_feedback, zero_signal)
 from clfiss.clf import _angular_tol
 from clfiss.core import as_vector, direction_set, unit_rows
 from clfiss.systems import (WeakIssCertificate, _band_edges, _tiny_safe,
@@ -29,6 +31,7 @@ from clfiss.systems import (WeakIssCertificate, _band_edges, _tiny_safe,
                             integrator_squared_clf, integrator_system,
                             scalar_abs_clf, scalar_integrator_system,
                             scalar_square_clf, weak_iss_loop)
+from clfiss.verify import random_disturbance
 
 coord = st.floats(-10.0, 10.0, allow_nan=False)
 
@@ -110,6 +113,77 @@ class TestProtocol:
         assert np.shape(clf.V([3.0, 4.0, 0.0])) == ()
         assert clf.subgrad(np.zeros(3)).shape == (3,)
         assert integrator_system().G([1.0, 2.0, 3.0]).shape == (3, 2)
+        assert combined_feedback(integrator_system(), clf).eval(
+            [1.0, 2.0, 3.0]).shape == (2,)
+        assert sine_signal([1.0, 2.0], 1.0, 1.0).eval(0.5).shape == (2,)
+
+    @given(pts=st.lists(integrator_points(), min_size=1, max_size=16))
+    @settings(max_examples=150, deadline=None)
+    def test_integrator_feedbacks(self, pts):
+        sys3 = integrator_system()
+        for clf in (integrator_max_clf(), integrator_squared_clf()):
+            assert_rowwise(combined_feedback(sys3, clf).eval, pts)
+            assert_rowwise(damping_feedback(sys3, clf).eval, pts)
+        for component in ("combined", "k1", "k2"):
+            assert_rowwise(integrator_feedback(component).eval, pts)
+        assert_rowwise(zero_feedback(3, 2).eval, pts)
+
+    @given(pts=st.lists(scalar_points(), min_size=1, max_size=16))
+    @settings(max_examples=100, deadline=None)
+    def test_scalar_feedbacks(self, pts):
+        sys1 = scalar_integrator_system()
+        for clf in (scalar_abs_clf(), scalar_square_clf()):
+            assert_rowwise(combined_feedback(sys1, clf).eval, pts)
+            assert_rowwise(damping_feedback(sys1, clf).eval, pts)
+        assert_rowwise(zero_feedback(1, 1).eval, pts)
+
+    def test_first_failing_row_is_named(self):
+        # the certificate is under-powered beyond |x| = 2 only; the error
+        # names the one such row, or the first of several in batch order
+        sys1, clf = scalar_integrator_system(), scalar_abs_clf()
+        weak = Clf(1, clf.V, clf.subgrad, lambda s: np.where(s > 2.0, 1e-4 * s, s))
+        fb = combined_feedback(sys1, weak)
+        for x in ([0.5], [-1.0], [0.0]):
+            fb.eval(x)
+        cases = [([[[0.0], [1.0]], [[2.5], [-1.5]]], 2.5),
+                 ([[0.5], [-1.0], [-3.0], [4.0], [0.0]], -3.0)]
+        for batch, bad in cases:
+            with pytest.raises(DecayViolation) as exc:
+                fb.eval(batch)
+            assert exc.value.x.tolist() == [bad]
+            with pytest.raises(DecayViolation) as one:
+                fb.eval([bad])
+            assert str(exc.value) == str(one.value)
+
+
+def stage_times_of(partition, substeps):
+    from clfiss.sampler import _stage_times
+    return _stage_times(partition.times[:-1], partition.times[1:], substeps)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_signals_rowwise_at_stage_times(seed):
+    # every factory's array eval equals its scalar eval, bit for bit, at the
+    # RK4 stage times of a jittered partition and at times past its end
+    rng = np.random.default_rng(seed)
+    part = make_partition("jitter", 3.0, 0.011, 0.4, seed=seed)
+    times = np.concatenate([stage_times_of(part, 4).ravel(),
+                            part.times, part.times + part.horizon, [-1.0, 1e9]])
+    knots = part.times[:-1]
+    signals = [zero_signal(2), constant_signal([0.3, -0.4]),
+               sine_signal(rng.normal(size=2), 0.7, rng.uniform(0.1, 2.0),
+                           rng.uniform(0.0, 2.0 * np.pi)),
+               sine_signal([1.0], -0.2, 37.0),
+               piecewise_constant_signal(knots, rng.normal(size=(knots.size, 2))),
+               random_disturbance("piecewise", 3, 0.1, part, rng)]
+    for sig in signals:
+        want = np.array([sig.eval(float(t)) for t in times])
+        assert want.shape == (times.size, sig.dim)
+        got = sig.eval(times)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        grid = times[:120].reshape(4, 30)
+        got2 = sig.eval(grid)
+        assert got2.tobytes() == want[:120].reshape(4, 30, sig.dim).tobytes()
 
 
 # ---------------------------------------------------------------------------

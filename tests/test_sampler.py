@@ -261,11 +261,23 @@ class TestDecreaseCheck:
         assert rep.excluded
 
 
+def _rk4_step(F, x, t, h, p, u_eval):
+    """RK4 step as gronwall_gap was first written with, the disturbance
+    evaluated at each stage time."""
+    u0 = u_eval(t)
+    k1 = F(x, p, u0)
+    um = u_eval(t + 0.5 * h)
+    k2 = F(x + (0.5 * h) * k1, p, um)
+    k3 = F(x + (0.5 * h) * k2, p, um)
+    u1 = u_eval(t + h)
+    k4 = F(x + h * k3, p, u1)
+    return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
 def reference_gronwall_gap(loop, partition, x0, u=None, e=None, L=1.0,
                            delta=None):
     """gronwall_gap as first written, with its own RK4 loop per interval."""
     from clfiss.core import as_vector, upper_diameter
-    from clfiss.sampler import _rk4_step
     u = u if u is not None else zero_signal(loop.m)
     e = e if e is not None else zero_signal(loop.n)
     if delta is None:
@@ -344,6 +356,53 @@ def test_gronwall_gap_matches_reference_loop(run):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
     if run >= 5:   # the escaping and the overflowing run stop early
         assert rep.intervals.size < part.intervals
+
+
+def reference_dense_states(loop, partition, x0, u, e):
+    """The dense states of a completed run, from a one-state loop that
+    evaluates the noise at each sample time and the disturbance at each RK4
+    stage time."""
+    times = partition.times
+    x = np.asarray(x0, dtype=float)[None]
+    dense = [x[0]]
+    for i in range(partition.intervals):
+        t0, t1 = float(times[i]), float(times[i + 1])
+        held = loop.feedback.eval(x + e.eval(t0))
+        h = (t1 - t0) / loop.substeps
+        for k in range(loop.substeps):
+            x = _rk4_step(loop.F, x, t0 + k * h, h, held, u.eval)
+            dense.append(x[0])
+    return np.array(dense)
+
+
+def test_signal_tables_match_per_stage_reference():
+    # runs of over two blocks of intervals, on jittered and uniform
+    # partitions, alone and as one batch of rows that end at different times;
+    # the sines are fast and large enough that a last-bit change of a stage
+    # time shows in the states
+    rng = np.random.default_rng(4)
+    sys1 = scalar_integrator_system()
+    scalar = affine_loop(sys1, combined_feedback(sys1, scalar_abs_clf()), substeps=4)
+    parts = [make_partition("jitter", 1.5, 0.01, 0.4, seed=3),
+             make_partition("uniform", 1.2, 0.008),
+             make_partition("jitter", 0.9, 0.006, 0.2, seed=5)]
+    rows = [(parts[0], [0.8], sine_signal([1.0], 1.0, 5.0, 0.3), constant_signal([1e-4])),
+            (parts[1], [-0.6], random_disturbance("piecewise", 1, 0.5, parts[1], rng),
+             constant_signal([-2e-4])),
+            (parts[2], [0.4], constant_signal([0.02]), None)]
+    trajs = sample_solve_batch(scalar, *zip(*rows))
+    for (part, x0, u, e), traj in zip(rows, trajs):
+        want = reference_dense_states(scalar, part, x0, u, e or zero_signal(1))
+        assert traj.status.kind == COMPLETED
+        assert traj.dense_states.tobytes() == want.tobytes()
+        alone = sample_solve(scalar, part, x0, u, e)
+        assert traj.dense_states.tobytes() == alone.dense_states.tobytes()
+    integrator = affine_loop(integrator_system(), integrator_feedback(), substeps=2)
+    part = make_partition("uniform", 1.0, 0.007)
+    u, e = sine_signal([1.0, -0.5], 0.5, 3.0, 1.0), constant_signal([1e-4, 0.0, -1e-4])
+    traj = sample_solve(integrator, part, [1.0, -0.5, 0.8], u, e)
+    want = reference_dense_states(integrator, part, [1.0, -0.5, 0.8], u, e)
+    assert traj.dense_states.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------
