@@ -14,11 +14,11 @@ from typing import Callable
 
 import numpy as np
 
-from .core import Vector, as_vector, direction_set, rowwise, unit_rows
+from .core import Vector, as_vector, direction_set, rowdot, rowwise, unit_rows
 
 
-def _always(x) -> bool:
-    return True
+def _always(x) -> np.ndarray:
+    return np.ones(np.shape(x)[:-1], dtype=bool)
 
 
 @dataclass(frozen=True, eq=False)
@@ -30,40 +30,40 @@ class Clf:
     states of norm s. domain marks where the semiconcavity estimates hold.
     V also weights the signed damping term of the synthesized feedback.
 
-    V and subgrad are row-wise: a state array of shape (..., n) maps to
-    values of shape (...) and subgradients of shape (..., n), each row as it
-    would map alone. A single state of shape (n,) is a batch with no leading
-    axes. control_bound is element-wise: state norms of shape (...) map to
-    bounds of shape (...). The level-set tables, the rate guard, the
-    synthesized feedback and the weak-ISS certificate call them on whole
-    batches. domain takes one state at a time.
+    V, subgrad and domain are row-wise: a state array of shape (..., n) maps
+    to values of shape (...), subgradients of shape (..., n) and domain flags
+    of shape (...), each row as it would map alone. A single state of shape
+    (n,) is a batch with no leading axes. control_bound is element-wise: state
+    norms of shape (...) map to bounds of shape (...). The level-set tables,
+    the rate guard, the synthesized feedback and the weak-ISS certificate call
+    them on whole batches.
     """
 
     dim: int
     V: Callable[[Vector], np.ndarray]
     subgrad: Callable[[Vector], Vector]
     control_bound: Callable[[np.ndarray], np.ndarray]
-    domain: Callable[[Vector], bool] = _always
+    domain: Callable[[Vector], np.ndarray] = _always
 
 
-def fd_gradient(V: Callable[[Vector], float]):
-    """Central-difference gradient fallback for smooth points.
+def fd_gradient(V: Callable[[Vector], np.ndarray]):
+    """Central-difference gradient fallback for smooth points, row by row.
 
-    Approximate by construction; the step is 1e-6 * max(1, |x|). Returns
-    exactly zero at the origin so it can serve as a subgradient selection.
+    V must be row-wise, and so is the returned selection. Approximate by
+    construction; the step of a row x is 1e-6 * max(1, |x|), one coordinate
+    at a time. Returns exactly zero at the origin so it can serve as a
+    subgradient selection.
     """
 
     def grad(x):
-        x = as_vector(x)
-        if not np.any(x):
-            return np.zeros_like(x)
-        h = 1e-6 * max(1.0, float(np.linalg.norm(x)))
-        g = np.zeros_like(x)
-        for i in range(x.size):
-            e = np.zeros_like(x)
-            e[i] = h
-            g[i] = (float(V(x + e)) - float(V(x - e))) / (2.0 * h)
-        return g
+        x = np.asarray(x, dtype=float)
+        h = 1e-6 * np.maximum(1.0, np.sqrt(rowdot(x, x)))
+        g = np.empty(x.shape)
+        for i in range(x.shape[-1]):
+            e = np.zeros(x.shape)
+            e[..., i] = h
+            g[..., i] = (V(x + e) - V(x - e)) / (2.0 * h)
+        return np.where(x.any(axis=-1)[..., None], g, 0.0)
 
     return grad
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -19,9 +20,10 @@ import numpy as np
 
 from . import systems
 from .clf import (AlphaTables, build_envelope, estimate_alpha_tables)
-from .core import (BLOWUP, NUMERICAL_FAILURE, ControlAffineSystem, Signal,
-                   as_vector, constant_signal, make_partition, sine_signal,
-                   write_trajectory_csv, zero_signal)
+from .core import (BLOWUP, DEFAULT_ESCAPE_RADIUS, NUMERICAL_FAILURE,
+                   ControlAffineSystem, Signal, as_vector, constant_signal,
+                   make_partition, sine_signal, write_trajectory_csv,
+                   zero_signal)
 from .euler import check_iss_euler, euler_study, geometric_schedule
 from .feedback import Feedback, combined_feedback, damping_feedback, zero_feedback
 # the benchmark's tracer (perfbench/tracer.py) patches sample_solve here and
@@ -93,6 +95,22 @@ def _checked(where: str, build, *args, **kwargs):
         raise ConfigError(f"{where}: {exc}") from None
 
 
+def _real(where: str, value):
+    """value, which must be a finite real number (not a bool)."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not math.isfinite(value)):
+        raise ConfigError(f"{where} must be a finite real number, got {value!r}")
+    return value
+
+
+def _integer(where: str, value, least: int = 0):
+    """value, which must be an integer (not a bool) of at least least."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise ConfigError(f"{where} must be an integer of at least {least}, "
+                          f"got {value!r}")
+    return value
+
+
 def _build_partition(cfg, horizon: float):
     _check_fields(cfg, {"kind", "step", "fraction", "seed"}, {"kind", "step"},
                   "partition")
@@ -111,16 +129,16 @@ def _build_signal(cfg, dim: int, partition, seed: int, where: str) -> Signal:
     if kind == "constant":
         value = _checked(where, as_vector, cfg.get("value", [0.0] * dim), dim)
         return constant_signal(value)
+    if kind not in ("sine", "piecewise"):
+        raise ConfigError(f"{where}: unknown kind {kind!r}")
+    rng = np.random.default_rng(_integer(f"{where}: seed", cfg.get("seed", seed)))
     if kind == "sine":
-        rng = np.random.default_rng(cfg.get("seed", seed))
-        d = rng.normal(size=dim)
-        return sine_signal(d, cfg.get("amplitude", 0.0),
-                           cfg.get("frequency", 1.0), cfg.get("phase", 0.0))
-    if kind == "piecewise":
-        rng = np.random.default_rng(cfg.get("seed", seed))
-        return _checked(where, random_disturbance, "piecewise", dim,
-                        cfg.get("bound", 0.0), partition, rng)
-    raise ConfigError(f"{where}: unknown kind {kind!r}")
+        return sine_signal(
+            rng.normal(size=dim), _real(f"{where}: amplitude", cfg.get("amplitude", 0.0)),
+            _real(f"{where}: frequency", cfg.get("frequency", 1.0)),
+            _real(f"{where}: phase", cfg.get("phase", 0.0)))
+    return _checked(where, random_disturbance, "piecewise", dim,
+                    _real(f"{where}: bound", cfg.get("bound", 0.0)), partition, rng)
 
 
 def _build_loop(cfg, where: str) -> tuple:
@@ -135,7 +153,7 @@ def _build_loop(cfg, where: str) -> tuple:
                           f"but system {sys_name!r} has {system.n} states")
     fb_name = cfg["feedback"]
     substeps = cfg.get("substeps", 16)
-    escape = cfg.get("escape_radius", 1e9)
+    escape = cfg.get("escape_radius", DEFAULT_ESCAPE_RADIUS)
     if sys_name == "counterexample":
         if fb_name != "zero":
             raise ConfigError(f"{where}: the counterexample loop supports only feedback 'zero'")
@@ -233,10 +251,10 @@ def cmd_envelope(cfg: dict, out_dir: str, seed: int) -> int:
                         "radii", "overflow", "query"},
                   {"clf", "radius_max"}, "envelope")
     clf = _build(CLFS, "clf", cfg["clf"])
-    tables = estimate_alpha_tables(
-        clf, cfg["radius_max"], cfg.get("grid_size", 257),
-        cfg.get("directions", 64), cfg.get("radii", 512), seed=seed)
-    env = build_envelope(tables, cfg.get("overflow", 0.1))
+    tables = _checked("envelope", estimate_alpha_tables,
+                      clf, cfg["radius_max"], cfg.get("grid_size", 257),
+                      cfg.get("directions", 64), cfg.get("radii", 512), seed=seed)
+    env = _checked("envelope", build_envelope, tables, cfg.get("overflow", 0.1))
     tables.to_csv(_out_path(out_dir, "alpha_tables.csv"))
     report = env.describe()
     if "query" in cfg:
@@ -264,25 +282,27 @@ def cmd_campaign(cfg: dict, out_dir: str, seed: int) -> int:
     if not isinstance(system, ControlAffineSystem):
         raise ConfigError(f"campaign: system {cfg['loop']['system']!r} is not "
                           "control-affine; the rate guard needs its f and G")
+    if cfg["M"] <= 0 or cfg["N"] < 0:
+        raise ConfigError(f"campaign: need M > 0 and N >= 0, got M {cfg['M']!r} "
+                          f"and N {cfg['N']!r}")
     ccfg = cfg["cases"]
     _check_fields(ccfg, {"count", "seed", "step_fraction", "include_inadmissible"},
                   {"count"}, "cases")
+    count = _integer("cases: count", ccfg["count"])
     step_fraction = ccfg.get("step_fraction", 0.9)
     if not 0.0 < step_fraction < 1.0:
         # a case's step is this fraction of the guard's delta, which an
         # admissible partition must stay below
         raise ConfigError(f"cases: step_fraction must lie in (0, 1), got {step_fraction!r}")
-    budget = cfg.get("adversarial_budget", 0)
-    if isinstance(budget, bool) or not isinstance(budget, int) or budget < 0:
-        raise ConfigError("campaign: adversarial_budget must be a nonnegative "
-                          f"integer, got {budget!r}")
+    budget = _integer("campaign: adversarial_budget",
+                      cfg.get("adversarial_budget", 0))
     tcfg = cfg.get("tables", {})
     _check_fields(tcfg, {"radius_max", "grid_size", "directions", "radii"},
                   set(), "tables")
-    tables = estimate_alpha_tables(
-        clf, tcfg.get("radius_max", 20.0), tcfg.get("grid_size", 257),
-        tcfg.get("directions", 256), tcfg.get("radii", 512), seed=seed)
-    env = build_envelope(tables, cfg["epsilon"])
+    tables = _checked("tables", estimate_alpha_tables,
+                      clf, tcfg.get("radius_max", 20.0), tcfg.get("grid_size", 257),
+                      tcfg.get("directions", 256), tcfg.get("radii", 512), seed=seed)
+    env = _checked("campaign", build_envelope, tables, cfg["epsilon"])
     gcfg = cfg.get("guard", {})
     _check_fields(gcfg, {"points", "pairs", "inflation", "seed"}, set(), "guard")
     probe = ProbeConfig(gcfg.get("points", 2048), gcfg.get("pairs", 4000),
@@ -290,14 +310,14 @@ def cmd_campaign(cfg: dict, out_dir: str, seed: int) -> int:
     guard = estimate_rate_guard(loop, clf, tables, cfg["epsilon"], cfg["M"],
                                 cfg["N"], system, probe)
     # each case and each adversarial trial must fit one whole step
-    fractions = [step_fraction] if ccfg["count"] > 0 else []
+    fractions = [step_fraction] if count > 0 else []
     if budget:
         fractions.append(ADVERSARIAL_STEP_FRACTIONS[1])
     if fractions and cfg["horizon"] < max(fractions) * guard.delta:
         raise ConfigError(
             f"campaign: horizon {cfg['horizon']:g} is shorter than the largest "
             f"case step, {max(fractions):g} * delta with delta {guard.delta:g}")
-    cases = make_cases(loop, guard, cfg["M"], cfg["N"], ccfg["count"],
+    cases = make_cases(loop, guard, cfg["M"], cfg["N"], count,
                        cfg["horizon"], ccfg.get("seed", seed), step_fraction)
     if ccfg.get("include_inadmissible"):
         part = _checked("campaign", make_partition, "uniform", cfg["horizon"],
@@ -327,8 +347,7 @@ def cmd_euler(cfg: dict, out_dir: str, seed: int) -> int:
                         "envelope"},
                   {"x0", "base_step", "levels", "horizon"}, "euler")
     if cfg.get("linear_test"):
-        fb = Feedback(1, 1, lambda x: -np.asarray(x, dtype=float), "synthesized",
-                      "linear-test")
+        fb = Feedback(1, 1, lambda x: -np.asarray(x, dtype=float))
         loop = ClosedLoop(1, 1, lambda x, p, u: p, fb)
     else:
         if "loop" not in cfg:
@@ -348,7 +367,8 @@ def cmd_euler(cfg: dict, out_dir: str, seed: int) -> int:
         _check_fields(ecfg, {"epsilon", "u_bound", "top"}, {"epsilon"},
                       "euler.envelope")
         top = ecfg.get("top", 10.0 * max(1.0, float(np.linalg.norm(x0))))
-        env = build_envelope(AlphaTables.identity(top), ecfg["epsilon"])
+        env = _checked("euler.envelope", build_envelope,
+                       AlphaTables.identity(top), ecfg["epsilon"])
         chk = check_iss_euler(study.limit, env, x0, ecfg.get("u_bound", u.bound))
         worst_env_margin = chk.worst_margin
     with open(_out_path(out_dir, "euler.json"), "w") as fh:
@@ -366,12 +386,13 @@ def cmd_weakiss(cfg: dict, out_dir: str, seed: int) -> int:
     clf = systems.scalar_abs_clf()
     k1 = zero_feedback(1, 1)
     cert = systems.build_weak_iss_certificate(
-        system, clf, k1, cfg.get("i_max", 8), cfg.get("safety", 0.9), seed=seed)
-    cert.to_json(_out_path(out_dir, "certificate.json"))
+        system, clf, k1, _integer("weakiss: i_max", cfg.get("i_max", 8), 1),
+        cfg.get("safety", 0.9), seed=seed)
     loop = _checked("weakiss", systems.weak_iss_loop, system, k1, cert,
                     cfg.get("substeps", 16))
     tables = AlphaTables.identity(max(cfg["M"], cert.alpha4(cfg["N"])) * 4.0 + 8.0)
-    env = build_envelope(tables, cfg["epsilon"], cert.alpha4)
+    env = _checked("weakiss", build_envelope, tables, cfg["epsilon"], cert.alpha4)
+    cert.to_json(_out_path(out_dir, "certificate.json"))
     part = _checked("weakiss", make_partition, "uniform", cfg["horizon"],
                     cfg.get("step", 0.01))
     runs = [([float(x0)], sign * cfg["N"]) for x0 in cfg["x0_values"]

@@ -7,7 +7,7 @@ parallel workers; there is no hidden mutable state anywhere in the library.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
@@ -294,7 +294,7 @@ class Status:
         return self.kind == COMPLETED
 
     def to_dict(self) -> dict:
-        return {"kind": self.kind, "time": self.time, "detail": self.detail}
+        return asdict(self)
 
 
 @dataclass(frozen=True, eq=False)

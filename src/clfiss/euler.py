@@ -7,7 +7,7 @@ only as a Cauchy property of the computed sequence over the finite horizon.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -180,9 +180,7 @@ class IssCheck:
         return self.violations == 0
 
     def to_dict(self) -> dict:
-        return {"worst_margin": self.worst_margin,
-                "first_violation_t": self.first_violation_t,
-                "violations": self.violations, "checked": self.checked}
+        return asdict(self)
 
 
 def check_iss_euler(traj: Trajectory, env: IssEnvelope, x0,

@@ -39,8 +39,6 @@ class Feedback:
     n: int
     m: int
     eval: Callable[[Vector], Vector]
-    kind: str = "synthesized"   # synthesized | explicit | damping | zero
-    note: str = ""
 
     def __post_init__(self):
         origin = np.zeros(self.n)
@@ -49,7 +47,7 @@ class Feedback:
 
 
 def zero_feedback(n: int, m: int) -> Feedback:
-    return Feedback(n, m, lambda x: np.zeros(np.shape(x)[:-1] + (m,)), "zero")
+    return Feedback(n, m, lambda x: np.zeros(np.shape(x)[:-1] + (m,)))
 
 
 def _states(x, n: int) -> np.ndarray:
@@ -143,7 +141,7 @@ def combined_feedback(sys: ControlAffineSystem, clf: Clf) -> Feedback:
         u, w, v = _k1(sys, clf, x)
         return u - v[..., None] * np.sign(w)
 
-    return Feedback(sys.n, sys.m, ev, "synthesized")
+    return Feedback(sys.n, sys.m, ev)
 
 
 def damping_feedback(sys: ControlAffineSystem, clf: Clf) -> Feedback:
@@ -156,7 +154,7 @@ def damping_feedback(sys: ControlAffineSystem, clf: Clf) -> Feedback:
     def ev(x):
         return -_channels(sys, clf, _states(x, sys.n))[2]
 
-    return Feedback(sys.n, sys.m, ev, "damping")
+    return Feedback(sys.n, sys.m, ev)
 
 
 def write_feedback_grid_csv(fb: Feedback, axes, path) -> None:

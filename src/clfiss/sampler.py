@@ -9,7 +9,7 @@ the horizon, at escape past a configurable radius, or on a nonfinite state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Callable
 
 import numpy as np
@@ -343,14 +343,6 @@ class GronwallReport:
             return 0.0
         return float(np.max(self.observed[mask] / self.bounds[mask]))
 
-    def rows(self):
-        return [
-            {"interval": int(i), "e_norm": float(en), "observed": float(ob),
-             "bound": float(bd), "margin": float(bd - ob)}
-            for i, en, ob, bd in zip(self.intervals, self.error_norms,
-                                     self.observed, self.bounds)
-        ]
-
 
 def gronwall_gap(loop: ClosedLoop, partition: Partition, x0,
                  u: Signal | None = None, e: Signal | None = None,
@@ -449,10 +441,8 @@ class RateGuard:
             raise ValueError("guard thresholds must be positive")
 
     def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in
-                ("delta", "kappa", "epsilon", "M", "N", "lambda_minus",
-                 "lambda_plus", "L_eps", "L_f", "L_G", "L", "R", "eps_tilde",
-                 "sigma", "mu")}
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if f.name != "diagnostics"}
 
 
 def kappa_formula(lambda_minus: float, epsilon: float, L_eps: float, L: float,
@@ -617,11 +607,7 @@ class DecreaseReport:
     worst_margin: float
 
     def to_dict(self) -> dict:
-        return {
-            "admissible": self.admissible, "excluded": self.excluded,
-            "reason": self.reason, "checked": self.checked,
-            "violations": self.violations, "worst_margin": self.worst_margin,
-        }
+        return asdict(self)
 
 
 def decrease_check(traj: Trajectory, clf: Clf, guard: RateGuard | None = None,

@@ -177,7 +177,7 @@ def integrator_feedback(component: str = "combined") -> Feedback:
             out[j] = one(rows[j])
         return out.reshape(x.shape[:-1] + (2,))
 
-    return Feedback(3, 2, ev, "explicit", f"integrator:{component}")
+    return Feedback(3, 2, ev)
 
 
 def integrator_squared_clf() -> Clf:
@@ -210,10 +210,8 @@ def integrator_squared_clf() -> Clf:
                       [np.zeros(x.shape), on_axis, on_plane], elsewhere)
         return np.ldexp(z, -k)
 
-    def domain(x):
-        return bool(np.any(as_vector(x, 3)))
-
-    return Clf(3, V, subgrad, lambda s: np.maximum(s, 1.0), domain)
+    return Clf(3, V, subgrad, lambda s: np.maximum(s, 1.0),
+               lambda x: np.any(x, axis=-1))
 
 
 def integrator_feedback_crosscheck(count: int = 10000, seed: int = 0) -> dict:

@@ -10,7 +10,6 @@ order or concurrently; the report is a deterministic fold in case order.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -129,12 +128,8 @@ class CampaignReport:
     def all_passed(self) -> bool:
         return self.summary["failed"] == 0
 
-    def to_json(self, path=None) -> dict:
-        doc = {"cases": self.rows, "summary": self.summary}
-        if path is not None:
-            with open(path, "w") as fh:
-                json.dump(doc, fh, indent=2)
-        return doc
+    def to_json(self) -> dict:
+        return {"cases": self.rows, "summary": self.summary}
 
 
 def run_campaign(c: Campaign) -> CampaignReport:
@@ -214,13 +209,6 @@ def random_disturbance(kind: str, dim: int, bound: float, partition: Partition,
     raise ValueError(f"unknown disturbance kind {kind!r}")
 
 
-def random_noise(dim: int, bound: float, rng) -> Signal:
-    if bound == 0.0:
-        return zero_signal(dim)
-    d = rng.normal(size=dim)
-    return constant_signal(bound * d / np.linalg.norm(d))
-
-
 def random_cases(loop: ClosedLoop, guard: RateGuard, M: float, N: float,
                  count: int, horizon: float, rng, x0_range: tuple,
                  step_range: tuple):
@@ -240,7 +228,7 @@ def random_cases(loop: ClosedLoop, guard: RateGuard, M: float, N: float,
         kind = DISTURBANCE_KINDS[k % len(DISTURBANCE_KINDS)]
         u = random_disturbance(kind, loop.m, N, part, rng)
         e_bound = 0.99 * guard.kappa * lower_diameter(part) * rng.uniform(0.0, 1.0)
-        e = random_noise(loop.n, e_bound, rng)
+        e = random_disturbance("constant", loop.n, e_bound, part, rng)
         yield CampaignCase(x0, u, e, part, label=f"{kind}-{k}"), step, kind
 
 

@@ -184,8 +184,7 @@ def test_criterion_05_gronwall_gap(envelope_guard):
 
 def test_criterion_06_euler_convergence():
     """Refined sampling of the linear loop converges to the exponential."""
-    fb = Feedback(1, 1, lambda x: -np.atleast_1d(np.asarray(x, float)),
-                  "synthesized", "linear-test")
+    fb = Feedback(1, 1, lambda x: -np.atleast_1d(np.asarray(x, float)))
     loop = ClosedLoop(1, 1, lambda x, p, u: p, fb, 4)
     sched = geometric_schedule(0.2, 7, 3.0, dim_e=1, error_exponent=2.0,
                                seed=106)

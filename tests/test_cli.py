@@ -408,6 +408,9 @@ def _bad_config(command, **changes):
     elif command == "euler":
         doc = {"schema": 1, "linear_test": True, "x0": [1.0],
                "base_step": 0.2, "levels": 3, "horizon": 1.0}
+    elif command == "envelope":
+        doc = {"schema": 1, "clf": "scalar_abs", "radius_max": 4.0,
+               "grid_size": 16, "radii": 64}
     else:
         doc = {"schema": 1, "i_max": 1, "M": 4.0, "N": 1.0, "epsilon": 0.1,
                "x0_values": [0.5], "horizon": 0.1, "step": 0.02}
@@ -438,13 +441,35 @@ def _bad_config(command, **changes):
     _bad_config("simulate", disturbance={"kind": "piecewise", "bound": -0.5}),
     _bad_config("euler", disturbance={"kind": "constant", "value": [0.1, 0.0]}),
     _bad_config("euler", disturbance={"kind": "piecewise", "bound": -0.5}),
+    _bad_config("simulate", disturbance={"kind": "sine", "amplitude": "big"}),
+    _bad_config("simulate", disturbance={"kind": "sine", "frequency": "fast"}),
+    _bad_config("simulate", disturbance={"kind": "sine", "phase": "x"}),
+    _bad_config("simulate", disturbance={"kind": "sine", "seed": "s"}),
+    _bad_config("simulate", disturbance={"kind": "piecewise", "bound": "b"}),
+    _bad_config("simulate", disturbance={"kind": "piecewise", "seed": "s"}),
+    _bad_config("simulate", disturbance={"kind": "piecewise", "seed": -1}),
+    _bad_config("campaign", epsilon=0.0),
+    _bad_config("campaign", M=-1.0),
+    _bad_config("campaign", N=-0.1),
+    _bad_config("campaign", cases={"count": -1}),
+    _bad_config("euler", envelope={"epsilon": 0.0}),
+    _bad_config("weakiss", epsilon=0.0),
+    _bad_config("weakiss", i_max=0),
+    _bad_config("envelope", radius_max=-1.0),
+    _bad_config("envelope", overflow=0.0),
 ], ids=["euler-no-levels", "euler-horizon-below-step",
         "weakiss-horizon-below-step", "substeps-zero", "escape-radius-zero",
         "simulate-x0-length", "euler-x0-length", "campaign-horizon-below-step",
         "adversarial-horizon-below-step", "adversarial-budget-negative",
         "step-fraction-zero", "step-fraction-one", "disturbance-length",
         "noise-length", "piecewise-bound-negative", "euler-disturbance-length",
-        "euler-piecewise-bound-negative"])
+        "euler-piecewise-bound-negative", "sine-amplitude-text",
+        "sine-frequency-text", "sine-phase-text", "sine-seed-text",
+        "piecewise-bound-text", "piecewise-seed-text", "piecewise-seed-negative",
+        "campaign-epsilon-zero", "campaign-M-negative", "campaign-N-negative",
+        "cases-count-negative", "euler-envelope-epsilon-zero",
+        "weakiss-epsilon-zero", "weakiss-i-max-zero",
+        "envelope-radius-max-negative", "envelope-overflow-zero"])
 def test_rejected_config_values_exit_2(tmp_path, capsys, command, doc):
     cfg = write_config(tmp_path, "bad.json", doc)
     assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2

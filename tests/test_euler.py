@@ -10,8 +10,7 @@ from clfiss.systems import counterexample_system
 
 
 def linear_loop(substeps=4):
-    fb = Feedback(1, 1, lambda x: -np.atleast_1d(np.asarray(x, float)),
-                  "synthesized", "linear-test")
+    fb = Feedback(1, 1, lambda x: -np.atleast_1d(np.asarray(x, float)))
     return ClosedLoop(1, 1, lambda x, p, u: p, fb, substeps)
 
 

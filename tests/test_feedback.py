@@ -193,7 +193,7 @@ class TestContinuityProbe:
 
 def test_feedback_must_vanish_at_origin():
     with pytest.raises(ValueError):
-        Feedback(1, 1, lambda x: np.array([1.0]), "synthesized")
+        Feedback(1, 1, lambda x: np.array([1.0]))
 
 
 def test_feedback_grid_export(tmp_path):

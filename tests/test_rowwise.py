@@ -19,8 +19,9 @@ from hypothesis import strategies as st
 from clfiss import (Clf, DecayViolation, Feedback, ProbeConfig, affine_loop,
                     combined_feedback, constant_signal, damping_feedback,
                     decrease_check, estimate_alpha_tables, estimate_rate_guard,
-                    kappa_formula, make_partition, piecewise_constant_signal,
-                    sample_solve, sine_signal, zero_feedback, zero_signal)
+                    fd_gradient, kappa_formula, make_partition,
+                    piecewise_constant_signal, sample_solve, sample_solve_batch,
+                    sine_signal, zero_feedback, zero_signal)
 from clfiss.clf import _angular_tol
 from clfiss.core import as_vector, direction_set, unit_rows
 from clfiss.systems import (WeakIssCertificate, _band_edges, _tiny_safe,
@@ -88,6 +89,8 @@ class TestProtocol:
         for clf in (integrator_max_clf(), integrator_squared_clf()):
             assert_rowwise(clf.V, pts)
             assert_rowwise(clf.subgrad, pts)
+            assert_rowwise(clf.domain, pts)
+            assert_rowwise(fd_gradient(clf.V), pts)
         assert_rowwise(sys3.f, pts)
         assert_rowwise(sys3.G, pts)
 
@@ -98,6 +101,8 @@ class TestProtocol:
         for clf in (scalar_abs_clf(), scalar_square_clf()):
             assert_rowwise(clf.V, pts)
             assert_rowwise(clf.subgrad, pts)
+            assert_rowwise(clf.domain, pts)
+            assert_rowwise(fd_gradient(clf.V), pts)
         assert_rowwise(sys1.f, pts)
         assert_rowwise(sys1.G, pts)
 
@@ -154,6 +159,21 @@ class TestProtocol:
             with pytest.raises(DecayViolation) as one:
                 fb.eval([bad])
             assert str(exc.value) == str(one.value)
+
+    def test_fd_gradient_clf_runs_in_a_batch(self):
+        # the synthesized feedback of V = x^2 with its finite-difference
+        # selection, on a lockstep batch of three runs
+        sys1 = scalar_integrator_system()
+        V = scalar_square_clf().V
+        fb = combined_feedback(sys1, Clf(1, V, fd_gradient(V), lambda s: s))
+        loop = affine_loop(sys1, fb, substeps=4)
+        part = make_partition("uniform", 1.0, 0.1)
+        x0s = [[1.0], [-0.5], [0.0]]
+        for x0, traj in zip(x0s, sample_solve_batch(loop, [part] * 3, x0s)):
+            alone = sample_solve(loop, part, x0)
+            assert traj.status.ok
+            assert traj.dense_states.tobytes() == alone.dense_states.tobytes()
+            assert abs(traj.dense_states[-1, 0]) <= 0.5 * abs(x0[0])
 
 
 def stage_times_of(partition, substeps):
@@ -495,7 +515,7 @@ class TestReferences:
     def test_decay_margin_broadcasts(self):
         # a nonzero k1 makes the two disturbance directions differ
         sysc, clf = counterexample_system(), scalar_abs_clf()
-        k1 = Feedback(1, 1, lambda x: -0.3 * np.asarray(x, dtype=float), "explicit")
+        k1 = Feedback(1, 1, lambda x: -0.3 * np.asarray(x, dtype=float))
         s = np.array([[0.3], [1.0], [2.5]])
         r = np.array([0.0, 0.4, 1.1, 2.0])
         got = estimate_decay_margin(sysc, clf, k1.eval, s, r)

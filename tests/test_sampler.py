@@ -24,8 +24,7 @@ from clfiss.systems import (cone_margin, counterexample_system,
 
 def held_loop(gain=-1.0, substeps=4):
     """dx/dt = held value; feedback K(x) = gain * x."""
-    fb = Feedback(1, 1, lambda x: gain * np.atleast_1d(np.asarray(x, float)),
-                  "synthesized", "test")
+    fb = Feedback(1, 1, lambda x: gain * np.atleast_1d(np.asarray(x, float)))
     return ClosedLoop(1, 1, lambda x, p, u: p, fb, substeps)
 
 

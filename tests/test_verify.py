@@ -10,12 +10,11 @@ from clfiss import (AlphaTables, Campaign, CampaignCase, ClosedLoop, Feedback,
                     make_partition, nonlinear_loop, run_campaign,
                     zero_feedback, zero_signal)
 from clfiss.systems import counterexample_system, scalar_abs_clf
-from clfiss.verify import random_cases, random_disturbance, random_noise
+from clfiss.verify import random_cases, random_disturbance
 
 
 def contraction_loop(substeps=4):
-    fb = Feedback(1, 1, lambda x: -np.atleast_1d(np.asarray(x, float)),
-                  "synthesized", "contraction")
+    fb = Feedback(1, 1, lambda x: -np.atleast_1d(np.asarray(x, float)))
     return ClosedLoop(1, 1, lambda x, p, u: p, fb, substeps)
 
 
@@ -169,6 +168,15 @@ class TestAdversarialSearch:
 # Draw sequences of the case generator
 # ---------------------------------------------------------------------------
 
+def reference_noise(dim, bound, rng):
+    """The cases' noise draw as first written: a constant signal of norm bound
+    along a normalised normal draw."""
+    if bound == 0.0:
+        return zero_signal(dim)
+    d = rng.normal(size=dim)
+    return constant_signal(bound * d / np.linalg.norm(d))
+
+
 def reference_make_cases(n, m, guard, M, N, count, horizon, seed,
                          step_fraction=0.9):
     """make_cases' draws as first written: (x0, step, kind, u, e) per case."""
@@ -182,7 +190,7 @@ def reference_make_cases(n, m, guard, M, N, count, horizon, seed,
         kind = ("piecewise", "constant", "sine")[k % 3]
         u = random_disturbance(kind, m, N, part, rng)
         e_bound = 0.99 * guard.kappa * lower_diameter(part) * rng.uniform(0.0, 1.0)
-        out.append((x0, step, kind, u, random_noise(n, e_bound, rng)))
+        out.append((x0, step, kind, u, reference_noise(n, e_bound, rng)))
     return out
 
 
@@ -197,14 +205,14 @@ def reference_adversarial_draws(n, m, guard, M, N, budget, horizon, seed):
         part = make_partition("uniform", horizon, step)
         kind = ("piecewise", "constant", "sine")[k % 3]
         u = random_disturbance(kind, m, N, part, rng)
-        e = random_noise(n, 0.99 * guard.kappa * lower_diameter(part) * rng.uniform(0, 1),
-                         rng)
+        e = reference_noise(n, 0.99 * guard.kappa * lower_diameter(part)
+                            * rng.uniform(0, 1), rng)
         out.append((x0, step, kind, u, e))
     return out
 
 
 def plane_loop():
-    fb = Feedback(2, 2, lambda x: -np.asarray(x, float), "synthesized", "contraction")
+    fb = Feedback(2, 2, lambda x: -np.asarray(x, float))
     return ClosedLoop(2, 2, lambda x, p, u: p + u, fb, 2)
 
 
