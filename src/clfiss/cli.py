@@ -307,8 +307,8 @@ def cmd_campaign(cfg: dict, out_dir: str, seed: int) -> int:
     _check_fields(gcfg, {"points", "pairs", "inflation", "seed"}, set(), "guard")
     probe = ProbeConfig(gcfg.get("points", 2048), gcfg.get("pairs", 4000),
                         gcfg.get("inflation", 1.25), gcfg.get("seed", seed))
-    guard = estimate_rate_guard(loop, clf, tables, cfg["epsilon"], cfg["M"],
-                                cfg["N"], system, probe)
+    guard = _checked("guard", estimate_rate_guard, loop, clf, tables,
+                     cfg["epsilon"], cfg["M"], cfg["N"], system, probe)
     # each case and each adversarial trial must fit one whole step
     fractions = [step_fraction] if count > 0 else []
     if budget:
@@ -353,12 +353,17 @@ def cmd_euler(cfg: dict, out_dir: str, seed: int) -> int:
         if "loop" not in cfg:
             raise ConfigError("euler: need loop or linear_test")
         loop, _, _ = _build_loop(cfg["loop"], "loop")
-    part0 = _checked("euler", make_partition, "uniform", cfg["horizon"],
-                     cfg["base_step"])
+    base_step = _real("euler: base_step", cfg["base_step"])
+    horizon = _real("euler: horizon", cfg["horizon"])
+    levels = _integer("euler: levels", cfg["levels"], 1)
+    # null asks for noise-free levels
+    exponent = cfg.get("error_exponent", 2.0)
+    if exponent is not None:
+        _real("euler: error_exponent", exponent)
+    part0 = _checked("euler", make_partition, "uniform", horizon, base_step)
     u = _build_signal(cfg.get("disturbance"), loop.m, part0, seed, "disturbance")
-    sched = _checked("euler", geometric_schedule, cfg["base_step"],
-                     cfg["levels"], cfg["horizon"], u, loop.n,
-                     cfg.get("error_exponent", 2.0), seed=seed)
+    sched = _checked("euler", geometric_schedule, base_step, levels, horizon,
+                     u, loop.n, exponent, seed=seed)
     x0 = _checked("x0", as_vector, cfg["x0"], loop.n)
     study = euler_study(loop, sched, x0)
     worst_env_margin = None
@@ -382,37 +387,43 @@ def cmd_weakiss(cfg: dict, out_dir: str, seed: int) -> int:
     _check_fields(cfg, {"schema", "i_max", "safety", "M", "N", "epsilon",
                         "x0_values", "horizon", "step", "substeps"},
                   {"M", "N", "epsilon", "x0_values", "horizon"}, "weakiss")
+    i_max = _integer("weakiss: i_max", cfg.get("i_max", 8), 1)
+    safety = _real("weakiss: safety", cfg.get("safety", 0.9))
+    if not 0.0 < safety <= 1.0:
+        raise ConfigError(f"weakiss: safety must lie in (0, 1], got {safety!r}")
+    M = _real("weakiss: M", cfg["M"])
+    N = _real("weakiss: N", cfg["N"])
+    if not isinstance(cfg["x0_values"], list):
+        raise ConfigError("weakiss: x0_values must be a list of real numbers")
+    x0_values = [_real("weakiss: x0_values entry", v) for v in cfg["x0_values"]]
     system = systems.counterexample_system()
     clf = systems.scalar_abs_clf()
     k1 = zero_feedback(1, 1)
-    cert = systems.build_weak_iss_certificate(
-        system, clf, k1, _integer("weakiss: i_max", cfg.get("i_max", 8), 1),
-        cfg.get("safety", 0.9), seed=seed)
+    cert = systems.build_weak_iss_certificate(system, clf, k1, i_max, safety,
+                                              seed=seed)
     loop = _checked("weakiss", systems.weak_iss_loop, system, k1, cert,
                     cfg.get("substeps", 16))
-    tables = AlphaTables.identity(max(cfg["M"], cert.alpha4(cfg["N"])) * 4.0 + 8.0)
+    tables = AlphaTables.identity(max(M, cert.alpha4(N)) * 4.0 + 8.0)
     env = _checked("weakiss", build_envelope, tables, cfg["epsilon"], cert.alpha4)
     cert.to_json(_out_path(out_dir, "certificate.json"))
     part = _checked("weakiss", make_partition, "uniform", cfg["horizon"],
                     cfg.get("step", 0.01))
-    runs = [([float(x0)], sign * cfg["N"]) for x0 in cfg["x0_values"]
-            for sign in (1.0, -1.0)]
+    runs = [([float(x0)], sign * N) for x0 in x0_values for sign in (1.0, -1.0)]
     trajs = sample_solve_batch(loop, [part] * len(runs), [x0 for x0, _ in runs],
                                [constant_signal([u]) for _, u in runs])
     rows = []
     failed = 0
     for (x0, u), traj in zip(runs, trajs):
-        chk = check_iss_euler(traj, env, x0, cfg["N"])
+        chk = check_iss_euler(traj, env, x0, N)
         ok = traj.status.ok and chk.ok
         failed += 0 if ok else 1
         rows.append({"x0": x0[0], "u": u, "status": traj.status.kind,
                      "pass": bool(ok), **chk.to_dict()})
-    doc = {"cases": rows, "failed": failed,
-           "alpha4_at_N": cert.alpha4(cfg["N"])}
+    doc = {"cases": rows, "failed": failed, "alpha4_at_N": cert.alpha4(N)}
     with open(_out_path(out_dir, "weakiss.json"), "w") as fh:
         json.dump(doc, fh, indent=2)
     print(f"weakiss: {len(rows)} runs, {failed} failed, "
-          f"alpha4({cfg['N']:g})={cert.alpha4(cfg['N']):g}")
+          f"alpha4({N:g})={cert.alpha4(N):g}")
     return 0 if failed == 0 else 1
 
 

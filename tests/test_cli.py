@@ -457,6 +457,20 @@ def _bad_config(command, **changes):
     _bad_config("weakiss", i_max=0),
     _bad_config("envelope", radius_max=-1.0),
     _bad_config("envelope", overflow=0.0),
+    _bad_config("euler", base_step="a"),
+    _bad_config("euler", horizon="a"),
+    _bad_config("euler", levels="a"),
+    _bad_config("euler", levels=2.5),
+    _bad_config("euler", error_exponent="a"),
+    _bad_config("weakiss", safety=-1.0),
+    _bad_config("weakiss", safety="a"),
+    _bad_config("weakiss", safety=0.0),
+    _bad_config("weakiss", safety=1.5),
+    _bad_config("weakiss", M="a"),
+    _bad_config("weakiss", N="a"),
+    _bad_config("weakiss", x0_values=["a"]),
+    _bad_config("weakiss", x0_values=0.5),
+    _bad_config("campaign", epsilon=50.0),
 ], ids=["euler-no-levels", "euler-horizon-below-step",
         "weakiss-horizon-below-step", "substeps-zero", "escape-radius-zero",
         "simulate-x0-length", "euler-x0-length", "campaign-horizon-below-step",
@@ -469,7 +483,12 @@ def _bad_config(command, **changes):
         "campaign-epsilon-zero", "campaign-M-negative", "campaign-N-negative",
         "cases-count-negative", "euler-envelope-epsilon-zero",
         "weakiss-epsilon-zero", "weakiss-i-max-zero",
-        "envelope-radius-max-negative", "envelope-overflow-zero"])
+        "envelope-radius-max-negative", "envelope-overflow-zero",
+        "euler-base-step-text", "euler-horizon-text", "euler-levels-text",
+        "euler-levels-fraction", "euler-error-exponent-text",
+        "weakiss-safety-negative", "weakiss-safety-text", "weakiss-safety-zero",
+        "weakiss-safety-above-one", "weakiss-M-text", "weakiss-N-text",
+        "weakiss-x0-text", "weakiss-x0-not-a-list", "campaign-probe-region-empty"])
 def test_rejected_config_values_exit_2(tmp_path, capsys, command, doc):
     cfg = write_config(tmp_path, "bad.json", doc)
     assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2

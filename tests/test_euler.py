@@ -3,8 +3,10 @@ import pytest
 
 from clfiss import (AlphaTables, ClosedLoop, Feedback, Partition, Trajectory,
                     build_envelope, check_iss_euler, constant_signal,
-                    make_partition, nonlinear_loop, zero_feedback, zero_signal)
-from clfiss.core import COMPLETED, Status
+                    make_partition, nonlinear_loop, sample_solve,
+                    zero_feedback, zero_signal)
+from clfiss.core import (BLOWUP, COMPLETED, NUMERICAL_FAILURE, Status,
+                         lower_diameter, upper_diameter)
 from clfiss.euler import RefinementSchedule, euler_study, geometric_schedule
 from clfiss.systems import counterexample_system
 
@@ -100,6 +102,85 @@ class TestEulerStudy:
         assert not study.verdict
 
 
+def reference_study(loop, schedule, x0):
+    """euler_study's report as one sample_solve per level, run in level order
+    and stopped at the first divergent level: (levels, verdict,
+    divergent_level, divergent_time, limit, grid_times, limit_states)."""
+    grid = np.linspace(0.0, min(p.horizon for p in schedule.partitions), 4096)
+    rows, distances = [], []
+    prev = limit = limit_states = None
+    divergent_level = divergent_time = None
+    for r, part in enumerate(schedule.partitions):
+        traj = sample_solve(loop, part, x0, schedule.input_at(r),
+                            schedule.errors[r])
+        row = {"delta_bar": upper_diameter(part),
+               "delta_lower": lower_diameter(part),
+               "sup_e": schedule.errors[r].bound, "distance_to_prev": None}
+        rows.append(row)
+        if traj.status.kind in (BLOWUP, NUMERICAL_FAILURE):
+            divergent_level, divergent_time = r, traj.status.time
+            break
+        states = traj.state_at(grid)
+        if prev is not None:
+            row["distance_to_prev"] = float(
+                np.max(np.linalg.norm(states - prev, axis=1)))
+            distances.append(row["distance_to_prev"])
+        prev = states
+        limit, limit_states = traj, states
+    verdict = False
+    if divergent_level is None and len(distances) >= 2:
+        ratios = [(0.0 if b <= 0.0 else np.inf) if a <= 0.0 else b / a
+                  for a, b in zip(distances, distances[1:])]
+        verdict = all(q <= 0.8 for q in ratios[-3:])
+    elif divergent_level is None:
+        verdict = all(d == 0.0 for d in distances)
+    return (rows, verdict, divergent_level, divergent_time, limit,
+            grid if limit is not None else None, limit_states)
+
+
+def same_bytes(a, b):
+    return (a is None and b is None) or (
+        a is not None and b is not None and a.shape == b.shape
+        and a.tobytes() == b.tobytes())
+
+
+def disturbed_linear_loop(substeps=4):
+    fb = Feedback(1, 1, lambda x: -np.asarray(x, float))
+    return ClosedLoop(1, 1, lambda x, p, u: p + u, fb, substeps)
+
+
+def per_level_input_schedule():
+    base = geometric_schedule(0.2, 5, 1.5, dim_e=1)
+    inputs = [constant_signal([0.5 * (-1.0) ** r * 2.0 ** -r])
+              for r in range(base.levels)]
+    return RefinementSchedule(base.partitions, base.errors, inputs,
+                              reference_input=constant_signal([0.5]))
+
+
+@pytest.mark.parametrize("loop, schedule, x0", [
+    (linear_loop(), geometric_schedule(0.2, 6, 2.0, dim_e=1), [1.0]),
+    (disturbed_linear_loop(), per_level_input_schedule(), [1.0]),
+    (nonlinear_loop(counterexample_system(), zero_feedback(1, 1)),
+     geometric_schedule(0.05, 3, 1.0, dim_e=1,
+                        input_signal=constant_signal([1.0])), [4.0]),
+], ids=["linear", "per-level-inputs", "divergent"])
+def test_batched_study_matches_per_level_runs(loop, schedule, x0):
+    study = euler_study(loop, schedule, x0)
+    (levels, verdict, divergent_level, divergent_time, limit, grid_times,
+     limit_states) = reference_study(loop, schedule, x0)
+    assert study.levels == levels
+    assert study.verdict == verdict
+    assert study.divergent_level == divergent_level
+    assert study.divergent_time == divergent_time
+    assert same_bytes(study.grid_times, grid_times)
+    assert same_bytes(study.limit_states, limit_states)
+    assert (study.limit is None) == (limit is None)
+    if limit is not None:
+        assert same_bytes(study.limit.dense_states, limit.dense_states)
+        assert same_bytes(study.limit.dense_times, limit.dense_times)
+        assert same_bytes(study.limit.held_controls, limit.held_controls)
+
+
 def fake_trajectory(times, values):
     times = np.asarray(times, dtype=float)
     states = np.asarray(values, dtype=float).reshape(-1, 1)
@@ -140,7 +221,6 @@ class TestCheckIssEuler:
         bound = env.additive_bound(1.0, 0.0, grid)
         limit_norms = np.linalg.norm(study.limit_states, axis=1)
         limit_margin = float(np.min(bound - limit_norms))
-        from clfiss import sample_solve
         for r in range(sched.levels):
             traj = sample_solve(loop, sched.partitions[r], [1.0],
                                 sched.input_at(r), sched.errors[r])
