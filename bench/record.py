@@ -9,15 +9,16 @@ Run from anywhere; the checkout is the directory above bench/. The script
    for compiling the package and peak_rss_mb does not move with edits that
    change no executed code;
 2. runs the command of BENCHMARK.json (`perfbench/run.py`) with --trace 0 on
-   every workload for each seed of SEEDS, then once with --trace 1, each for
-   BENCHMARK.json's run_seconds;
+   every workload for each seed of SEEDS, then with --trace 1 for each of
+   the first TRACED seeds, each for BENCHMARK.json's run_seconds;
 3. writes BENCH_<label>.json in the checkout: the commit (and whether the
    tree differs from it), Python and numpy versions, the core count, the
    number of runs, the median and quartiles of every end-to-end metric, and
-   the per-layer medians of the traced run.
+   each per-layer metric's median over the traced runs (median_low for
+   counts and bytes, so that they stay one of the samples).
 
-Runs are sequential, so one label takes about (len(SEEDS) + 1) * 3 runs of
-run_seconds each. Record two checkouts on the same host in one session to
+Runs are sequential, so one label takes about (len(SEEDS) + TRACED) * 3 runs
+of run_seconds each. Record two checkouts on the same host in one session to
 compare them. --compare A B runs nothing: per workload and end-to-end
 metric it prints A's and B's median with its quartiles, and the relative
 change of the median from A to B.
@@ -38,8 +39,10 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
-# benchmark seeds of the untraced runs; the traced run uses the first
+# benchmark seeds of the untraced runs; the traced runs use the first TRACED,
+# since one traced run's layer times move by a third between runs
 SEEDS = (101, 102, 103, 104, 105)
+TRACED = 3
 
 
 def _git(*args) -> str:
@@ -75,6 +78,17 @@ def _summary(values: list) -> dict:
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": statistics.median(values), "q1": q1, "q3": q3,
             "values": values}
+
+
+def _layer_medians(traced: list) -> dict:
+    """Per-layer metrics of the traced runs, each the median over the runs."""
+    out = {}
+    for name, metric in traced[0]["metrics"].items():
+        whole = metric["unit"] in ("count", "bytes")
+        pick = statistics.median_low if whole else statistics.median
+        out[name] = {"value": pick([r["metrics"][name]["value"] for r in traced]),
+                     "unit": metric["unit"]}
+    return out
 
 
 def compare(path_a, path_b) -> list:
@@ -117,16 +131,16 @@ def main(argv=None) -> int:
     for wl in bench["workloads"]:
         name = wl["name"]
         runs = [_run(command, name, seed, seconds, 0) for seed in SEEDS]
-        traced = _run(command, name, SEEDS[0], seconds, 1)
+        traced = [_run(command, name, seed, seconds, 1) for seed in SEEDS[:TRACED]]
         workloads[name] = {
-            "correct": all(r["correct"] for r in runs + [traced]),
+            "correct": all(r["correct"] for r in runs + traced),
             "attempted": sum(r["attempted"] for r in runs),
             "failed": sum(r["failed"] for r in runs),
             "end_to_end": {
                 m["name"]: {"unit": m["unit"], **_summary(
                     [r["metrics"][m["name"]]["value"] for r in runs])}
                 for m in bench["end_to_end"]},
-            "per_layer": traced["metrics"],
+            "per_layer": _layer_medians(traced),
         }
 
     doc = {
@@ -140,7 +154,7 @@ def main(argv=None) -> int:
         "run_seconds": seconds,
         "seeds": list(SEEDS),
         "runs_per_workload": len(SEEDS),
-        "traced_runs_per_workload": 1,
+        "traced_runs_per_workload": TRACED,
         "workloads": workloads,
     }
     path = ROOT / f"BENCH_{args.label}.json"

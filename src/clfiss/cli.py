@@ -282,9 +282,9 @@ def cmd_campaign(cfg: dict, out_dir: str, seed: int) -> int:
     if not isinstance(system, ControlAffineSystem):
         raise ConfigError(f"campaign: system {cfg['loop']['system']!r} is not "
                           "control-affine; the rate guard needs its f and G")
-    if cfg["M"] <= 0 or cfg["N"] < 0:
-        raise ConfigError(f"campaign: need M > 0 and N >= 0, got M {cfg['M']!r} "
-                          f"and N {cfg['N']!r}")
+    M, N = _real("campaign: M", cfg["M"]), _real("campaign: N", cfg["N"])
+    if M <= 0 or N < 0:
+        raise ConfigError(f"campaign: need M > 0 and N >= 0, got M {M!r} and N {N!r}")
     ccfg = cfg["cases"]
     _check_fields(ccfg, {"count", "seed", "step_fraction", "include_inadmissible"},
                   {"count"}, "cases")
@@ -308,7 +308,7 @@ def cmd_campaign(cfg: dict, out_dir: str, seed: int) -> int:
     probe = ProbeConfig(gcfg.get("points", 2048), gcfg.get("pairs", 4000),
                         gcfg.get("inflation", 1.25), gcfg.get("seed", seed))
     guard = _checked("guard", estimate_rate_guard, loop, clf, tables,
-                     cfg["epsilon"], cfg["M"], cfg["N"], system, probe)
+                     cfg["epsilon"], M, N, system, probe)
     # each case and each adversarial trial must fit one whole step
     fractions = [step_fraction] if count > 0 else []
     if budget:
@@ -317,7 +317,7 @@ def cmd_campaign(cfg: dict, out_dir: str, seed: int) -> int:
         raise ConfigError(
             f"campaign: horizon {cfg['horizon']:g} is shorter than the largest "
             f"case step, {max(fractions):g} * delta with delta {guard.delta:g}")
-    cases = make_cases(loop, guard, cfg["M"], cfg["N"], count,
+    cases = make_cases(loop, guard, M, N, count,
                        cfg["horizon"], ccfg.get("seed", seed), step_fraction)
     if ccfg.get("include_inadmissible"):
         part = _checked("campaign", make_partition, "uniform", cfg["horizon"],
@@ -327,7 +327,7 @@ def cmd_campaign(cfg: dict, out_dir: str, seed: int) -> int:
         cases.append(CampaignCase(np.zeros(loop.n), zero_signal(loop.m),
                                   constant_signal(vec), part,
                                   "inadmissible-by-design", False))
-    campaign = Campaign(loop, env, guard, cases, cfg["M"], cfg["N"], clf)
+    campaign = Campaign(loop, env, guard, cases, M, N, clf)
     report = run_campaign(campaign)
     doc = report.to_json()
     doc["guard"] = guard.to_dict()
@@ -393,6 +393,8 @@ def cmd_weakiss(cfg: dict, out_dir: str, seed: int) -> int:
         raise ConfigError(f"weakiss: safety must lie in (0, 1], got {safety!r}")
     M = _real("weakiss: M", cfg["M"])
     N = _real("weakiss: N", cfg["N"])
+    if N < 0:
+        raise ConfigError(f"weakiss: N must be at least 0, got {N!r}")
     if not isinstance(cfg["x0_values"], list):
         raise ConfigError("weakiss: x0_values must be a list of real numbers")
     x0_values = [_real("weakiss: x0_values entry", v) for v in cfg["x0_values"]]

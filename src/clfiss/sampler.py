@@ -23,11 +23,13 @@ from .core import (BLOWUP, COMPLETED, DEFAULT_ESCAPE_RADIUS, LEFT_DOMAIN,
 from .feedback import Feedback
 
 DOMAIN_EXIT_TOL = 1e-9
-# sample_solve_batch evaluates each row's signals once per block of this many
-# intervals, so its signal tables do not grow with the horizon; 16 keeps them
-# to tens of kilobytes at a few rows (64 raised the benchmark's peak RSS by
-# ~0.15 MB) while one call still covers 48 * substeps RK4 stage times
-BLOCK = 16
+# sample_solve_batch evaluates each row's signals once per block of
+# max(1, BLOCK // substeps) intervals, i.e. of at most BLOCK RK4 substeps
+# unless one interval has more. Its disturbance table then holds at most
+# 3 * max(BLOCK, substeps) stage values per row and component, whatever the
+# horizon, and a loop of one substep, whose intervals are cheap, pays for a
+# table only once per 256 intervals
+BLOCK = 256
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,8 +146,8 @@ def sample_solve_batch(loop: ClosedLoop, partitions, x0, u=None,
     leaves the batch. Returns one Trajectory per row, byte for byte the one
     the row gives alone, as sample_solve describes. The feedback is called
     once per interval, on the noisy samples of every running row; each row's
-    disturbance and noise once per BLOCK intervals, at their RK4 stage times
-    and sample times.
+    disturbance and noise once per block of BLOCK RK4 substeps (at least one
+    interval), at their RK4 stage times and sample times.
     """
     B, n, m, S = len(partitions), loop.n, loop.m, loop.substeps
     u = [zero_signal(m) if s is None else s for s in (u or [None] * B)]
@@ -178,6 +180,7 @@ def sample_solve_batch(loop: ClosedLoop, partitions, x0, u=None,
     # a state whose norm is at most limit is finite and inside the radius
     limit = min(loop.escape_radius, float(np.finfo(float).max))
     monitor = loop.domain_margin
+    block = max(1, BLOCK // S)   # intervals per signal table
 
     # the running rows: their count and ids (a slice while none has
     # stopped), their disturbance at the stage times and their noise at the
@@ -213,15 +216,15 @@ def sample_solve_batch(loop: ClosedLoop, partitions, x0, u=None,
         return np.broadcast_to(np.ravel(t), (live,))[pos]
 
     def tabulate(i):
-        # each running row's signals over its intervals i, ..., i + BLOCK - 1
+        # each running row's signals over its intervals i, ..., i + block - 1
         # (fewer where its partition ends sooner), one call per signal
         nonlocal u_tab, e_tab
-        span = times[rows, i:i + BLOCK + 1]
+        span = times[rows, i:i + block + 1]
         stages = _stage_times(span[:, :-1], span[:, 1:], S)
         u_tab = np.empty(stages.shape + (m,))
         e_tab = np.empty(span[:, :-1].shape + (n,))
         for r, j in enumerate(ids(slice(None)).tolist()):
-            k = min(BLOCK, K[j] - i)
+            k = min(block, K[j] - i)
             u_tab[r, :k] = signal_at(u[j], stages[r, :k])
             e_tab[r, :k] = signal_at(e[j], span[r, :k])
 
@@ -288,7 +291,7 @@ def sample_solve_batch(loop: ClosedLoop, partitions, x0, u=None,
             t0, t1 = float(times[lead, i]), float(times[lead, i + 1])
         else:
             t0, t1 = times[rows, i, None], times[rows, i + 1, None]
-        c = i % BLOCK
+        c = i % block
         if not c:
             tabulate(i)
         x_tilde = x + e_tab[:, c]

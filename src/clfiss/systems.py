@@ -23,6 +23,8 @@ from .core import (ControlAffineSystem, FullyNonlinearSystem, as_vector,
 from .feedback import Feedback, _k1
 from .sampler import ClosedLoop
 
+_TINY = float(np.finfo(float).tiny)
+
 
 # ---------------------------------------------------------------------------
 # Nonholonomic integrator
@@ -119,6 +121,42 @@ def integrator_max_clf() -> Clf:
     return Clf(3, V, subgrad, lambda s: s, domain)
 
 
+def _sign(v: float) -> float:
+    """np.sign on a float: 1.0, -1.0, 0.0 at either zero, and a nan as given."""
+    if v > 0.0:
+        return 1.0
+    if v < 0.0:
+        return -1.0
+    return v if v != v else 0.0
+
+
+def _k1_k2(x1: float, x2: float, x3: float):
+    """The pieces k1 and k2 of integrator_k1_k2 at one state, as two pairs of
+    floats, by the same float operations in the same order."""
+    r = math.hypot(x1, x2)
+    a3 = abs(x3)
+    if r == 0.0:
+        return (0.0, a3), (0.0, a3)
+    tiny = None
+    if max(r, a3) < 2.0 ** -500:   # x3^2 and 4 r^2 would underflow
+        tiny = _tiny_safe([x1, x2, x3])
+        xs3, rs = float(tiny[0][2]), float(tiny[2])
+        polar = xs3 * xs3 >= 4.0 * rs * rs
+    else:
+        polar = x3 * x3 >= 4.0 * r * r
+    if not polar:
+        return (-x1, -x2), (-r * _sign(x1), -r * _sign(x2))
+    s3 = math.copysign(1.0, x3)   # the polar test fails at x3 = 0 when r > 0
+    d1, d2, rd = x1, x2, r
+    if r < _TINY:
+        d1, d2, rd = (float(v) for v in (tiny or _tiny_safe([x1, x2, x3]))[3:])
+    d1, d2 = d1 / rd, d2 / rd
+    mu = (r - a3) / (r * r + 1.0)
+    gap = a3 - r
+    return ((mu * (-x2 * s3 - d1), mu * (x1 * s3 - d2)),
+            (-(gap * _sign(-x2 * r * s3 - x1)), -(gap * _sign(x1 * r * s3 - x2))))
+
+
 def integrator_k1_k2(x):
     """Explicit casewise feedback pieces for the integrator with the max CLF.
 
@@ -128,30 +166,8 @@ def integrator_k1_k2(x):
     runs on the scaled state of _tiny_safe, and where r is subnormal so does
     the planar direction.
     """
-    x = as_vector(x, 3)
-    x1, x2, x3 = float(x[0]), float(x[1]), float(x[2])
-    r = math.hypot(x1, x2)
-    a3 = abs(x3)
-    if r == 0.0:
-        return np.array([0.0, a3]), np.array([0.0, a3])
-    tiny = None
-    if max(r, a3) < 2.0 ** -500:   # x3^2 and 4 r^2 would underflow
-        tiny = _tiny_safe(x)
-        xs, _, rs = tiny[:3]
-        polar = xs[2] * xs[2] >= 4.0 * rs * rs
-    else:
-        polar = x3 * x3 >= 4.0 * r * r
-    if not polar:
-        xy = np.array([x1, x2])
-        return -xy, -r * np.sign(xy)
-    s3 = math.copysign(1.0, x3)   # the polar test fails at x3 = 0 when r > 0
-    d1, d2, rd = x1, x2, r
-    if r < np.finfo(float).tiny:
-        d1, d2, rd = (float(v) for v in (tiny or _tiny_safe(x))[3:])
-    d1, d2 = d1 / rd, d2 / rd
-    k1 = (r - a3) / (r * r + 1.0) * np.array([-x2 * s3 - d1, x1 * s3 - d2])
-    k2v = -((a3 - r) * np.sign(np.array([-x2 * r * s3 - x1, x1 * r * s3 - x2])))
-    return k1, k2v
+    k1v, k2v = _k1_k2(*as_vector(x, 3).tolist())
+    return np.array(k1v), np.array(k2v)
 
 
 def integrator_feedback(component: str = "combined") -> Feedback:
@@ -159,23 +175,18 @@ def integrator_feedback(component: str = "combined") -> Feedback:
     if component not in ("combined", "k1", "k2"):
         raise ValueError("component must be combined, k1 or k2")
 
-    def one(x):
-        k1v, k2v = integrator_k1_k2(x)
-        if component == "k1":
-            return k1v
-        if component == "k2":
-            return k2v
-        return k1v + k2v
-
     def ev(x):
-        # the casewise scalar body per row: at the few rows of a lockstep
-        # batch it is faster than masked array arithmetic over all cases
+        # the casewise law on each row's Python floats: at every batch size a
+        # campaign steps this beats numpy arithmetic, per row or masked
         x = np.asarray(x, dtype=float)
-        rows = x.reshape(-1, 3)
-        out = np.empty((rows.shape[0], 2))
-        for j in range(rows.shape[0]):
-            out[j] = one(rows[j])
-        return out.reshape(x.shape[:-1] + (2,))
+        pieces = [_k1_k2(*row) for row in x.reshape(-1, 3).tolist()]
+        if component == "k1":
+            out = [k1v for k1v, _ in pieces]
+        elif component == "k2":
+            out = [k2v for _, k2v in pieces]
+        else:
+            out = [(a1 + b1, a2 + b2) for (a1, a2), (b1, b2) in pieces]
+        return np.array(out, dtype=float).reshape(x.shape[:-1] + (2,))
 
     return Feedback(3, 2, ev)
 

@@ -471,6 +471,9 @@ def _bad_config(command, **changes):
     _bad_config("weakiss", x0_values=["a"]),
     _bad_config("weakiss", x0_values=0.5),
     _bad_config("campaign", epsilon=50.0),
+    _bad_config("campaign", M="a"),
+    _bad_config("campaign", N="a"),
+    _bad_config("weakiss", N=-1.0),
 ], ids=["euler-no-levels", "euler-horizon-below-step",
         "weakiss-horizon-below-step", "substeps-zero", "escape-radius-zero",
         "simulate-x0-length", "euler-x0-length", "campaign-horizon-below-step",
@@ -488,7 +491,8 @@ def _bad_config(command, **changes):
         "euler-levels-fraction", "euler-error-exponent-text",
         "weakiss-safety-negative", "weakiss-safety-text", "weakiss-safety-zero",
         "weakiss-safety-above-one", "weakiss-M-text", "weakiss-N-text",
-        "weakiss-x0-text", "weakiss-x0-not-a-list", "campaign-probe-region-empty"])
+        "weakiss-x0-text", "weakiss-x0-not-a-list", "campaign-probe-region-empty",
+        "campaign-M-text", "campaign-N-text", "weakiss-N-negative"])
 def test_rejected_config_values_exit_2(tmp_path, capsys, command, doc):
     cfg = write_config(tmp_path, "bad.json", doc)
     assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2

@@ -24,7 +24,7 @@ from clfiss import (Clf, DecayViolation, Feedback, ProbeConfig, affine_loop,
                     sine_signal, zero_feedback, zero_signal)
 from clfiss.clf import _angular_tol
 from clfiss.core import as_vector, direction_set, unit_rows
-from clfiss.systems import (WeakIssCertificate, _band_edges, _tiny_safe,
+from clfiss.systems import (WeakIssCertificate, _band_edges, _sign, _tiny_safe,
                             build_weak_iss_certificate,
                             counterexample_system, cone_margin,
                             estimate_decay_margin, integrator_feedback,
@@ -401,6 +401,46 @@ def assert_same_pieces(x):
     got, want = integrator_k1_k2(x), reference_k1_k2(x)
     for g, w in zip(got, want):
         assert g.shape == w.shape == (2,) and g.tobytes() == w.tobytes(), x
+
+
+def test_sign_helper_matches_np_sign():
+    # sign bits included: np.sign gives +0.0 at -0.0 and a nan as it is
+    for v in (0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, math.inf, -math.inf,
+              math.nan, -math.nan):
+        assert np.float64(_sign(v)).tobytes() == np.sign(np.float64(v)).tobytes(), v
+
+
+def explicit_law_rows():
+    """100 states in shuffled order: origin, axis, cone, tiny,
+    subnormal-radius and nonfinite rows among generic ones."""
+    special = [[0.0, 0.0, 0.0], [0.0, -0.0, -2.5], [-0.0, 0.0, 1.0],
+               [1.0, 0.0, 2.0], [3.0, 4.0, -10.0], [0.0, 1.0, -2.0],
+               [5e-324, 5e-324, 1.0], [1e-170, 1e-170, -1e-171],
+               [-5e-324, 0.0, 2.5e13], [1e-170, 0.0, 0.0],
+               [2.0 ** -501, -2.0 ** -502, 0.0], [3e-320, -1e-321, 4e-300],
+               [math.nan, 1.0, 1.0], [1.0, 1.0, -math.nan], [math.inf, 0.0, 1.0],
+               [0.0, -math.inf, math.inf], [-1.0, 0.5, 0.25], [2.0, -1.0, 0.0]]
+    rng = np.random.default_rng(12)
+    count = 100 - len(special)
+    generic = rng.normal(size=(count, 3)) * 10.0 ** rng.uniform(-3, 3, size=(count, 1))
+    return np.concatenate([special, generic])[rng.permutation(100)]
+
+
+@pytest.mark.parametrize("component", ["combined", "k1", "k2"])
+def test_explicit_law_batches_match_per_row(component):
+    # the float body of eval on batches of 1, 4 and 50 rows against
+    # integrator_k1_k2 row by row, byte for byte
+    rows = explicit_law_rows()
+    with np.errstate(invalid="ignore"):   # inf - inf on the nonfinite rows
+        pieces = [integrator_k1_k2(row) for row in rows]
+        want = np.array([{"k1": k1v, "k2": k2v, "combined": k1v + k2v}[component]
+                         for k1v, k2v in pieces])
+    ev = integrator_feedback(component).eval
+    for size in (1, 4, 50):
+        for start in range(0, rows.shape[0], size):
+            got = ev(rows[start:start + size])
+            assert got.shape == (size, 2)
+            assert got.tobytes() == want[start:start + size].tobytes(), (size, start)
 
 
 class TestReferences:

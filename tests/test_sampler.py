@@ -14,7 +14,7 @@ from clfiss import (BLOWUP, COMPLETED, LEFT_DOMAIN, NUMERICAL_FAILURE,
                     nonlinear_loop, sample_solve, sine_signal, zero_feedback,
                     zero_signal)
 from clfiss.core import DEFAULT_ESCAPE_RADIUS
-from clfiss.sampler import sample_solve_batch
+from clfiss.sampler import BLOCK, sample_solve_batch
 from clfiss.verify import random_disturbance
 from clfiss.systems import (cone_margin, counterexample_system,
                             integrator_feedback, integrator_max_clf,
@@ -375,10 +375,11 @@ def reference_dense_states(loop, partition, x0, u, e):
 
 
 def test_signal_tables_match_per_stage_reference():
-    # runs of over two blocks of intervals, on jittered and uniform
-    # partitions, alone and as one batch of rows that end at different times;
-    # the sines are fast and large enough that a last-bit change of a stage
-    # time shows in the states
+    # runs of over two blocks of intervals (BLOCK RK4 substeps each), on
+    # jittered and uniform partitions, alone and as one batch of rows that
+    # end at different times, and at 1, 2 and 300 substeps, the last a block
+    # of one interval; the sines are fast and large enough that a last-bit
+    # change of a stage time shows in the states
     rng = np.random.default_rng(4)
     sys1 = scalar_integrator_system()
     scalar = affine_loop(sys1, combined_feedback(sys1, scalar_abs_clf()), substeps=4)
@@ -396,12 +397,17 @@ def test_signal_tables_match_per_stage_reference():
         assert traj.dense_states.tobytes() == want.tobytes()
         alone = sample_solve(scalar, part, x0, u, e)
         assert traj.dense_states.tobytes() == alone.dense_states.tobytes()
-    integrator = affine_loop(integrator_system(), integrator_feedback(), substeps=2)
-    part = make_partition("uniform", 1.0, 0.007)
     u, e = sine_signal([1.0, -0.5], 0.5, 3.0, 1.0), constant_signal([1e-4, 0.0, -1e-4])
-    traj = sample_solve(integrator, part, [1.0, -0.5, 0.8], u, e)
-    want = reference_dense_states(integrator, part, [1.0, -0.5, 0.8], u, e)
-    assert traj.dense_states.tobytes() == want.tobytes()
+    for substeps, part in ((2, make_partition("uniform", 2.0, 0.007)),
+                           (1, make_partition("uniform", 1.2, 0.002)),
+                           (300, make_partition("jitter", 0.1, 0.02, 0.3, seed=2))):
+        integrator = affine_loop(integrator_system(), integrator_feedback(),
+                                 substeps=substeps)
+        assert part.intervals * substeps > 2 * BLOCK
+        traj = sample_solve(integrator, part, [1.0, -0.5, 0.8], u, e)
+        want = reference_dense_states(integrator, part, [1.0, -0.5, 0.8], u, e)
+        assert traj.status.kind == COMPLETED
+        assert traj.dense_states.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------
