@@ -115,7 +115,9 @@ def _build_partition(cfg, horizon: float):
     _check_fields(cfg, {"kind", "step", "fraction", "seed"}, {"kind", "step"},
                   "partition")
     return _checked("partition", make_partition, cfg["kind"], horizon,
-                    cfg["step"], cfg.get("fraction", 0.0), cfg.get("seed", 0))
+                    _real("partition: step", cfg["step"]),
+                    _real("partition: fraction", cfg.get("fraction", 0.0)),
+                    _integer("partition: seed", cfg.get("seed", 0)))
 
 
 def _build_signal(cfg, dim: int, partition, seed: int, where: str) -> Signal:
@@ -152,7 +154,7 @@ def _build_loop(cfg, where: str) -> tuple:
         raise ConfigError(f"{where}: clf {cfg['clf']!r} has dimension {clf.dim} "
                           f"but system {sys_name!r} has {system.n} states")
     fb_name = cfg["feedback"]
-    substeps = cfg.get("substeps", 16)
+    substeps = _integer(f"{where}: substeps", cfg.get("substeps", 16))
     escape = cfg.get("escape_radius", DEFAULT_ESCAPE_RADIUS)
     if sys_name == "counterexample":
         if fb_name != "zero":
@@ -218,7 +220,8 @@ def cmd_simulate(cfg: dict, out_dir: str, seed: int, overrides=None) -> int:
     if overrides.get("escape_radius") is not None:
         cfg.setdefault("loop", {})["escape_radius"] = overrides["escape_radius"]
     loop, system, clf = _build_loop(cfg["loop"], "loop")
-    part = _build_partition(cfg["partition"], cfg["horizon"])
+    part = _build_partition(cfg["partition"],
+                            _real("simulate: horizon", cfg["horizon"]))
     u = _build_signal(cfg.get("disturbance"), loop.m, part, seed, "disturbance")
     e = _build_signal(cfg.get("noise"), loop.n, part, seed + 1, "noise")
     x0 = _checked("x0", as_vector, cfg["x0"], loop.n)
@@ -251,8 +254,9 @@ def cmd_envelope(cfg: dict, out_dir: str, seed: int) -> int:
                         "radii", "overflow", "query"},
                   {"clf", "radius_max"}, "envelope")
     clf = _build(CLFS, "clf", cfg["clf"])
-    tables = _checked("envelope", estimate_alpha_tables,
-                      clf, cfg["radius_max"], cfg.get("grid_size", 257),
+    tables = _checked("envelope", estimate_alpha_tables, clf,
+                      _real("envelope: radius_max", cfg["radius_max"]),
+                      _integer("envelope: grid_size", cfg.get("grid_size", 257)),
                       cfg.get("directions", 64), cfg.get("radii", 512), seed=seed)
     env = _checked("envelope", build_envelope, tables, cfg.get("overflow", 0.1))
     tables.to_csv(_out_path(out_dir, "alpha_tables.csv"))
@@ -285,11 +289,13 @@ def cmd_campaign(cfg: dict, out_dir: str, seed: int) -> int:
     M, N = _real("campaign: M", cfg["M"]), _real("campaign: N", cfg["N"])
     if M <= 0 or N < 0:
         raise ConfigError(f"campaign: need M > 0 and N >= 0, got M {M!r} and N {N!r}")
+    epsilon = _real("campaign: epsilon", cfg["epsilon"])
+    horizon = _real("campaign: horizon", cfg["horizon"])
     ccfg = cfg["cases"]
     _check_fields(ccfg, {"count", "seed", "step_fraction", "include_inadmissible"},
                   {"count"}, "cases")
     count = _integer("cases: count", ccfg["count"])
-    step_fraction = ccfg.get("step_fraction", 0.9)
+    step_fraction = _real("cases: step_fraction", ccfg.get("step_fraction", 0.9))
     if not 0.0 < step_fraction < 1.0:
         # a case's step is this fraction of the guard's delta, which an
         # admissible partition must stay below
@@ -299,28 +305,29 @@ def cmd_campaign(cfg: dict, out_dir: str, seed: int) -> int:
     tcfg = cfg.get("tables", {})
     _check_fields(tcfg, {"radius_max", "grid_size", "directions", "radii"},
                   set(), "tables")
-    tables = _checked("tables", estimate_alpha_tables,
-                      clf, tcfg.get("radius_max", 20.0), tcfg.get("grid_size", 257),
+    tables = _checked("tables", estimate_alpha_tables, clf,
+                      _real("tables: radius_max", tcfg.get("radius_max", 20.0)),
+                      _integer("tables: grid_size", tcfg.get("grid_size", 257)),
                       tcfg.get("directions", 256), tcfg.get("radii", 512), seed=seed)
-    env = _checked("campaign", build_envelope, tables, cfg["epsilon"])
+    env = _checked("campaign", build_envelope, tables, epsilon)
     gcfg = cfg.get("guard", {})
     _check_fields(gcfg, {"points", "pairs", "inflation", "seed"}, set(), "guard")
     probe = ProbeConfig(gcfg.get("points", 2048), gcfg.get("pairs", 4000),
                         gcfg.get("inflation", 1.25), gcfg.get("seed", seed))
     guard = _checked("guard", estimate_rate_guard, loop, clf, tables,
-                     cfg["epsilon"], M, N, system, probe)
+                     epsilon, M, N, system, probe)
     # each case and each adversarial trial must fit one whole step
     fractions = [step_fraction] if count > 0 else []
     if budget:
         fractions.append(ADVERSARIAL_STEP_FRACTIONS[1])
-    if fractions and cfg["horizon"] < max(fractions) * guard.delta:
+    if fractions and horizon < max(fractions) * guard.delta:
         raise ConfigError(
-            f"campaign: horizon {cfg['horizon']:g} is shorter than the largest "
+            f"campaign: horizon {horizon:g} is shorter than the largest "
             f"case step, {max(fractions):g} * delta with delta {guard.delta:g}")
     cases = make_cases(loop, guard, M, N, count,
-                       cfg["horizon"], ccfg.get("seed", seed), step_fraction)
+                       horizon, ccfg.get("seed", seed), step_fraction)
     if ccfg.get("include_inadmissible"):
-        part = _checked("campaign", make_partition, "uniform", cfg["horizon"],
+        part = _checked("campaign", make_partition, "uniform", horizon,
                         2.0 * guard.delta)
         vec = np.zeros(loop.n)
         vec[0] = 10.0 * guard.kappa * guard.delta
@@ -332,7 +339,7 @@ def cmd_campaign(cfg: dict, out_dir: str, seed: int) -> int:
     doc = report.to_json()
     doc["guard"] = guard.to_dict()
     if budget:
-        doc["adversarial"] = adversarial_search(campaign, budget, seed, cfg["horizon"])
+        doc["adversarial"] = adversarial_search(campaign, budget, seed, horizon)
     with open(_out_path(out_dir, "campaign.json"), "w") as fh:
         json.dump(doc, fh, indent=2)
     ok = report.all_passed
@@ -398,18 +405,20 @@ def cmd_weakiss(cfg: dict, out_dir: str, seed: int) -> int:
     if not isinstance(cfg["x0_values"], list):
         raise ConfigError("weakiss: x0_values must be a list of real numbers")
     x0_values = [_real("weakiss: x0_values entry", v) for v in cfg["x0_values"]]
+    epsilon = _real("weakiss: epsilon", cfg["epsilon"])
+    horizon = _real("weakiss: horizon", cfg["horizon"])
+    step = _real("weakiss: step", cfg.get("step", 0.01))
+    substeps = _integer("weakiss: substeps", cfg.get("substeps", 16))
     system = systems.counterexample_system()
     clf = systems.scalar_abs_clf()
     k1 = zero_feedback(1, 1)
     cert = systems.build_weak_iss_certificate(system, clf, k1, i_max, safety,
                                               seed=seed)
-    loop = _checked("weakiss", systems.weak_iss_loop, system, k1, cert,
-                    cfg.get("substeps", 16))
+    loop = _checked("weakiss", systems.weak_iss_loop, system, k1, cert, substeps)
     tables = AlphaTables.identity(max(M, cert.alpha4(N)) * 4.0 + 8.0)
-    env = _checked("weakiss", build_envelope, tables, cfg["epsilon"], cert.alpha4)
+    env = _checked("weakiss", build_envelope, tables, epsilon, cert.alpha4)
+    part = _checked("weakiss", make_partition, "uniform", horizon, step)
     cert.to_json(_out_path(out_dir, "certificate.json"))
-    part = _checked("weakiss", make_partition, "uniform", cfg["horizon"],
-                    cfg.get("step", 0.01))
     runs = [([float(x0)], sign * N) for x0 in x0_values for sign in (1.0, -1.0)]
     trajs = sample_solve_batch(loop, [part] * len(runs), [x0 for x0, _ in runs],
                                [constant_signal([u]) for _, u in runs])

@@ -343,14 +343,16 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
     held = traj.held_controls if traj.held_controls.size else np.full((1, m), np.nan)
     header = (["t"] + [f"x{i + 1}" for i in range(n)]
               + [f"k{j + 1}" for j in range(m)] + ["interval_index"])
+    idx = traj.interval_index
+    cells = np.column_stack([traj.dense_times, traj.dense_states,
+                             held[np.minimum(idx, len(held) - 1)], idx])
+    # the lines csv.writer writes for these cells, which need no quoting,
+    # from Python floats 256 rows at a time, so that few exist at once
+    line = ",".join(["%.17g"] * (1 + n + m) + ["%d"]) + "\r\n"
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for r, t in enumerate(traj.dense_times):
-            i = int(traj.interval_index[r])
-            row = ([f"{t:.17g}"] + [f"{v:.17g}" for v in traj.dense_states[r]]
-                   + [f"{v:.17g}" for v in held[min(i, len(held) - 1)]] + [str(i)])
-            w.writerow(row)
+        fh.write(",".join(header) + "\r\n")
+        for k in range(0, len(cells), 256):
+            fh.writelines(line % tuple(row) for row in cells[k:k + 256].tolist())
 
 
 def read_trajectory_csv(path) -> dict:

@@ -135,6 +135,27 @@ def _hold(loop: ClosedLoop, x, t0, t1, held, u, after):
     return x
 
 
+def _left_at(margin, samples, dense, dense_t, sample_times, S: int) -> float:
+    """The time a run first leaves its CLF estimate region, or nan.
+
+    The run reads its states in this order: dense row 0 (only as the first
+    previous margin), then per interval i its noisy sample and dense rows
+    i S + 1, ..., (i + 1) S, as far as dense reaches. A state leaves when its
+    margin is near zero or of the opposite sign to the one read before it.
+    """
+    seq = np.full(1 + samples.shape[0] * (S + 1), np.nan)   # nan flags nothing
+    grid = seq[1:].reshape(-1, S + 1)
+    grid[:, 0] = rowwise(margin(samples), samples)
+    at_dense = rowwise(margin(dense), dense)
+    seq[0] = at_dense[0]
+    grid[:, 1:].flat[:at_dense.size - 1] = at_dense[1:]
+    hit = np.flatnonzero((np.abs(seq[1:]) < DOMAIN_EXIT_TOL) | (seq[1:] * seq[:-1] < 0))
+    if not hit.size:
+        return math.nan
+    i, c = divmod(int(hit[0]), S + 1)
+    return float(sample_times[i] if c == 0 else dense_t[i * S + c])
+
+
 def sample_solve_batch(loop: ClosedLoop, partitions, x0, u=None,
                        e=None) -> list:
     """Run the hold-and-integrate recursion for B independent rows in lockstep.
@@ -147,7 +168,9 @@ def sample_solve_batch(loop: ClosedLoop, partitions, x0, u=None,
     the row gives alone, as sample_solve describes. The feedback is called
     once per interval, on the noisy samples of every running row; each row's
     disturbance and noise once per block of BLOCK RK4 substeps (at least one
-    interval), at their RK4 stage times and sample times.
+    interval), at their RK4 stage times and sample times. The domain margin
+    is evaluated once per row after the loop, on the states the row reached
+    and its noisy samples, for which its noise is evaluated once more.
     """
     B, n, m, S = len(partitions), loop.n, loop.m, loop.substeps
     u = [zero_signal(m) if s is None else s for s in (u or [None] * B)]
@@ -173,8 +196,9 @@ def sample_solve_batch(loop: ClosedLoop, partitions, x0, u=None,
     dense_t = np.empty((B, k_max * S + 1))
     held_all = np.empty((B, k_max, m))
     dense_x[:, 0], dense_t[:, 0] = x, 0.0
-    # per row: dense rows, whole intervals and held controls at its end
-    count, done, held_n = K * S + 1, K.copy(), K.copy()
+    # per row: dense rows, whole intervals and held controls at its end, and
+    # the dense rows the domain monitor reads (not the state a row stops at)
+    count, done, held_n, seen = K * S + 1, K.copy(), K.copy(), K * S + 1
     terminal = [None] * B
     left_at = np.full(B, np.nan)
     # a state whose norm is at most limit is finite and inside the radius
@@ -183,15 +207,10 @@ def sample_solve_batch(loop: ClosedLoop, partitions, x0, u=None,
     block = max(1, BLOCK // S)   # intervals per signal table
 
     # the running rows: their count and ids (a slice while none has
-    # stopped), their disturbance at the stage times and their noise at the
-    # sample times of the current block of intervals, their last domain
-    # margins, and the positions among them of the rows still watched (a
-    # slice while all are, None when there is no monitor or none is left); x
-    # holds their states
+    # stopped), and their disturbance at the stage times and their noise at
+    # the sample times of the current block of intervals; x holds their states
     live, rows = B, slice(0, B)
     u_tab, e_tab = np.empty((B, 0, S, 3, m)), np.empty((B, 0, n))
-    prev = rowwise(monitor(x), x) if monitor is not None else None
-    watched = slice(0, B) if monitor is not None else None
 
     def ids(pos):
         # the row ids at positions pos among the running rows
@@ -199,15 +218,7 @@ def sample_solve_batch(loop: ClosedLoop, partitions, x0, u=None,
 
     def select(keep):
         # go on with the running rows at positions keep only
-        nonlocal live, rows, u_tab, e_tab, prev, watched
-        if isinstance(watched, slice):
-            watched = np.arange(live)
-        if watched is not None:
-            # positions of kept rows, then those of the kept watched rows
-            where = np.full(live, -1)
-            where[keep] = np.arange(keep.size)
-            watched = where[watched][where[watched] >= 0]
-            prev = prev[keep]
+        nonlocal live, rows, u_tab, e_tab
         live, rows = keep.size, ids(keep)
         u_tab, e_tab = u_tab[keep], e_tab[keep]
 
@@ -228,22 +239,12 @@ def sample_solve_batch(loop: ClosedLoop, partitions, x0, u=None,
             u_tab[r, :k] = signal_at(u[j], stages[r, :k])
             e_tab[r, :k] = signal_at(e[j], span[r, :k])
 
-    def watch(states, t):
-        # the first state whose margin is near zero or has changed sign
-        nonlocal watched
-        margin = rowwise(monitor(states[watched]), states[watched])
-        hit = (np.abs(margin) < DOMAIN_EXIT_TOL) | (margin * prev[watched] < 0)
-        prev[watched] = margin
-        if np.count_nonzero(hit):
-            pos = np.arange(live)[watched]
-            left_at[ids(pos[hit])] = per_row(t, pos[hit])
-            watched = pos[~hit] if (~hit).any() else None
-
     def stop(pos, t, kind, detail, recorded):
         stopped = ids(pos)
         for j, tj in zip(stopped.tolist(), per_row(t, pos).tolist()):
             terminal[j] = Status(kind, tj, detail)
         count[stopped], done[stopped], held_n[stopped] = recorded, i, i + 1
+        seen[stopped] = step
 
     def after(tau, t, x):
         nonlocal step
@@ -252,8 +253,6 @@ def sample_solve_batch(loop: ClosedLoop, partitions, x0, u=None,
         if norms.max() <= limit:   # false at a nan norm too
             dense_x[rows, step] = x
             dense_t[rows, step] = t if isinstance(t, float) else t[:, 0]
-            if watched is not None:
-                watch(x, t)
             return None
         # some row is nonfinite or at or past the escape radius
         bad = ~np.isfinite(x).all(axis=1)
@@ -265,16 +264,13 @@ def sample_solve_batch(loop: ClosedLoop, partitions, x0, u=None,
         out[ok] = norms[ok] > loop.escape_radius
         stop(out, t, BLOWUP, "escape radius reached", step + 1)
         keep = np.flatnonzero(~(bad | out))
-        t = per_row(t, keep)[:, None]
         select(keep)
-        if watched is not None:
-            watch(x[keep], t)
         return keep
 
     out = np.sqrt(rowdot(x, x)) > loop.escape_radius
     for j in np.flatnonzero(out).tolist():
         terminal[j] = Status(BLOWUP, 0.0, "initial state beyond escape radius")
-    count[out], done[out], held_n[out] = 1, 0, 0
+    count[out], done[out], held_n[out], seen[out] = 1, 0, 0, 0
     if out.any():
         select(np.flatnonzero(~out))
         x = x[~out]
@@ -297,10 +293,14 @@ def sample_solve_batch(loop: ClosedLoop, partitions, x0, u=None,
         x_tilde = x + e_tab[:, c]
         held = rowwise(loop.feedback.eval(x_tilde), x_tilde, (m,))
         held_all[rows, i] = held
-        if watched is not None:
-            watch(x_tilde, t0)
         x = _hold(loop, x, t0, t1, held, u_tab[:, c], after)
 
+    # each monitored row's exit, before the copies below take memory, from
+    # the noisy samples the feedback read, recomputed
+    for j in np.flatnonzero(seen).tolist() if monitor is not None else []:
+        left_at[j] = _left_at(monitor, dense_x[j, 0:held_n[j] * S:S]
+                              + signal_at(e[j], times[j, :held_n[j]]),
+                              dense_x[j, :seen[j]], dense_t[j], times[j], S)
     trajectories = []
     for j, p in enumerate(partitions):
         status = terminal[j] or Status(COMPLETED)

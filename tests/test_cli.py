@@ -378,6 +378,52 @@ def test_trajectory_csv_writer_round_trip(tmp_path):
     assert back["interval_index"][-1] == traj.interval_index[-1]
 
 
+def reference_trajectory_csv(traj, path):
+    """The trajectory writer as first written: csv.writer over cells formatted
+    one at a time."""
+    n, m = traj.dense_states.shape[1], traj.held_controls.shape[1]
+    held = traj.held_controls if traj.held_controls.size else np.full((1, m), np.nan)
+    header = (["t"] + [f"x{i + 1}" for i in range(n)]
+              + [f"k{j + 1}" for j in range(m)] + ["interval_index"])
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        for r, t in enumerate(traj.dense_times):
+            i = int(traj.interval_index[r])
+            row = ([f"{t:.17g}"] + [f"{v:.17g}" for v in traj.dense_states[r]]
+                   + [f"{v:.17g}" for v in held[min(i, len(held) - 1)]] + [str(i)])
+            w.writerow(row)
+
+
+def test_trajectory_csv_bytes_match_csv_writer(tmp_path):
+    from clfiss import (Partition, Status, Trajectory, affine_loop,
+                        make_partition, sample_solve)
+    from clfiss.systems import (integrator_feedback, integrator_system,
+                                scalar_integrator_system)
+    from clfiss.feedback import zero_feedback
+    loop = affine_loop(integrator_system(), integrator_feedback(), substeps=3)
+    run = sample_solve(loop, make_partition("jitter", 10.0, 0.05, 0.3, seed=1),
+                       [0.3, -0.2, 0.4])
+    assert run.dense_times.size > 512   # the writer formats 256 rows at a time
+    # stopped before its first interval: one dense row and no held control
+    far = sample_solve(affine_loop(scalar_integrator_system(), zero_feedback(1, 1),
+                                   escape_radius=1.0),
+                       make_partition("uniform", 1.0, 0.1), [2.0])
+    assert far.held_controls.shape == (0, 1)
+    special = [-0.0, np.nan, np.inf, -np.inf, 5e-324, 1e300, 0.1, -1.0 / 3.0]
+    dense = np.array([special[k:] + special[:k] for k in range(4)])[:, :3]
+    odd = Trajectory(Partition(np.array([0.0, 0.5, 1.0])), np.array([0.0, 1.0]),
+                     dense[[0, 3]], np.array([0.0, -0.0, 0.5, 1.0]), dense,
+                     np.array([[np.nan, -0.0], [np.inf, 1e-17]]),
+                     np.array([0, 0, 1, 1]), Status("completed"))
+    for traj in (run, far, odd):
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        write_trajectory_csv(traj, got)
+        reference_trajectory_csv(traj, want)
+        assert got.read_bytes() == want.read_bytes()
+    assert b"-0," in got.read_bytes() and b"nan" in got.read_bytes()
+
+
 def test_start_beyond_escape_radius(tmp_path):
     # the run stops at t = 0 before holding any control: one trajectory row
     # whose control cells are nan, and a numerical-failure exit
@@ -415,7 +461,7 @@ def _bad_config(command, **changes):
         doc = {"schema": 1, "i_max": 1, "M": 4.0, "N": 1.0, "epsilon": 0.1,
                "x0_values": [0.5], "horizon": 0.1, "step": 0.02}
     for key, value in changes.items():
-        if key in ("substeps", "escape_radius"):
+        if key in ("substeps", "escape_radius") and "loop" in doc:
             doc["loop"] = dict(doc["loop"], **{key: value})
         else:
             doc[key] = value
@@ -474,6 +520,25 @@ def _bad_config(command, **changes):
     _bad_config("campaign", M="a"),
     _bad_config("campaign", N="a"),
     _bad_config("weakiss", N=-1.0),
+    _bad_config("campaign", epsilon="a"),
+    _bad_config("campaign", horizon="a"),
+    _bad_config("campaign", cases={"count": 3, "seed": 1, "step_fraction": "a"}),
+    _bad_config("campaign", tables={"radius_max": "a"}),
+    _bad_config("campaign", tables={"radius_max": 10.0, "grid_size": "a"}),
+    _bad_config("simulate", substeps="a"),
+    _bad_config("simulate", substeps=2.5),
+    _bad_config("simulate", partition={"kind": "uniform", "step": "a"}),
+    _bad_config("simulate", partition={"kind": "jitter", "step": 0.05,
+                                       "fraction": "a"}),
+    _bad_config("simulate", partition={"kind": "jitter", "step": 0.05,
+                                       "fraction": 0.2, "seed": "s"}),
+    _bad_config("simulate", horizon="a"),
+    _bad_config("envelope", radius_max="a"),
+    _bad_config("envelope", grid_size="a"),
+    _bad_config("weakiss", step="a"),
+    _bad_config("weakiss", substeps="a"),
+    _bad_config("weakiss", horizon="a"),
+    _bad_config("weakiss", epsilon="a"),
 ], ids=["euler-no-levels", "euler-horizon-below-step",
         "weakiss-horizon-below-step", "substeps-zero", "escape-radius-zero",
         "simulate-x0-length", "euler-x0-length", "campaign-horizon-below-step",
@@ -492,9 +557,16 @@ def _bad_config(command, **changes):
         "weakiss-safety-negative", "weakiss-safety-text", "weakiss-safety-zero",
         "weakiss-safety-above-one", "weakiss-M-text", "weakiss-N-text",
         "weakiss-x0-text", "weakiss-x0-not-a-list", "campaign-probe-region-empty",
-        "campaign-M-text", "campaign-N-text", "weakiss-N-negative"])
+        "campaign-M-text", "campaign-N-text", "weakiss-N-negative",
+        "campaign-epsilon-text", "campaign-horizon-text", "step-fraction-text",
+        "tables-radius-max-text", "tables-grid-size-text", "substeps-text",
+        "substeps-fraction", "partition-step-text", "jitter-fraction-text",
+        "jitter-seed-text", "simulate-horizon-text", "envelope-radius-max-text",
+        "envelope-grid-size-text", "weakiss-step-text", "weakiss-substeps-text",
+        "weakiss-horizon-text", "weakiss-epsilon-text"])
 def test_rejected_config_values_exit_2(tmp_path, capsys, command, doc):
     cfg = write_config(tmp_path, "bad.json", doc)
     assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and "Traceback" not in err
+    assert [p.name for p in tmp_path.iterdir()] == ["bad.json"]   # no artefact

@@ -13,7 +13,7 @@ from clfiss import (BLOWUP, COMPLETED, LEFT_DOMAIN, NUMERICAL_FAILURE,
                     kappa_formula, lower_diameter, make_partition,
                     nonlinear_loop, sample_solve, sine_signal, zero_feedback,
                     zero_signal)
-from clfiss.core import DEFAULT_ESCAPE_RADIUS
+from clfiss.core import DEFAULT_ESCAPE_RADIUS, Status
 from clfiss.sampler import BLOCK, sample_solve_batch
 from clfiss.verify import random_disturbance
 from clfiss.systems import (cone_margin, counterexample_system,
@@ -518,3 +518,82 @@ def test_affine_rhs_matches_matrix_vector_product():
             for row, xr, pr, ur in zip(got, x, p, u):
                 want = sys.f(xr) + sys.G(xr) @ (pr + ur)
                 assert row.tobytes() == want.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# Domain monitor: the first exit in the order the states are read
+# ---------------------------------------------------------------------------
+
+def reference_exit(traj, e, substeps):
+    """(time, "sample" or "dense") of the first state whose cone margin is
+    near zero or has changed sign, or None, reading one state at a time: x0
+    as the first previous margin, then per interval the noisy sample and its
+    substeps' states, and not the state an escaping run stops at."""
+    dense, times = traj.dense_states, traj.partition.times
+    read = dense.shape[0] - (traj.status.kind == BLOWUP)
+    if read < 1:
+        return None
+    prev = cone_margin(dense[0])
+    order = []
+    for i in range(traj.held_controls.shape[0]):
+        noisy = dense[i * substeps] + np.reshape(e.eval(times[i]), dense.shape[1])
+        order.append((noisy, float(times[i]), "sample"))
+        order += [(dense[r], float(traj.dense_times[r]), "dense")
+                  for r in range(i * substeps + 1, min((i + 1) * substeps + 1, read))]
+    for state, t, what in order:
+        margin = cone_margin(state)
+        if abs(margin) < 1e-9 or margin * prev < 0:
+            return t, what
+        prev = margin
+    return None
+
+
+def assert_exit_as_read(loop, rows):
+    trajs = sample_solve_batch(loop, *zip(*rows))
+    exits = []
+    for (_, _, _, e), traj in zip(rows, trajs):
+        hit = reference_exit(traj, e or zero_signal(loop.n), loop.substeps)
+        status = traj.status
+        if hit is None:
+            assert status.kind != LEFT_DOMAIN and "left CLF" not in status.detail
+        elif status.kind == LEFT_DOMAIN:
+            assert status.time == hit[0]
+        else:
+            assert status.detail.endswith(f"; left CLF estimate region at t={hit[0]:g}")
+        exits.append(hit)
+    return trajs, exits
+
+
+def test_domain_exit_is_the_first_state_read():
+    loop, rows = POOLS[3]
+    trajs, exits = assert_exit_as_read(loop, rows)
+    assert trajs[0].status.kind == LEFT_DOMAIN
+    # a row whose noisy sample crosses the cone before its states do, one
+    # that escapes past radius 3 after leaving, and two on jittered
+    # partitions, so the rows do not share their interval ends
+    loop = affine_loop(integrator_system(), integrator_feedback(), substeps=2,
+                       escape_radius=3.0, domain_margin=cone_margin)
+    jitter = make_partition("jitter", 1.2, 0.015, 0.4, seed=4)
+    rows = [(make_partition("uniform", 1.0, 0.05), [1.0, 0.0, 1.0], None,
+             sine_signal([0.0, 0.0, 1.0], 0.5, 2.0)),
+            (make_partition("uniform", 1.0, 0.01), [0.05, 0.0, 1.0],
+             constant_signal([20.0, 0.0]), None),
+            (make_partition("jitter", 1.0, 0.02, 0.4, seed=3), [1.0, 0.0, 0.1],
+             None, None),
+            (jitter, [-0.7, 0.4, 0.3], None, constant_signal([1e-4, 0.0, 0.0]))]
+    trajs, exits = assert_exit_as_read(loop, rows)
+    assert exits[0][1] == "sample" and exits[0][0] > 0.0
+    assert trajs[1].status.kind == BLOWUP and exits[1][0] < trajs[1].status.time
+    assert trajs[3].status.kind == LEFT_DOMAIN and exits[3][1] == "dense"
+    i = int(np.searchsorted(jitter.times, trajs[3].status.time)) - 1
+    assert (jitter.times[i:i + 2] != rows[2][0].times[i:i + 2]).any()
+    # the state a run escapes at is not read: with the radius crossed where
+    # row 1 first leaves, it escapes there without leaving
+    r = int(np.flatnonzero(trajs[1].dense_times == exits[1][0])[0])
+    norms = trajs[1].norms()[r - 1:r + 1]
+    assert exits[1][1] == "dense" and norms[0] < norms[1]
+    loop = affine_loop(integrator_system(), integrator_feedback(), substeps=2,
+                       escape_radius=float(norms.mean()), domain_margin=cone_margin)
+    (traj,), (hit,) = assert_exit_as_read(loop, rows[1:2])
+    assert traj.status == Status(BLOWUP, exits[1][0], "escape radius reached")
+    assert hit is None

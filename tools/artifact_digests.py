@@ -8,6 +8,7 @@ never written), then runs through clfiss.cli.main, in a temporary directory
 and at CLI --seed 0:
 
 - every ROOT/configs/*.json, with the subcommand its file name starts with;
+- the built-in configs of BUILTIN;
 - the set-up and full invocations of every benchmark workload at benchmark
   seeds 0 and 1.
 
@@ -31,6 +32,22 @@ from pathlib import Path
 
 BENCHMARK_SEEDS = (0, 1)
 
+# (name, subcommand, config) run besides the shipped configs. The monitored
+# integrator run leaves the CLF estimate region at t = 0.22, where the
+# constant noise carries a noisy sample across the cone before the state
+# crosses it
+BUILTIN = [
+    ("builtin/simulate_noisy_sample_exit", "simulate", {
+        "schema": 1,
+        "loop": {"system": "integrator", "clf": "integrator_max",
+                 "feedback": "explicit", "substeps": 2, "monitor_domain": True},
+        "partition": {"kind": "uniform", "step": 0.02},
+        "horizon": 1.0,
+        "x0": [1.0, 0.0, 1.0],
+        "noise": {"kind": "constant", "value": [0.0, 0.0, 0.3]},
+    }),
+]
+
 
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -53,10 +70,12 @@ def _import_checkout(root: Path):
 
 
 def _invocations(root: Path, workloads):
-    """(name, subcommand, config) for every shipped and benchmark config."""
+    """(name, subcommand, config) for every shipped, built-in and benchmark
+    config."""
     for path in sorted((root / "configs").glob("*.json")):
         command = path.stem.split("_")[0]
         yield f"configs/{path.name}", command, json.loads(path.read_text())
+    yield from BUILTIN
     for wname, make in workloads.WORKLOADS.items():
         for seed in BENCHMARK_SEEDS:
             work = make(seed)
