@@ -95,11 +95,12 @@ def _checked(where: str, build, *args, **kwargs):
         raise ConfigError(f"{where}: {exc}") from None
 
 
-def _real(where: str, value):
-    """value, which must be a finite real number (not a bool)."""
+def _real(where: str, value, inf_ok: bool = False):
+    """value, which must be a real number (not a bool), finite unless inf_ok."""
     if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not math.isfinite(value)):
-        raise ConfigError(f"{where} must be a finite real number, got {value!r}")
+            or math.isnan(value) or (math.isinf(value) and not inf_ok)):
+        kind = "a real number" if inf_ok else "a finite real number"
+        raise ConfigError(f"{where} must be {kind}, got {value!r}")
     return value
 
 
@@ -155,7 +156,8 @@ def _build_loop(cfg, where: str) -> tuple:
                           f"but system {sys_name!r} has {system.n} states")
     fb_name = cfg["feedback"]
     substeps = _integer(f"{where}: substeps", cfg.get("substeps", 16))
-    escape = cfg.get("escape_radius", DEFAULT_ESCAPE_RADIUS)
+    escape = _real(f"{where}: escape_radius",
+                   cfg.get("escape_radius", DEFAULT_ESCAPE_RADIUS), inf_ok=True)
     if sys_name == "counterexample":
         if fb_name != "zero":
             raise ConfigError(f"{where}: the counterexample loop supports only feedback 'zero'")
@@ -225,6 +227,11 @@ def cmd_simulate(cfg: dict, out_dir: str, seed: int, overrides=None) -> int:
     u = _build_signal(cfg.get("disturbance"), loop.m, part, seed, "disturbance")
     e = _build_signal(cfg.get("noise"), loop.n, part, seed + 1, "noise")
     x0 = _checked("x0", as_vector, cfg["x0"], loop.n)
+    dcfg = cfg.get("decrease", {})
+    _check_fields(dcfg, {"s_level", "rel_tol", "abs_tol"}, set(), "decrease")
+    s_level = _real("decrease: s_level", dcfg.get("s_level", 0.0))
+    rel_tol = _real("decrease: rel_tol", dcfg.get("rel_tol", 1e-4))
+    abs_tol = _real("decrease: abs_tol", dcfg.get("abs_tol", 0.0))
     traj = sample_solve(loop, part, x0, u, e)
     csv_path = _out_path(out_dir, "trajectory.csv")
     write_trajectory_csv(traj, csv_path)
@@ -236,10 +243,7 @@ def cmd_simulate(cfg: dict, out_dir: str, seed: int, overrides=None) -> int:
         "config": cfg,
     }
     if clf is not None:
-        dcfg = cfg.get("decrease", {})
-        _check_fields(dcfg, {"s_level", "rel_tol", "abs_tol"}, set(), "decrease")
-        rep = decrease_check(traj, clf, None, dcfg.get("s_level", 0.0),
-                             dcfg.get("rel_tol", 1e-4), dcfg.get("abs_tol", 0.0))
+        rep = decrease_check(traj, clf, None, s_level, rel_tol, abs_tol)
         run["decrease"] = rep.to_dict()
     with open(_out_path(out_dir, "run.json"), "w") as fh:
         json.dump(run, fh, indent=2)
@@ -254,19 +258,25 @@ def cmd_envelope(cfg: dict, out_dir: str, seed: int) -> int:
                         "radii", "overflow", "query"},
                   {"clf", "radius_max"}, "envelope")
     clf = _build(CLFS, "clf", cfg["clf"])
-    tables = _checked("envelope", estimate_alpha_tables, clf,
-                      _real("envelope: radius_max", cfg["radius_max"]),
-                      _integer("envelope: grid_size", cfg.get("grid_size", 257)),
-                      cfg.get("directions", 64), cfg.get("radii", 512), seed=seed)
-    env = _checked("envelope", build_envelope, tables, cfg.get("overflow", 0.1))
-    tables.to_csv(_out_path(out_dir, "alpha_tables.csv"))
-    report = env.describe()
     if "query" in cfg:
         q = cfg["query"]
         _check_fields(q, {"M", "N", "t"}, {"M", "N"}, "envelope.query")
-        flags = env.saturation_flags(q["M"], q["N"])
+        M = _real("envelope.query: M", q["M"])
+        N = _real("envelope.query: N", q["N"])
+        t = _real("envelope.query: t", q.get("t", 0.0))
+    tables = _checked("envelope", estimate_alpha_tables, clf,
+                      _real("envelope: radius_max", cfg["radius_max"]),
+                      _integer("envelope: grid_size", cfg.get("grid_size", 257)),
+                      _integer("envelope: directions", cfg.get("directions", 64)),
+                      _integer("envelope: radii", cfg.get("radii", 512), 2), seed=seed)
+    env = _checked("envelope", build_envelope, tables,
+                   _real("envelope: overflow", cfg.get("overflow", 0.1)))
+    tables.to_csv(_out_path(out_dir, "alpha_tables.csv"))
+    report = env.describe()
+    if "query" in cfg:
+        flags = env.saturation_flags(M, N)
         report["query"] = {
-            "bound": float(env.bound(q["M"], q["N"], q.get("t", 0.0))),
+            "bound": float(env.bound(M, N, t)),
             "saturated": not (flags["M_in_range"] and flags["N_in_range"]),
             **flags,
         }
@@ -308,12 +318,15 @@ def cmd_campaign(cfg: dict, out_dir: str, seed: int) -> int:
     tables = _checked("tables", estimate_alpha_tables, clf,
                       _real("tables: radius_max", tcfg.get("radius_max", 20.0)),
                       _integer("tables: grid_size", tcfg.get("grid_size", 257)),
-                      tcfg.get("directions", 256), tcfg.get("radii", 512), seed=seed)
+                      _integer("tables: directions", tcfg.get("directions", 256)),
+                      _integer("tables: radii", tcfg.get("radii", 512), 2), seed=seed)
     env = _checked("campaign", build_envelope, tables, epsilon)
     gcfg = cfg.get("guard", {})
     _check_fields(gcfg, {"points", "pairs", "inflation", "seed"}, set(), "guard")
-    probe = ProbeConfig(gcfg.get("points", 2048), gcfg.get("pairs", 4000),
-                        gcfg.get("inflation", 1.25), gcfg.get("seed", seed))
+    probe = ProbeConfig(_integer("guard: points", gcfg.get("points", 2048)),
+                        _integer("guard: pairs", gcfg.get("pairs", 4000)),
+                        _real("guard: inflation", gcfg.get("inflation", 1.25)),
+                        _integer("guard: seed", gcfg.get("seed", seed)))
     guard = _checked("guard", estimate_rate_guard, loop, clf, tables,
                      epsilon, M, N, system, probe)
     # each case and each adversarial trial must fit one whole step
@@ -324,8 +337,8 @@ def cmd_campaign(cfg: dict, out_dir: str, seed: int) -> int:
         raise ConfigError(
             f"campaign: horizon {horizon:g} is shorter than the largest "
             f"case step, {max(fractions):g} * delta with delta {guard.delta:g}")
-    cases = make_cases(loop, guard, M, N, count,
-                       horizon, ccfg.get("seed", seed), step_fraction)
+    cases = make_cases(loop, guard, M, N, count, horizon,
+                       _integer("cases: seed", ccfg.get("seed", seed)), step_fraction)
     if ccfg.get("include_inadmissible"):
         part = _checked("campaign", make_partition, "uniform", horizon,
                         2.0 * guard.delta)
@@ -372,17 +385,21 @@ def cmd_euler(cfg: dict, out_dir: str, seed: int) -> int:
     sched = _checked("euler", geometric_schedule, base_step, levels, horizon,
                      u, loop.n, exponent, seed=seed)
     x0 = _checked("x0", as_vector, cfg["x0"], loop.n)
-    study = euler_study(loop, sched, x0)
-    worst_env_margin = None
-    if "envelope" in cfg and study.limit is not None:
+    env = None
+    if "envelope" in cfg:
         ecfg = cfg["envelope"]
         _check_fields(ecfg, {"epsilon", "u_bound", "top"}, {"epsilon"},
                       "euler.envelope")
-        top = ecfg.get("top", 10.0 * max(1.0, float(np.linalg.norm(x0))))
+        top = _real("euler.envelope: top",
+                    ecfg.get("top", 10.0 * max(1.0, float(np.linalg.norm(x0)))))
+        u_bound = _real("euler.envelope: u_bound", ecfg.get("u_bound", u.bound))
         env = _checked("euler.envelope", build_envelope,
-                       AlphaTables.identity(top), ecfg["epsilon"])
-        chk = check_iss_euler(study.limit, env, x0, ecfg.get("u_bound", u.bound))
-        worst_env_margin = chk.worst_margin
+                       _checked("euler.envelope", AlphaTables.identity, top),
+                       _real("euler.envelope: epsilon", ecfg["epsilon"]))
+    study = euler_study(loop, sched, x0)
+    worst_env_margin = None
+    if env is not None and study.limit is not None:
+        worst_env_margin = check_iss_euler(study.limit, env, x0, u_bound).worst_margin
     with open(_out_path(out_dir, "euler.json"), "w") as fh:
         json.dump(study.to_dict(worst_env_margin), fh, indent=2)
     print(f"euler: levels={len(study.levels)} verdict={study.verdict} "

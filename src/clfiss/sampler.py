@@ -86,14 +86,14 @@ def nonlinear_loop(sys: FullyNonlinearSystem, feedback: Feedback,
     return ClosedLoop(sys.n, sys.m, F, feedback, substeps, escape_radius)
 
 
-def _rk4_step(F, x, h, p, u0, um, u1):
-    """One RK4 step of length h holding p, with the disturbance u0, um and u1
-    at its start, midpoint and end."""
+def _rk4_step(F, x, h, half, sixth, p, u0, um, u1):
+    """One RK4 step of length h (half = 0.5 * h, sixth = h / 6.0) holding p,
+    with the disturbance u0, um and u1 at its start, midpoint and end."""
     k1 = F(x, p, u0)
-    k2 = F(x + (0.5 * h) * k1, p, um)
-    k3 = F(x + (0.5 * h) * k2, p, um)
+    k2 = F(x + half * k1, p, um)
+    k3 = F(x + half * k2, p, um)
     k4 = F(x + h * k3, p, u1)
-    return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return x + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def _stage_times(t0, t1, substeps: int) -> np.ndarray:
@@ -105,34 +105,23 @@ def _stage_times(t0, t1, substeps: int) -> np.ndarray:
     return np.stack([tau, tau + 0.5 * h, tau + h], axis=-1)
 
 
-def _take(v, keep):
-    """The rows keep of a column; a float shared by every row stays as it is."""
-    return v if isinstance(v, float) else v[keep]
-
-
-def _hold(loop: ClosedLoop, x, t0, t1, held, u, after):
-    """Hold each row's control over its own [t0, t1] through the loop's RK4
-    substeps, all rows at once.
+def _hold(loop: ClosedLoop, x, t0, t1, held, u, out) -> None:
+    """Hold each row's control over its own [t0, t1] through the loop's S RK4
+    substeps, all rows at once, and write the state after substep k to
+    out[:, k].
 
     x and held are (B, n) and (B, m), t0 and t1 (B, 1) columns, or floats
-    when every row shares them, and u (B, substeps, 3, m) holds each row's
-    disturbance at the stage times of _stage_times. After each substep from
-    tau to t (the last one ends at t1 exactly), after(tau, t, x) returns the
-    positions of the rows to go on with, or None for all of them. Returns the
-    states of the rows that reach t1.
+    when every row shares them, u (B, S, 3, m) holds each row's disturbance
+    at the stage times of _stage_times, and out is (B, S, n); x may be a view
+    of out. Every row takes all S substeps, finite or not, so a caller that
+    screens the block afterwards runs this under np.errstate(over="ignore",
+    invalid="ignore").
     """
     h = (t1 - t0) / loop.substeps
-    last = loop.substeps - 1
+    half, sixth = 0.5 * h, h / 6.0
     for k in range(loop.substeps):
-        tau = t0 + k * h
-        x = _rk4_step(loop.F, x, h, held, u[:, k, 0], u[:, k, 1], u[:, k, 2])
-        keep = after(tau, t1 if k == last else tau + h, x)
-        if keep is not None:
-            x, held, u = x[keep], held[keep], u[keep]
-            t0, t1, h = _take(t0, keep), _take(t1, keep), _take(h, keep)
-            if not keep.size:
-                break
-    return x
+        x = out[:, k] = _rk4_step(loop.F, x, h, half, sixth, held,
+                                  u[:, k, 0], u[:, k, 1], u[:, k, 2])
 
 
 def _left_at(margin, samples, dense, dense_t, sample_times, S: int) -> float:
@@ -163,10 +152,16 @@ def sample_solve_batch(loop: ClosedLoop, partitions, x0, u=None,
     Row j runs on partitions[j] from x0[j] under the disturbance u[j] and the
     observation error e[j] (None, or a None entry, is the zero signal), with
     its own interval boundaries and substep length. Every row takes interval
-    i together; a row that reaches its horizon, escapes or turns nonfinite
-    leaves the batch. Returns one Trajectory per row, byte for byte the one
-    the row gives alone, as sample_solve describes. The feedback is called
-    once per interval, on the noisy samples of every running row; each row's
+    i together, all S substeps of it; the S states are then checked as one
+    block. A row that turns nonfinite or escapes stops at the first such
+    substep (its record ends there) and leaves the batch at the end of that
+    interval, so its later substeps are computed and discarded: F must take
+    nonfinite or very large rows without raising, and the loop runs under
+    np.errstate(over="ignore", invalid="ignore"), which also covers the
+    feedback and signal calls made in it. A row that reaches its horizon
+    leaves too. Returns one Trajectory per row, byte for byte the one the row
+    gives alone, as sample_solve describes. The feedback is called once per
+    interval, on the noisy samples of every running row; each row's
     disturbance and noise once per block of BLOCK RK4 substeps (at least one
     interval), at their RK4 stage times and sample times. The domain margin
     is evaluated once per row after the loop, on the states the row reached
@@ -201,10 +196,13 @@ def sample_solve_batch(loop: ClosedLoop, partitions, x0, u=None,
     count, done, held_n, seen = K * S + 1, K.copy(), K.copy(), K * S + 1
     terminal = [None] * B
     left_at = np.full(B, np.nan)
-    # a state whose norm is at most limit is finite and inside the radius
-    limit = min(loop.escape_radius, float(np.finfo(float).max))
+    # a block whose entries are all at most screen in size is finite and
+    # inside the escape radius, with norms and squares that do not overflow;
+    # nan fails the test
+    screen = min(loop.escape_radius, 1e150) / math.sqrt(n) * (1.0 - 1e-9)
     monitor = loop.domain_margin
     block = max(1, BLOCK // S)   # intervals per signal table
+    blk = np.empty((B, S, n))    # states after each substep of an interval
 
     # the running rows: their count and ids (a slice while none has
     # stopped), and their disturbance at the stage times and their noise at
@@ -222,13 +220,10 @@ def sample_solve_batch(loop: ClosedLoop, partitions, x0, u=None,
         live, rows = keep.size, ids(keep)
         u_tab, e_tab = u_tab[keep], e_tab[keep]
 
-    def per_row(t, pos):
-        # the times of the running rows at positions pos, t a float or column
-        return np.broadcast_to(np.ravel(t), (live,))[pos]
-
     def tabulate(i):
         # each running row's signals over its intervals i, ..., i + block - 1
-        # (fewer where its partition ends sooner), one call per signal
+        # (fewer where its partition ends sooner), one call per signal, and
+        # its dense times there: each substep's end, t1 for the last one
         nonlocal u_tab, e_tab
         span = times[rows, i:i + block + 1]
         stages = _stage_times(span[:, :-1], span[:, 1:], S)
@@ -238,34 +233,9 @@ def sample_solve_batch(loop: ClosedLoop, partitions, x0, u=None,
             k = min(block, K[j] - i)
             u_tab[r, :k] = signal_at(u[j], stages[r, :k])
             e_tab[r, :k] = signal_at(e[j], span[r, :k])
-
-    def stop(pos, t, kind, detail, recorded):
-        stopped = ids(pos)
-        for j, tj in zip(stopped.tolist(), per_row(t, pos).tolist()):
-            terminal[j] = Status(kind, tj, detail)
-        count[stopped], done[stopped], held_n[stopped] = recorded, i, i + 1
-        seen[stopped] = step
-
-    def after(tau, t, x):
-        nonlocal step
-        step += 1
-        norms = np.sqrt(rowdot(x, x))
-        if norms.max() <= limit:   # false at a nan norm too
-            dense_x[rows, step] = x
-            dense_t[rows, step] = t if isinstance(t, float) else t[:, 0]
-            return None
-        # some row is nonfinite or at or past the escape radius
-        bad = ~np.isfinite(x).all(axis=1)
-        stop(bad, tau, NUMERICAL_FAILURE, "nonfinite state", step)
-        ok = np.flatnonzero(~bad)
-        dense_x[ids(ok), step] = x[ok]
-        dense_t[ids(ok), step] = per_row(t, ok)
-        out = np.zeros_like(bad)
-        out[ok] = norms[ok] > loop.escape_radius
-        stop(out, t, BLOWUP, "escape radius reached", step + 1)
-        keep = np.flatnonzero(~(bad | out))
-        select(keep)
-        return keep
+        stages[:, :, -1, 2] = span[:, 1:]
+        dense_t[rows, i * S + 1:(i + span.shape[1] - 1) * S + 1] = (
+            stages[..., 2].reshape(live, -1))
 
     out = np.sqrt(rowdot(x, x)) > loop.escape_radius
     for j in np.flatnonzero(out).tolist():
@@ -274,26 +244,54 @@ def sample_solve_batch(loop: ClosedLoop, partitions, x0, u=None,
     if out.any():
         select(np.flatnonzero(~out))
         x = x[~out]
-    step = 0
-    for i in range(k_max):
-        if ends[i]:
-            going = K[rows] > i
-            select(np.flatnonzero(going))
-            x = x[going]
-        if not x.shape[0]:
-            break
-        if same[i] and same[i + 1]:
-            lead = rows.start if isinstance(rows, slice) else rows[0]
-            t0, t1 = float(times[lead, i]), float(times[lead, i + 1])
-        else:
-            t0, t1 = times[rows, i, None], times[rows, i + 1, None]
-        c = i % block
-        if not c:
-            tabulate(i)
-        x_tilde = x + e_tab[:, c]
-        held = rowwise(loop.feedback.eval(x_tilde), x_tilde, (m,))
-        held_all[rows, i] = held
-        x = _hold(loop, x, t0, t1, held, u_tab[:, c], after)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(k_max):
+            if ends[i]:
+                going = K[rows] > i
+                select(np.flatnonzero(going))
+                x = x[going]
+            if not x.shape[0]:
+                break
+            if same[i] and same[i + 1]:
+                lead = rows.start if isinstance(rows, slice) else rows[0]
+                t0, t1 = float(times[lead, i]), float(times[lead, i + 1])
+            else:
+                t0, t1 = times[rows, i, None], times[rows, i + 1, None]
+            c = i % block
+            if not c:
+                tabulate(i)
+            x_tilde = x + e_tab[:, c]
+            held = rowwise(loop.feedback.eval(x_tilde), x_tilde, (m,))
+            held_all[rows, i] = held
+            states = blk[:live]
+            _hold(loop, x, t0, t1, held, u_tab[:, c], states)
+            first = i * S + 1   # the dense row of the interval's first substep
+            dense_x[rows, first:first + S] = states
+            x = states[:, -1]
+            if np.abs(states).max() <= screen:   # false at nan
+                continue
+            # a row stops at its first nonfinite substep, at the substep's
+            # start, or at its first one past the escape radius, at the
+            # substep's end, with that state recorded
+            bad = ~np.isfinite(states).all(axis=2)
+            stop = bad | (np.sqrt(rowdot(states, states)) > loop.escape_radius)
+            going = ~stop.any(axis=1)
+            for r in np.flatnonzero(~going).tolist():
+                k = int(stop[r].argmax())
+                j = int(ids(r))
+                if bad[r, k]:
+                    tau = _stage_times(times[j, i], times[j, i + 1], S)[k, 0]
+                    terminal[j] = Status(NUMERICAL_FAILURE, float(tau),
+                                         "nonfinite state")
+                    count[j] = first + k
+                else:
+                    terminal[j] = Status(BLOWUP, float(dense_t[j, first + k]),
+                                         "escape radius reached")
+                    count[j] = first + k + 1
+                done[j], held_n[j], seen[j] = i, i + 1, first + k
+            if not going.all():
+                select(np.flatnonzero(going))
+                x = x[going]
 
     # each monitored row's exit, before the copies below take memory, from
     # the noisy samples the feedback read, recomputed
@@ -367,37 +365,34 @@ def gronwall_gap(loop: ClosedLoop, partition: Partition, x0,
     u_all = signal_at(u, _stage_times(times[:-1], times[1:], loop.substeps))
     x = as_vector(x0, loop.n).copy()
     idx, errs, obs, bds = [], [], [], []
-    stopped = np.empty(0, dtype=int)
-    for i in range(partition.intervals):
-        err = errs_all[i]
-        x_tilde = x + err
-        held = as_vector(loop.feedback.eval(x_tilde), loop.m)
-        gap = float(np.linalg.norm(x - x_tilde))
-        ok = True
-
-        def after(tau, t, pair):
-            nonlocal gap, ok
-            xa, xb = pair
-            if not (np.all(np.isfinite(xa)) and np.all(np.isfinite(xb))):
-                ok = False
-                return stopped
-            gap = max(gap, float(np.linalg.norm(xa - xb)))
-            if max(np.linalg.norm(xa), np.linalg.norm(xb)) > loop.escape_radius:
-                ok = False
-                return stopped
-            return None
-
-        # the run and its companion as two rows that hold the run's control
-        pair = _hold(loop, np.stack([x, x_tilde]), float(times[i]),
-                     float(times[i + 1]), np.stack([held, held]),
-                     np.stack([u_all[i], u_all[i]]), after)
-        idx.append(i)
-        errs.append(float(np.linalg.norm(err)))
-        obs.append(gap)
-        bds.append(float(np.linalg.norm(err)) * math.exp(L * delta))
-        if not ok:
-            break
-        x = pair[0]
+    # the run and its companion after each substep, as two rows that hold
+    # the run's control
+    pair = np.empty((2, loop.substeps, loop.n))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(partition.intervals):
+            err = errs_all[i]
+            x_tilde = x + err
+            held = as_vector(loop.feedback.eval(x_tilde), loop.m)
+            gap = float(np.linalg.norm(x - x_tilde))
+            _hold(loop, np.stack([x, x_tilde]), float(times[i]),
+                  float(times[i + 1]), np.stack([held, held]),
+                  np.stack([u_all[i], u_all[i]]), pair)
+            ok = True
+            for xa, xb in zip(pair[0], pair[1]):
+                if not (np.all(np.isfinite(xa)) and np.all(np.isfinite(xb))):
+                    ok = False
+                    break
+                gap = max(gap, float(np.linalg.norm(xa - xb)))
+                if max(np.linalg.norm(xa), np.linalg.norm(xb)) > loop.escape_radius:
+                    ok = False
+                    break
+            idx.append(i)
+            errs.append(float(np.linalg.norm(err)))
+            obs.append(gap)
+            bds.append(float(np.linalg.norm(err)) * math.exp(L * delta))
+            if not ok:
+                break
+            x = pair[0, -1].copy()
     return GronwallReport(np.array(idx), np.array(errs), np.array(obs), np.array(bds))
 
 

@@ -445,6 +445,16 @@ def test_start_beyond_escape_radius(tmp_path):
     assert data["controls"].shape == (1, 1) and np.isnan(data["controls"][0, 0])
 
 
+def test_infinite_escape_radius_is_accepted(tmp_path):
+    # JSON Infinity (or --escape-radius inf) turns the escape check off
+    command, doc = _bad_config("simulate", escape_radius=math.inf)
+    cfg = write_config(tmp_path, "sim.json", doc)
+    assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 0
+    run = json.loads((tmp_path / "run.json").read_text())
+    assert run["status"]["kind"] == "completed"
+    assert run["config"]["loop"]["escape_radius"] == math.inf
+
+
 def _bad_config(command, **changes):
     """A valid config of the command with some fields replaced."""
     if command == "simulate":
@@ -539,6 +549,30 @@ def _bad_config(command, **changes):
     _bad_config("weakiss", substeps="a"),
     _bad_config("weakiss", horizon="a"),
     _bad_config("weakiss", epsilon="a"),
+    _bad_config("simulate", escape_radius="a"),
+    _bad_config("simulate", escape_radius=math.nan),
+    _bad_config("envelope", radii="a"),
+    _bad_config("envelope", directions="a"),
+    _bad_config("campaign", tables={"radius_max": 10.0, "radii": "a"}),
+    _bad_config("campaign", tables={"radius_max": 10.0, "directions": "a"}),
+    _bad_config("envelope", overflow="a"),
+    _bad_config("envelope", query={"M": "a", "N": 0.1}),
+    _bad_config("envelope", query={"M": 1.0, "N": "a"}),
+    _bad_config("envelope", query={"M": 1.0, "N": 0.1, "t": "a"}),
+    _bad_config("campaign", guard={"points": "a"}),
+    _bad_config("campaign", guard={"pairs": "a"}),
+    _bad_config("campaign", guard={"inflation": "a"}),
+    _bad_config("campaign", guard={"seed": "a"}),
+    _bad_config("campaign", cases={"count": 3, "seed": "a"}),
+    _bad_config("euler", envelope={"epsilon": "a"}),
+    _bad_config("euler", envelope={"epsilon": 0.1, "u_bound": "a"}),
+    _bad_config("euler", envelope={"epsilon": 0.1, "top": "a"}),
+    _bad_config("simulate", decrease={"s_level": "a"}),
+    _bad_config("simulate", decrease={"rel_tol": "a"}),
+    _bad_config("simulate", decrease={"abs_tol": "a"}),
+    _bad_config("envelope", radii=1),
+    _bad_config("campaign", tables={"radius_max": 10.0, "radii": 0}),
+    _bad_config("euler", envelope={"epsilon": 0.1, "top": 0.0}),
 ], ids=["euler-no-levels", "euler-horizon-below-step",
         "weakiss-horizon-below-step", "substeps-zero", "escape-radius-zero",
         "simulate-x0-length", "euler-x0-length", "campaign-horizon-below-step",
@@ -563,7 +597,15 @@ def _bad_config(command, **changes):
         "substeps-fraction", "partition-step-text", "jitter-fraction-text",
         "jitter-seed-text", "simulate-horizon-text", "envelope-radius-max-text",
         "envelope-grid-size-text", "weakiss-step-text", "weakiss-substeps-text",
-        "weakiss-horizon-text", "weakiss-epsilon-text"])
+        "weakiss-horizon-text", "weakiss-epsilon-text", "escape-radius-text",
+        "escape-radius-nan", "envelope-radii-text", "envelope-directions-text",
+        "tables-radii-text", "tables-directions-text", "envelope-overflow-text",
+        "query-M-text", "query-N-text", "query-t-text", "guard-points-text",
+        "guard-pairs-text", "guard-inflation-text", "guard-seed-text",
+        "cases-seed-text", "euler-envelope-epsilon-text",
+        "euler-envelope-u-bound-text", "euler-envelope-top-text",
+        "decrease-s-level-text", "decrease-rel-tol-text", "decrease-abs-tol-text",
+        "envelope-radii-one", "tables-radii-zero", "euler-envelope-top-zero"])
 def test_rejected_config_values_exit_2(tmp_path, capsys, command, doc):
     cfg = write_config(tmp_path, "bad.json", doc)
     assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2

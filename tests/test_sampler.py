@@ -1,4 +1,5 @@
 import math
+import warnings
 from functools import lru_cache
 
 import numpy as np
@@ -502,6 +503,97 @@ def test_batch_rows_equal_single_runs(batch):
     assert len(trajs) == len(picks)
     for r, traj in zip(picks, trajs):
         assert_same_trajectory(traj, single_run(pool, r))
+
+
+def reference_stops(loop, partition, x0, u=None, e=None):
+    """(status, dense states, dense times, held controls) of one run stepped
+    a substep at a time and checked after each substep: a nonfinite state
+    stops the run at the substep's start and is not kept; a state whose norm
+    exceeds the escape radius stops it at the substep's end (t1 for the last
+    substep) and is kept."""
+    u, e = u or zero_signal(loop.m), e or zero_signal(loop.n)
+    S, times = loop.substeps, partition.times
+    x = np.asarray(x0, dtype=float)[None]
+    dense, dense_t, held_all = [x[0]], [0.0], []
+
+    def result(status):
+        return (status, np.array(dense), np.array(dense_t),
+                np.array(held_all).reshape(-1, loop.m))
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        if np.sqrt(x[0] @ x[0]) > loop.escape_radius:
+            return result(Status(BLOWUP, 0.0, "initial state beyond escape radius"))
+        for i in range(partition.intervals):
+            t0, t1 = float(times[i]), float(times[i + 1])
+            held = loop.feedback.eval(x + e.eval(t0))
+            held_all.append(held[0])
+            h = (t1 - t0) / S
+            for k in range(S):
+                tau = t0 + k * h
+                x = _rk4_step(loop.F, x, tau, h, held, u.eval)
+                if not np.isfinite(x).all():
+                    return result(Status(NUMERICAL_FAILURE, tau, "nonfinite state"))
+                t = t1 if k == S - 1 else tau + h
+                dense.append(x[0])
+                dense_t.append(t)
+                if np.sqrt(x[0] @ x[0]) > loop.escape_radius:
+                    return result(Status(BLOWUP, t, "escape radius reached"))
+    return result(Status(COMPLETED))
+
+
+def stop_batches(S):
+    """(loop, rows) per batch at S substeps; a row is (partition, x0, u, e)."""
+    one = constant_signal([1.0])
+    part = make_partition("uniform", 0.5, 0.02)
+    # dx = -x + x^2 escapes past radius 50: from 4.1, 4.2 and 4.3 inside the
+    # 13th interval, at 4 substeps at its substeps 3 (the last), 2 and 0, at
+    # 16 at its substeps 15, 9 and 3; from 60 before the first interval
+    counter = (nonlinear_loop(counterexample_system(), zero_feedback(1, 1), S, 50.0), [
+        (part, [4.1], one, None), (part, [4.2], one, None), (part, [4.3], one, None),
+        (part, [60.0], one, None), (part, [0.5], one, constant_signal([1e-3])),
+        (make_partition("jitter", 0.5, 0.02, 0.4, seed=6), [4.0], one, None),
+    ])
+    # dx1 = x1^2 + held, with held = -x1 / 2 at the noisy sample, turns
+    # nonfinite from 10; dx2 = 100 x2 takes 1e152 past 1.3e154, where the
+    # square of x2, and so the norm, overflows while the state stays finite
+    fb = Feedback(2, 1, lambda x: -0.5 * np.asarray(x, dtype=float)[..., :1])
+
+    def F(x, p, u):
+        return np.stack([x[..., 0] * x[..., 0] + p[..., 0], 100.0 * x[..., 1]], axis=-1)
+
+    part = make_partition("uniform", 0.3, 0.02)
+    rows = [(part, [10.0, 0.0], None, constant_signal([1e-3, 0.0])),
+            (part, [0.0, 1e152], None, None),
+            (part, [-1.0, -1e-3], None, constant_signal([0.0, 1e-4]))]
+    return [counter, (ClosedLoop(2, 1, F, fb, S, math.inf), rows),
+            (ClosedLoop(2, 1, F, fb, S, 1e300), rows)]
+
+
+@pytest.mark.parametrize("S", [1, 4, 16])
+def test_stops_match_per_substep_reference(S):
+    batches = stop_batches(S)
+    got = []
+    for loop, rows in batches:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            trajs = sample_solve_batch(loop, *zip(*rows))
+        for row, traj in zip(rows, trajs):
+            status, dense, dense_t, held = reference_stops(loop, *row)
+            assert traj.status == status
+            assert traj.dense_states.tobytes() == dense.tobytes()
+            assert traj.dense_times.tobytes() == dense_t.tobytes()
+            assert traj.held_controls.tobytes() == held.tobytes()
+            got.append(traj)
+    escaped = [((t.dense_times.size - 2) // S, (t.dense_times.size - 2) % S)
+               for t in got[:3]]
+    assert [t.status.kind for t in got] == (
+        [BLOWUP] * 4 + [COMPLETED, BLOWUP] + [NUMERICAL_FAILURE, COMPLETED, COMPLETED]
+        + [NUMERICAL_FAILURE, BLOWUP, COMPLETED])
+    assert escaped == [(12, k) for k in {1: [0, 0, 0], 4: [3, 2, 0], 16: [15, 9, 3]}[S]]
+    # inf norms run on at an infinite radius, and are an escape at 1e300
+    with np.errstate(over="ignore"):
+        assert np.isfinite(got[7].dense_states).all() and np.isinf(got[7].norms()).any()
+    assert 1e154 < got[10].dense_states[-1, 1] < 1e300
 
 
 def test_affine_rhs_matches_matrix_vector_product():

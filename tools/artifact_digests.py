@@ -35,7 +35,9 @@ BENCHMARK_SEEDS = (0, 1)
 # (name, subcommand, config) run besides the shipped configs. The monitored
 # integrator run leaves the CLF estimate region at t = 0.22, where the
 # constant noise carries a noisy sample across the cone before the state
-# crosses it
+# crosses it. The Euler study's four levels step as one batch and escape
+# past radius 50 at the 6th, 12th, 8th and 16th (last) of the 16 substeps
+# of an interval
 BUILTIN = [
     ("builtin/simulate_noisy_sample_exit", "simulate", {
         "schema": 1,
@@ -45,6 +47,14 @@ BUILTIN = [
         "horizon": 1.0,
         "x0": [1.0, 0.0, 1.0],
         "noise": {"kind": "constant", "value": [0.0, 0.0, 0.3]},
+    }),
+    ("builtin/euler_escapes_inside_intervals", "euler", {
+        "schema": 1,
+        "loop": {"system": "counterexample", "feedback": "zero",
+                 "substeps": 16, "escape_radius": 50.0},
+        "x0": [4.0],
+        "disturbance": {"kind": "constant", "value": [1.0]},
+        "base_step": 0.02, "levels": 4, "horizon": 0.5,
     }),
 ]
 
