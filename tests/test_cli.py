@@ -573,6 +573,13 @@ def _bad_config(command, **changes):
     _bad_config("envelope", radii=1),
     _bad_config("campaign", tables={"radius_max": 10.0, "radii": 0}),
     _bad_config("euler", envelope={"epsilon": 0.1, "top": 0.0}),
+    _bad_config("envelope", query={"M": -1.0, "N": 0.1}),
+    _bad_config("envelope", query={"M": 1.0, "N": -0.5}),
+    _bad_config("envelope", query={"M": 1.0, "N": 0.1, "t": -1.0}),
+    _bad_config("campaign", guard={"pairs": 0}),
+    _bad_config("euler", envelope={"epsilon": 0.1, "u_bound": -1.0}),
+    _bad_config("simulate", decrease={"rel_tol": -1.0}),
+    _bad_config("simulate", decrease={"abs_tol": -1.0}),
 ], ids=["euler-no-levels", "euler-horizon-below-step",
         "weakiss-horizon-below-step", "substeps-zero", "escape-radius-zero",
         "simulate-x0-length", "euler-x0-length", "campaign-horizon-below-step",
@@ -605,7 +612,10 @@ def _bad_config(command, **changes):
         "cases-seed-text", "euler-envelope-epsilon-text",
         "euler-envelope-u-bound-text", "euler-envelope-top-text",
         "decrease-s-level-text", "decrease-rel-tol-text", "decrease-abs-tol-text",
-        "envelope-radii-one", "tables-radii-zero", "euler-envelope-top-zero"])
+        "envelope-radii-one", "tables-radii-zero", "euler-envelope-top-zero",
+        "query-M-negative", "query-N-negative", "query-t-negative",
+        "guard-pairs-zero", "euler-envelope-u-bound-negative",
+        "decrease-rel-tol-negative", "decrease-abs-tol-negative"])
 def test_rejected_config_values_exit_2(tmp_path, capsys, command, doc):
     cfg = write_config(tmp_path, "bad.json", doc)
     assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2

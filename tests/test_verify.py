@@ -4,11 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from clfiss import (AlphaTables, Campaign, CampaignCase, ClosedLoop, Feedback,
-                    RateGuard, adversarial_search, build_envelope,
-                    constant_signal, lower_diameter, make_cases,
-                    make_partition, nonlinear_loop, run_campaign,
-                    zero_feedback, zero_signal)
+import clfiss.cli as cli
+from clfiss import (BLOWUP, NUMERICAL_FAILURE, AlphaTables, Campaign,
+                    CampaignCase, ClosedLoop, Feedback, RateGuard,
+                    adversarial_search, build_envelope, constant_signal,
+                    lower_diameter, make_cases, make_partition, nonlinear_loop,
+                    run_campaign, sample_solve_batch, zero_feedback,
+                    zero_signal)
 from clfiss.systems import counterexample_system, scalar_abs_clf
 from clfiss.verify import random_cases, random_disturbance
 
@@ -136,6 +138,149 @@ def test_reports_do_not_depend_on_batching(monkeypatch, budget):
     got = (json.dumps(run_campaign(campaign).to_json()),
            json.dumps(adversarial_search(campaign, budget=6, seed=2)))
     assert got == want
+
+
+def reference_margins(c, case, traj):
+    """The campaign's margins of a case (additive, max form, additive on the
+    refined grid, first violation time), every envelope term taken from
+    IssEnvelope.additive_bound and bound."""
+    env, t, norms = c.envelope, traj.dense_times, traj.norms()
+    x0n = float(np.linalg.norm(case.x0))
+    add = env.additive_bound(x0n, c.N, t) - norms
+    max_margins = env.bound(c.M, c.N, t) - norms
+    tm, nm = 0.5 * (t[:-1] + t[1:]), 0.5 * (norms[:-1] + norms[1:])
+    fine = min(float(np.min(add)), float(np.min(
+        env.additive_bound(x0n, c.N, tm) - nm, initial=math.inf)))
+    firsts = [float(t[np.argmax(m < 0.0)]) for m in (add, max_margins)
+              if np.any(m < 0.0)]
+    return (float(np.min(add)), float(np.min(max_margins)), fine,
+            min(firsts) if firsts else None)
+
+
+def reference_campaign(c, budget, seed, horizon):
+    """run_campaign(c, budget, seed, horizon)'s report (to_json) and
+    adversarial dict from two lockstep batches: every case in one
+    sample_solve_batch call, every adversarial trial in another."""
+    def solve(cases):
+        return sample_solve_batch(c.loop, [k.partition for k in cases],
+                                  [k.x0 for k in cases], [k.u for k in cases],
+                                  [k.e for k in cases])
+
+    rows, failed, worst = [], 0, math.inf
+    for k, (case, traj) in enumerate(zip(c.cases, solve(c.cases))):
+        add_m, max_m, fine_m, first = reference_margins(c, case, traj)
+        ok = None
+        if case.assert_envelope:
+            ok = (traj.status.kind not in (BLOWUP, NUMERICAL_FAILURE)
+                  and add_m >= 0.0 and max_m >= 0.0)
+            failed += not ok
+            worst = min(worst, add_m)
+        rows.append({"id": k, "label": case.label, "status": traj.status.kind,
+                     "asserted": case.assert_envelope,
+                     "worst_margin": min(add_m, max_m), "margin_additive": add_m,
+                     "margin_maxform": max_m, "margin_additive_fine": fine_m,
+                     "first_violation_t": first, "pass": ok})
+    summary = {"total": len(c.cases),
+               "asserted": sum(k.assert_envelope for k in c.cases),
+               "failed": failed,
+               "worst_margin": None if worst == math.inf else worst}
+
+    trials = list(random_cases(c.loop, c.guard, c.M, c.N, budget, horizon,
+                               np.random.default_rng(seed), (0.05, 1.0),
+                               (0.3, 0.9)))
+    found = {"violation_margin": -math.inf, "case": None, "status": None}
+    for k, ((case, step, kind), traj) in enumerate(
+            zip(trials, solve([case for case, _, _ in trials]))):
+        if traj.status.kind in (BLOWUP, NUMERICAL_FAILURE):
+            viol = math.inf
+        else:
+            viol = -reference_margins(c, case, traj)[0]
+        if viol > found["violation_margin"]:
+            found = {"violation_margin": viol,
+                     "case": {"x0": case.x0.tolist(), "step": step,
+                              "disturbance": kind, "e_bound": case.e.bound,
+                              "index": k},
+                     "status": traj.status.kind}
+    return {"cases": rows, "summary": summary}, found
+
+
+CLI_CAMPAIGN = {
+    "schema": 1,
+    "loop": {"system": "scalar", "clf": "scalar_abs", "feedback": "combined",
+             "substeps": 4},
+    "M": 1.0, "N": 0.1, "epsilon": 0.25, "horizon": 0.25,
+    "tables": {"radius_max": 10.0, "radii": 2001, "grid_size": 64},
+    "cases": {"count": 3, "seed": 1, "include_inadmissible": True},
+    "guard": {"points": 512, "pairs": 800},
+    "adversarial_budget": 4,
+}
+
+
+def run_cli_campaign(tmp_path, monkeypatch, name):
+    """Run CLI_CAMPAIGN at --seed 0; return the Campaign the CLI built and
+    the text of its campaign.json."""
+    built = []
+    real = cli.run_campaign
+
+    def spy(c, *args):
+        built.append(c)
+        return real(c, *args)
+
+    monkeypatch.setattr(cli, "run_campaign", spy)
+    cfg = tmp_path / "campaign.json"
+    cfg.write_text(json.dumps(CLI_CAMPAIGN))
+    out = tmp_path / name
+    assert cli.main(["campaign", "--config", str(cfg), "--out", str(out),
+                     "--seed", "0"]) == 0
+    return built[0], (out / "campaign.json").read_text()
+
+
+@pytest.mark.parametrize("split", ["one-chunk", "at-boundary", "straddling",
+                                   "every-row"])
+def test_campaign_json_matches_two_batch_reference(tmp_path, monkeypatch, split):
+    # cases and trials share the chunks of one lockstep stream; whatever the
+    # chunks, campaign.json holds the bytes of the two-batch reference
+    c, _ = run_cli_campaign(tmp_path, monkeypatch, "probe")
+    budget, horizon = CLI_CAMPAIGN["adversarial_budget"], CLI_CAMPAIGN["horizon"]
+    trials = random_cases(c.loop, c.guard, c.M, c.N, budget, horizon,
+                          np.random.default_rng(0), (0.05, 1.0), (0.3, 0.9))
+    widths = [k.partition.intervals * c.loop.substeps + 1 for k in c.cases]
+    first_trial = next(trials)[0].partition.intervals * c.loop.substeps + 1
+    assert len(widths) == 4 and first_trial > max(widths)
+    rows = {"one-chunk": None,
+            # the cases fill one chunk exactly, the first trial starts the next
+            "at-boundary": len(widths) * max(widths),
+            # one chunk holds every case and the first trial
+            "straddling": (len(widths) + 1) * first_trial,
+            "every-row": 1}[split]
+    if rows is not None:
+        monkeypatch.setattr("clfiss.verify.DENSE_ROW_BUDGET", rows)
+    c, text = run_cli_campaign(tmp_path, monkeypatch, split)
+    report, found = reference_campaign(c, budget, 0, horizon)
+    doc = json.loads(text)
+    assert doc["adversarial"]["case"] is not None
+    assert text == json.dumps(dict(doc, **report, adversarial=found), indent=2)
+
+
+@pytest.mark.parametrize("top, N, alpha4", [
+    (0.5, 0.2, None),                      # |x0| and M beyond the tables
+    (10.0, 0.0, None),                     # gamma(0)
+    (10.0, 0.2, lambda s: 3.0 * s + 0.1),  # gamma through alpha4
+], ids=["saturated", "N-zero", "alpha4"])
+def test_margins_match_envelope_reference(top, N, alpha4):
+    # the campaign inverts M, gamma(N) and each |x0| once; its margins are
+    # bit for bit those of additive_bound and bound
+    guard = loose_guard(N=N)
+    loop = contraction_loop()
+    cases = make_cases(loop, guard, M=1.0, N=N, count=5, horizon=1.0, seed=4)
+    env = build_envelope(AlphaTables.identity(top), 0.05, alpha4)
+    campaign = Campaign(loop, env, guard, cases, M=1.0, N=N)
+    if top < 1.0:
+        assert max(np.linalg.norm(k.x0) for k in cases) > top
+    report = run_campaign(campaign, 3, 7, 1.0)
+    want = reference_campaign(campaign, 3, 7, 1.0)
+    assert json.dumps((report.to_json(), report.adversarial)) == json.dumps(want)
+    assert json.dumps(adversarial_search(campaign, 3, 7, 1.0)) == json.dumps(want[1])
 
 
 class TestAdversarialSearch:

@@ -37,7 +37,8 @@ BENCHMARK_SEEDS = (0, 1)
 # constant noise carries a noisy sample across the cone before the state
 # crosses it. The Euler study's four levels step as one batch and escape
 # past radius 50 at the 6th, 12th, 8th and 16th (last) of the 16 substeps
-# of an interval
+# of an interval. The integrator campaign is the benchmark's, shortened, with
+# adversarial trials, whose rows step in the cases' lockstep batch
 BUILTIN = [
     ("builtin/simulate_noisy_sample_exit", "simulate", {
         "schema": 1,
@@ -55,6 +56,17 @@ BUILTIN = [
         "x0": [4.0],
         "disturbance": {"kind": "constant", "value": [1.0]},
         "base_step": 0.02, "levels": 4, "horizon": 0.5,
+    }),
+    ("builtin/campaign_integrator_trials", "campaign", {
+        "schema": 1,
+        "loop": {"system": "integrator", "clf": "integrator_max",
+                 "feedback": "explicit", "substeps": 1, "monitor_domain": True},
+        "M": 2.0, "N": 0.1, "epsilon": 0.1, "horizon": 0.05,
+        "tables": {"radius_max": 20.0, "grid_size": 257, "directions": 256,
+                   "radii": 512},
+        "guard": {"points": 2048, "pairs": 4000, "inflation": 1.25},
+        "cases": {"count": 3, "seed": 5},
+        "adversarial_budget": 3,
     }),
 ]
 
