@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import Vector, as_vector, direction_set, rowdot, rowwise, unit_rows
+from .core import Vector, direction_set, rowwise
 
 
 def _always(x) -> np.ndarray:
@@ -44,47 +44,6 @@ class Clf:
     subgrad: Callable[[Vector], Vector]
     control_bound: Callable[[np.ndarray], np.ndarray]
     domain: Callable[[Vector], np.ndarray] = _always
-
-
-def fd_gradient(V: Callable[[Vector], np.ndarray]):
-    """Central-difference gradient fallback for smooth points, row by row.
-
-    V must be row-wise, and so is the returned selection. Approximate by
-    construction; the step of a row x is 1e-6 * max(1, |x|), one coordinate
-    at a time. Returns exactly zero at the origin so it can serve as a
-    subgradient selection.
-    """
-
-    def grad(x):
-        x = np.asarray(x, dtype=float)
-        h = 1e-6 * np.maximum(1.0, np.sqrt(rowdot(x, x)))
-        g = np.empty(x.shape)
-        for i in range(x.shape[-1]):
-            e = np.zeros(x.shape)
-            e[..., i] = h
-            g[..., i] = (V(x + e) - V(x - e)) / (2.0 * h)
-        return np.where(x.any(axis=-1)[..., None], g, 0.0)
-
-    return grad
-
-
-def validate_clf(clf: Clf, samples: int = 300, seed: int = 0) -> dict:
-    """Sampled positive-definiteness / properness / zero-subgradient report."""
-    rng = np.random.default_rng(seed)
-    origin = np.zeros(clf.dim)
-    report = {
-        "V0": float(clf.V(origin)),
-        "subgrad0_norm": float(np.linalg.norm(as_vector(clf.subgrad(origin), clf.dim))),
-    }
-    vals = [float(clf.V(unit_rows(rng, 1, clf.dim)[0] * rng.uniform(1e-6, 10.0)))
-            for _ in range(samples)]
-    report["min_positive"] = min(vals) if vals else None
-    shell_vals = [float(np.min(clf.V(10.0 ** k * unit_rows(rng, 16, clf.dim))))
-                  for k in range(5)]
-    report["shell_minima"] = shell_vals
-    report["proper"] = all(b > a for a, b in zip(shell_vals, shell_vals[1:]))
-    report["positive_definite"] = report["V0"] == 0.0 and report["min_positive"] > 0.0
-    return report
 
 
 def _pl_inverse(levels: np.ndarray, values: np.ndarray, y: float,
@@ -173,13 +132,6 @@ class AlphaTables:
             w.writerow(["s", "underline", "overline"])
             for s, lo, up in zip(self.levels, self.lower, self.upper):
                 w.writerow([f"{s:.17g}", f"{lo:.17g}", f"{up:.17g}"])
-
-    @classmethod
-    def from_csv(cls, path) -> "AlphaTables":
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))[1:]
-        arr = np.array([[float(v) for v in r] for r in rows])
-        return cls(arr[:, 0], arr[:, 1], arr[:, 2], 0.0, 0.0)
 
 
 def _angular_tol(dim: int, count: int) -> float:
@@ -316,57 +268,3 @@ def build_envelope(tables: AlphaTables, overflow: float,
     if overflow <= 0.0:
         raise ValueError("overflow must be positive")
     return IssEnvelope(tables, float(overflow), alpha4)
-
-
-@dataclass(frozen=True, eq=False)
-class SemiconcavityReport:
-    probes: np.ndarray
-    rho_levels: np.ndarray
-    estimates: np.ndarray       # (levels, probes) midpoint-inequality constants
-    divergent: np.ndarray       # per-probe verdict under refinement
-    max_ratio: float
-
-    def any_divergent(self) -> bool:
-        return bool(np.any(self.divergent))
-
-
-def check_semiconcavity(clf: Clf, probes, rho: float, trials: int = 200,
-                        refinements: int = 4, seed: int = 0) -> SemiconcavityReport:
-    """Estimate midpoint-inequality constants around each probe, refining rho.
-
-    For pairs x, y near a probe the statistic is
-    (V(x) + V(y) - 2 V((x+y)/2)) / |x - y|^2, floored at zero. A probe is
-    flagged divergent when the constant keeps growing as the pair scale
-    shrinks, which signals a semiconcavity failure at that point.
-    """
-    rng = np.random.default_rng(seed)
-    probes = np.atleast_2d(np.asarray(probes, dtype=float))
-    rhos = rho / (2.0 ** np.arange(refinements))
-    est = np.zeros((refinements, probes.shape[0]))
-    for li, r in enumerate(rhos):
-        for pi, p in enumerate(probes):
-            worst = 0.0
-            found = 0
-            attempts = 0
-            while found < trials and attempts < 20 * trials:
-                attempts += 1
-                x = p + r * rng.uniform(-1.0, 1.0, size=clf.dim)
-                y = p + r * rng.uniform(-1.0, 1.0, size=clf.dim)
-                mid = 0.5 * (x + y)
-                if not (clf.domain(x) and clf.domain(y) and clf.domain(mid)):
-                    continue
-                gap2 = float(np.sum((x - y) ** 2))
-                if gap2 < 1e-30:
-                    continue
-                found += 1
-                c = (float(clf.V(x)) + float(clf.V(y)) - 2.0 * float(clf.V(mid))) / gap2
-                worst = max(worst, c)
-            est[li, pi] = worst
-    divergent = np.zeros(probes.shape[0], dtype=bool)
-    for pi in range(probes.shape[0]):
-        seq = est[:, pi]
-        # Monte-Carlo maxima are noisy per level, so compare the late levels
-        # against the coarsest one instead of demanding stepwise growth.
-        late = float(np.max(seq[-2:])) if refinements >= 2 else float(seq[-1])
-        divergent[pi] = seq[0] > 0 and late >= 4.0 * seq[0]
-    return SemiconcavityReport(probes, rhos, est, divergent, float(est.max()))

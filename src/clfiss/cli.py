@@ -117,6 +117,14 @@ def _integer(where: str, value, least: int = 0):
     return value
 
 
+def _vector(where: str, value, n: int) -> np.ndarray:
+    """value, a list of n finite real numbers (or one, when n is 1), as a
+    vector."""
+    for entry in value if isinstance(value, list) else [value]:
+        _real(f"{where} entry", entry)
+    return _checked(where, as_vector, value, n)
+
+
 def _build_partition(cfg, horizon: float):
     _check_fields(cfg, {"kind", "step", "fraction", "seed"}, {"kind", "step"},
                   "partition")
@@ -135,8 +143,8 @@ def _build_signal(cfg, dim: int, partition, seed: int, where: str) -> Signal:
     if kind == "zero":
         return zero_signal(dim)
     if kind == "constant":
-        value = _checked(where, as_vector, cfg.get("value", [0.0] * dim), dim)
-        return constant_signal(value)
+        return constant_signal(_vector(f"{where}: value",
+                                       cfg.get("value", [0.0] * dim), dim))
     if kind not in ("sine", "piecewise"):
         raise ConfigError(f"{where}: unknown kind {kind!r}")
     rng = np.random.default_rng(_integer(f"{where}: seed", cfg.get("seed", seed)))
@@ -231,7 +239,7 @@ def cmd_simulate(cfg: dict, out_dir: str, seed: int, overrides=None) -> int:
                             _real("simulate: horizon", cfg["horizon"]))
     u = _build_signal(cfg.get("disturbance"), loop.m, part, seed, "disturbance")
     e = _build_signal(cfg.get("noise"), loop.n, part, seed + 1, "noise")
-    x0 = _checked("x0", as_vector, cfg["x0"], loop.n)
+    x0 = _vector("x0", cfg["x0"], loop.n)
     dcfg = cfg.get("decrease", {})
     _check_fields(dcfg, {"s_level", "rel_tol", "abs_tol"}, set(), "decrease")
     s_level = _real("decrease: s_level", dcfg.get("s_level", 0.0))
@@ -389,7 +397,7 @@ def cmd_euler(cfg: dict, out_dir: str, seed: int) -> int:
     u = _build_signal(cfg.get("disturbance"), loop.m, part0, seed, "disturbance")
     sched = _checked("euler", geometric_schedule, base_step, levels, horizon,
                      u, loop.n, exponent, seed=seed)
-    x0 = _checked("x0", as_vector, cfg["x0"], loop.n)
+    x0 = _vector("x0", cfg["x0"], loop.n)
     env = None
     if "envelope" in cfg:
         ecfg = cfg["envelope"]

@@ -6,7 +6,6 @@ parallel workers; there is no hidden mutable state anywhere in the library.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import asdict, dataclass
 from typing import Callable
 
@@ -200,32 +199,6 @@ def signal_at(sig: Signal, t) -> np.ndarray:
     return rowwise(sig.eval(t), t[..., None], (sig.dim,))
 
 
-def check_signal(sig: Signal, horizon: float, points: int = 1024) -> float:
-    """Grid check of the declared bound on [0, horizon]; returns the observed sup.
-
-    Raises ValueError if any grid evaluation exceeds the bound beyond a
-    relative slack of 1e-9 plus an absolute slack of a thousandth of that.
-    """
-    ts = np.linspace(0.0, horizon, points)
-    vals = signal_at(sig, ts)
-    norms = np.sqrt(rowdot(vals, vals))
-    worst = float(np.fmax.reduce(norms, initial=0.0))   # a nan norm is skipped
-    worst_t = float(ts[np.argmax(norms == worst)]) if worst > 0.0 else 0.0
-    if worst > sig.bound * (1.0 + 1e-9) + 1e-9 * 1e-3:
-        raise ValueError(
-            f"signal exceeds declared bound {sig.bound:g} at t={worst_t:g} (|value|={worst:g})")
-    return worst
-
-
-def checked_signal(dim: int, bound: float, fn: Callable[[np.ndarray], np.ndarray],
-                   horizon: float, points: int = 1024) -> Signal:
-    """Construct a Signal from a row-wise fn and reject it if the bound fails
-    on a dense grid."""
-    sig = Signal(dim, bound, fn)
-    check_signal(sig, horizon, points)
-    return sig
-
-
 def zero_signal(dim: int) -> Signal:
     return Signal(dim, 0.0, lambda t: np.zeros(np.shape(t) + (dim,)))
 
@@ -353,17 +326,3 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
         fh.write(",".join(header) + "\r\n")
         for k in range(0, len(cells), 256):
             fh.writelines(line % tuple(row) for row in cells[k:k + 256].tolist())
-
-
-def read_trajectory_csv(path) -> dict:
-    """Parse a trajectory CSV back into arrays keyed t, states, controls, interval_index."""
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    header, data = rows[0], rows[1:]
-    n = sum(1 for h in header if h.startswith("x"))
-    m = sum(1 for h in header if h.startswith("k"))
-    t = np.array([float(r[0]) for r in data])
-    states = np.array([[float(v) for v in r[1:1 + n]] for r in data])
-    controls = np.array([[float(v) for v in r[1 + n:1 + n + m]] for r in data])
-    idx = np.array([int(r[-1]) for r in data])
-    return {"t": t, "states": states, "controls": controls, "interval_index": idx}

@@ -14,7 +14,7 @@ from typing import Callable
 import numpy as np
 
 from .clf import Clf
-from .core import ControlAffineSystem, Vector, direction_set, rowdot, rowwise
+from .core import ControlAffineSystem, Vector, rowdot, rowwise
 
 
 class DecayViolation(RuntimeError):
@@ -155,54 +155,3 @@ def damping_feedback(sys: ControlAffineSystem, clf: Clf) -> Feedback:
         return -_channels(sys, clf, _states(x, sys.n))[2]
 
     return Feedback(sys.n, sys.m, ev)
-
-
-def write_feedback_grid_csv(fb: Feedback, axes, path) -> None:
-    """Tabulate fb on the cartesian product of the given axes.
-
-    axes is one 1-D array per state coordinate; rows are x1..xn,k1..km, ready
-    for vector-field plotting.
-    """
-    import csv as _csv
-
-    if len(axes) != fb.n:
-        raise ValueError(f"need {fb.n} axes, got {len(axes)}")
-    grids = np.meshgrid(*[np.asarray(a, dtype=float) for a in axes],
-                        indexing="ij")
-    points = np.stack([g.ravel() for g in grids], axis=1)
-    header = [f"x{i + 1}" for i in range(fb.n)] + [f"k{j + 1}" for j in range(fb.m)]
-    controls = rowwise(fb.eval(points), points, (fb.m,))
-    with open(path, "w", newline="") as fh:
-        w = _csv.writer(fh)
-        w.writerow(header)
-        for x, k in zip(points, controls):
-            w.writerow([f"{v:.17g}" for v in x] + [f"{v:.17g}" for v in k])
-
-
-@dataclass(frozen=True, eq=False)
-class ContinuityReport:
-    radii: np.ndarray
-    sups: np.ndarray
-    verdict: str   # continuous | discontinuous | inconclusive
-
-
-def continuity_probe(fb: Feedback, seed: int = 0) -> ContinuityReport:
-    """Shell sup of |fb| on the radii 1e-2, ..., 1e-8 around the origin, over
-    64 random directions and the +-axes.
-
-    Verdict is "continuous" when the final shell sup has decayed to within a
-    factor 10 of the shell radius, "discontinuous" when the sups stay bounded
-    away from zero across all shells.
-    """
-    radii = 10.0 ** -np.arange(2.0, 8.5, 1.0)
-    dirs = direction_set(np.random.default_rng(seed), 64, fb.n)
-    pts = radii[:, None, None] * dirs
-    k = rowwise(fb.eval(pts), pts, (fb.m,))
-    sups = np.max(np.sqrt(rowdot(k, k)), axis=1)
-    if sups[-1] <= 10.0 * radii[-1]:
-        verdict = "continuous"
-    elif float(np.min(sups)) >= 1e-2:
-        verdict = "discontinuous"
-    else:
-        verdict = "inconclusive"
-    return ContinuityReport(radii, sups, verdict)

@@ -30,6 +30,9 @@ DOMAIN_EXIT_TOL = 1e-9
 # horizon, and a loop of one substep, whose intervals are cheap, pays for a
 # table only once per 256 intervals
 BLOCK = 256
+# estimate_rate_guard checks the overflow margin on this many points of
+# [0, lower_inv(N) + lambda_plus]
+MARGIN_GRID = 512
 
 
 @dataclass(frozen=True, eq=False)
@@ -404,7 +407,6 @@ class ProbeConfig:
     pairs: int = 10000
     inflation: float = 1.25
     seed: int = 0
-    p_grid: int = 512
 
 
 @dataclass(frozen=True, eq=False)
@@ -554,11 +556,11 @@ def estimate_rate_guard(loop: ClosedLoop, clf: Clf, tables: AlphaTables,
 
     # largest overflow margin the outer-radius table tolerates
     p_top = float(tables.lower_inv(N)) + lam_plus
-    p_grid = np.linspace(0.0, p_top, probe.p_grid)
-    base = tables.upper_at(p_grid)
+    grid = np.linspace(0.0, p_top, MARGIN_GRID)
+    base = tables.upper_at(grid)
 
     def margin_ok(et):
-        return bool(np.all(tables.upper_at(p_grid + L_eps * et / 4.0)
+        return bool(np.all(tables.upper_at(grid + L_eps * et / 4.0)
                            <= base + epsilon / 8.0 + 1e-15))
 
     lo_e, hi_e = 0.0, epsilon

@@ -3,9 +3,9 @@
 The nonholonomic integrator (three states, two inputs, no drift) has no
 continuous stabilizer, which makes it the canonical target for discontinuous
 feedback. This module packages it with two nonsmooth CLFs and the matching
-explicit feedback, the shopping-cart coordinate change that produces it, and a
-scalar system that defeats continuous ISS feedback but becomes stabilizable
-once the disturbance is routed through a state-dependent gain.
+explicit feedback, and a scalar system that defeats continuous ISS feedback
+but becomes stabilizable once the disturbance is routed through a
+state-dependent gain.
 """
 
 from __future__ import annotations
@@ -71,24 +71,6 @@ def integrator_system() -> ControlAffineSystem:
         return out
 
     return ControlAffineSystem(3, 2, f, G)
-
-
-def cart_to_integrator(state, controls):
-    """Map cart coordinates (x1, x2, heading) and (drive, steer) commands.
-
-    Returns the transformed state (z1, z2, z3) and controls (u1, u2) in
-    integrator form: z1 = heading, z2/z3 the body-frame position components,
-    u1 = steer, u2 = drive - steer * z3.
-    """
-    x1, x2, theta = (float(v) for v in as_vector(state, 3))
-    v1, v2 = (float(v) for v in as_vector(controls, 2))
-    z = np.array([
-        theta,
-        x1 * math.cos(theta) + x2 * math.sin(theta),
-        x1 * math.sin(theta) - x2 * math.cos(theta),
-    ])
-    u = np.array([v2, v1 - v2 * z[2]])
-    return z, u
 
 
 def integrator_max_clf() -> Clf:
@@ -170,22 +152,15 @@ def integrator_k1_k2(x):
     return np.array(k1v), np.array(k2v)
 
 
-def integrator_feedback(component: str = "combined") -> Feedback:
-    """Explicit closed-form feedback; component selects k1, k2, or their sum."""
-    if component not in ("combined", "k1", "k2"):
-        raise ValueError("component must be combined, k1 or k2")
+def integrator_feedback() -> Feedback:
+    """Explicit closed-form feedback k1 + k2 of integrator_k1_k2."""
 
     def ev(x):
         # the casewise law on each row's Python floats: at every batch size a
         # campaign steps this beats numpy arithmetic, per row or masked
         x = np.asarray(x, dtype=float)
         pieces = [_k1_k2(*row) for row in x.reshape(-1, 3).tolist()]
-        if component == "k1":
-            out = [k1v for k1v, _ in pieces]
-        elif component == "k2":
-            out = [k2v for _, k2v in pieces]
-        else:
-            out = [(a1 + b1, a2 + b2) for (a1, a2), (b1, b2) in pieces]
+        out = [(a1 + b1, a2 + b2) for (a1, a2), (b1, b2) in pieces]
         return np.array(out, dtype=float).reshape(x.shape[:-1] + (2,))
 
     return Feedback(3, 2, ev)
@@ -533,51 +508,6 @@ def build_weak_iss_certificate(sys: FullyNonlinearSystem, clf: Clf,
     a4 = np.maximum(a4, n_grid)
 
     return WeakIssCertificate(k1, margin, r_seq, rp_seq, i_max, n_grid, a4)
-
-
-def validate_certificate(cert: WeakIssCertificate, sys: FullyNonlinearSystem,
-                         clf: Clf, samples: int = 200, seed: int = 0) -> dict:
-    """Spot-check the certificate's defining inequalities; returns a report."""
-    rng = np.random.default_rng(seed)
-    report = {"interleaved": True, "g_conditions": True, "bands_negative": True,
-              "decay_holds": True, "worst_band_margin": -np.inf}
-    seq = []
-    for a, b in zip(cert.r_seq, cert.r_prime_seq):
-        seq += [float(a), float(b)]
-    report["interleaved"] = all(x > y > 0 for x, y in zip(seq, seq[1:]))
-    for s in np.linspace(0.0, 1.0, 33):
-        if cert.g(float(s)) != 1.0:
-            report["g_conditions"] = False
-    for s in np.linspace(2.0, float(cert.i_max + 3), 200):
-        gs = cert.g(float(s))
-        if gs > 1.0 + 1e-12 or gs * s > cert.rho(float(s)) + 1e-9:
-            report["g_conditions"] = False
-    for band in cert.bands():
-        for _ in range(max(samples // (2 * cert.i_max), 4)):
-            s = rng.uniform(band["lo"], band["hi"])
-            b = rng.uniform(0.0, band["radius"])
-            mval = cert.decay_margin(float(s), float(b))
-            report["worst_band_margin"] = max(report["worst_band_margin"], mval)
-            if mval >= 0.0:
-                report["bands_negative"] = False
-    for _ in range(samples):
-        nv = rng.uniform(0.0, cert.alpha4_grid[-1])
-        lo = cert.alpha4(nv) + 1e-6
-        hi = float(cert.i_max + 1)
-        if lo >= hi:
-            continue
-        s = rng.uniform(lo, hi)
-        d = rng.normal(size=sys.n)
-        x = s * d / np.linalg.norm(d)
-        z = as_vector(clf.subgrad(x), sys.n)
-        base = as_vector(cert.k1.eval(x), sys.m)
-        du = rng.normal(size=sys.m)
-        du *= nv / max(np.linalg.norm(du), 1e-30)
-        u = base + cert.g(float(np.linalg.norm(x))) * du
-        val = float(z @ as_vector(sys.f(x, u), sys.n))
-        if val > -0.5 * float(clf.V(x)) + 1e-9:
-            report["decay_holds"] = False
-    return report
 
 
 def weak_iss_loop(sys: FullyNonlinearSystem, k1: Feedback,

@@ -7,10 +7,21 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from clfiss import read_trajectory_csv, write_trajectory_csv
+from clfiss import write_trajectory_csv
 from clfiss.cli import main
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def read_trajectory_csv(path) -> dict:
+    """A trajectory CSV as arrays keyed t, states, controls, interval_index."""
+    with open(path, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    n = sum(1 for h in header if h.startswith("x"))
+    cells = np.array([[float(v) for v in row] for row in rows])
+    return {"t": cells[:, 0], "states": cells[:, 1:1 + n],
+            "controls": cells[:, 1 + n:-1],
+            "interval_index": cells[:, -1].astype(int)}
 
 
 def write_config(tmp_path, name, doc):
@@ -478,6 +489,15 @@ def _bad_config(command, **changes):
     return command, doc
 
 
+def _counterexample_simulate(**changes):
+    """A valid simulate config of the one-state counterexample loop with some
+    fields replaced."""
+    doc = {"schema": 1, "loop": {"system": "counterexample", "feedback": "zero"},
+           "partition": {"kind": "uniform", "step": 0.05}, "horizon": 0.5,
+           "x0": [0.5], "disturbance": {"kind": "constant", "value": [0.1]}}
+    return "simulate", dict(doc, **changes)
+
+
 @pytest.mark.parametrize("command, doc", [
     _bad_config("euler", levels=0),
     _bad_config("euler", horizon=0.1),
@@ -580,6 +600,12 @@ def _bad_config(command, **changes):
     _bad_config("euler", envelope={"epsilon": 0.1, "u_bound": -1.0}),
     _bad_config("simulate", decrease={"rel_tol": -1.0}),
     _bad_config("simulate", decrease={"abs_tol": -1.0}),
+    _counterexample_simulate(x0=[math.nan]),
+    _counterexample_simulate(x0=[math.inf]),
+    _counterexample_simulate(disturbance={"kind": "constant", "value": [math.nan]}),
+    _counterexample_simulate(x0=[True]),
+    _counterexample_simulate(disturbance={"kind": "constant", "value": [True]}),
+    _bad_config("euler", x0=[math.nan]),
 ], ids=["euler-no-levels", "euler-horizon-below-step",
         "weakiss-horizon-below-step", "substeps-zero", "escape-radius-zero",
         "simulate-x0-length", "euler-x0-length", "campaign-horizon-below-step",
@@ -615,7 +641,9 @@ def _bad_config(command, **changes):
         "envelope-radii-one", "tables-radii-zero", "euler-envelope-top-zero",
         "query-M-negative", "query-N-negative", "query-t-negative",
         "guard-pairs-zero", "euler-envelope-u-bound-negative",
-        "decrease-rel-tol-negative", "decrease-abs-tol-negative"])
+        "decrease-rel-tol-negative", "decrease-abs-tol-negative",
+        "x0-nan", "x0-infinity", "constant-value-nan", "x0-true",
+        "constant-value-true", "euler-x0-nan"])
 def test_rejected_config_values_exit_2(tmp_path, capsys, command, doc):
     cfg = write_config(tmp_path, "bad.json", doc)
     assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2

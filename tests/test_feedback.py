@@ -7,12 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clfiss import (Clf, DecayViolation, Feedback, combined_feedback,
-                    continuity_probe, damping_feedback, k2, synthesize_k1,
-                    zero_feedback)
-from clfiss.systems import (integrator_feedback, integrator_max_clf,
-                            integrator_squared_clf, integrator_system,
-                            scalar_abs_clf, scalar_integrator_system,
-                            scalar_square_clf)
+                    damping_feedback, k2, synthesize_k1)
+from clfiss.systems import (integrator_max_clf, integrator_squared_clf,
+                            integrator_system, scalar_abs_clf,
+                            scalar_integrator_system, scalar_square_clf)
 
 
 @pytest.fixture
@@ -172,44 +170,6 @@ class TestSgnConvention:
         assert np.sign(0.0) == 0.0
 
 
-class TestContinuityProbe:
-    def test_zero_feedback(self):
-        rep = continuity_probe(zero_feedback(3, 2))
-        assert rep.verdict == "continuous"
-        assert np.all(rep.sups == 0.0)
-
-    def test_k2_part_continuous(self):
-        rep = continuity_probe(integrator_feedback("k2"), seed=0)
-        assert rep.verdict == "continuous"
-        # shell sup bounded by sqrt(2) * max shell value of the CLF
-        assert np.all(rep.sups <= np.sqrt(2.0) * rep.radii + 1e-12)
-
-    def test_damping_discontinuous(self):
-        fb = damping_feedback(integrator_system(), integrator_max_clf())
-        rep = continuity_probe(fb, seed=0)
-        assert rep.verdict == "discontinuous"
-        assert np.min(rep.sups) >= 0.9
-
-
 def test_feedback_must_vanish_at_origin():
     with pytest.raises(ValueError):
         Feedback(1, 1, lambda x: np.array([1.0]))
-
-
-def test_feedback_grid_export(tmp_path):
-    import csv
-
-    from clfiss.feedback import write_feedback_grid_csv
-    fb = integrator_feedback()
-    path = tmp_path / "grid.csv"
-    axes = [np.linspace(-1, 1, 3)] * 3
-    write_feedback_grid_csv(fb, axes, path)
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["x1", "x2", "x3", "k1", "k2"]
-    assert len(rows) == 1 + 27
-    # origin row carries the zero control
-    origin = [r for r in rows[1:] if r[:3] == ["0", "0", "0"]]
-    assert origin and origin[0][3:] == ["0", "0"]
-    with pytest.raises(ValueError):
-        write_feedback_grid_csv(fb, axes[:2], tmp_path / "bad.csv")
