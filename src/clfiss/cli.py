@@ -52,20 +52,11 @@ def _load_config(path) -> dict:
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}")
+    except ValueError as exc:   # an integer literal longer than Python parses
+        raise ConfigError(f"{path}: {exc}")
     if not isinstance(cfg, dict):
         raise ConfigError(f"{path}: top level must be an object")
-    if cfg.get("schema") != SCHEMA_VERSION:
-        raise ConfigError(f"{path}: schema must be {SCHEMA_VERSION}")
     return cfg
-
-
-def _check_fields(cfg: dict, allowed: set, required: set, where: str) -> None:
-    for k in cfg:
-        if k not in allowed:
-            raise ConfigError(f"{where}: unknown field {k!r}")
-    for k in required:
-        if k not in cfg:
-            raise ConfigError(f"{where}: missing required field {k!r}")
 
 
 CLFS = {
@@ -83,121 +74,200 @@ SYSTEMS = {
 }
 
 
-def _build(registry: dict, kind: str, name: str):
-    if name not in registry:
-        raise ConfigError(f"unknown {kind} {name!r} (choose from {sorted(registry)})")
-    return registry[name]()
+# The config schema: one table per block, field -> (kind, range, default). A
+# range is an interval such as "[0, inf)" for a number, the allowed names for
+# a NAME, the nested table for a BLOCK, or None. A default is a constant,
+# REQUIRED, or CALLER: the command computes it when the field is left out.
+# Each kind reads as its error message says it.
+REAL, REAL_INF = "a finite real number", "a real number or Infinity"
+INTEGER, BOOL, NAME = "an integer", "true or false", "a name"
+VECTOR = "a finite real number or a list of them"
+REALS, BLOCK = "a list of finite real numbers", "a JSON object"
+OR_NULL = " or null"   # kind suffix: null is allowed, and read as None
+REQUIRED, CALLER = object(), object()
+SEED = (INTEGER, "[0, inf)", CALLER)   # --seed
+
+SCHEMA = {"schema": (INTEGER, f"[{SCHEMA_VERSION}, {SCHEMA_VERSION}]", REQUIRED)}
+LOOP = {"system": (NAME, SYSTEMS, REQUIRED),
+        "clf": (NAME + OR_NULL, CLFS, None),   # "" means no clf too
+        "feedback": (NAME, ("zero", "explicit", "combined", "damping"), REQUIRED),
+        "substeps": (INTEGER, "[1, inf)", 16),
+        "escape_radius": (REAL_INF, "(0, inf]", DEFAULT_ESCAPE_RADIUS),
+        "monitor_domain": (BOOL, None, False)}
+PARTITION = {"kind": (NAME, ("uniform", "jitter"), REQUIRED),
+             "step": (REAL, "(0, inf)", REQUIRED), "fraction": (REAL, "[0, 1)", 0.0),
+             "seed": (INTEGER, "[0, inf)", 0)}
+# a disturbance or noise (null: the zero signal); its seed is --seed, plus 1
+# for the noise, and a constant's value is zero by default
+SIGNAL = {"kind": (NAME, ("zero", "constant", "sine", "piecewise"), REQUIRED),
+          "value": (VECTOR, None, CALLER), "amplitude": (REAL, None, 0.0),
+          "frequency": (REAL, None, 1.0), "phase": (REAL, None, 0.0),
+          "bound": (REAL, "[0, inf)", 0.0), "seed": SEED}
+DECREASE = {"s_level": (REAL, None, 0.0), "rel_tol": (REAL, "[0, inf)", 1e-4),
+            "abs_tol": (REAL, "[0, inf)", 0.0)}
+SIMULATE = {**SCHEMA, "loop": (BLOCK, LOOP, REQUIRED),
+            "partition": (BLOCK, PARTITION, REQUIRED), "horizon": (REAL, None, REQUIRED),
+            "x0": (VECTOR, None, REQUIRED),
+            "disturbance": (BLOCK + OR_NULL, SIGNAL, None),
+            "noise": (BLOCK + OR_NULL, SIGNAL, None), "decrease": (BLOCK, DECREASE, {})}
+TABLES = {"radius_max": (REAL, "(0, inf)", 20.0),   # estimate_alpha_tables' parameters
+          "grid_size": (INTEGER, "[16, inf)", 257),
+          "directions": (INTEGER, "[0, inf)", 256), "radii": (INTEGER, "[2, inf)", 512)}
+QUERY = {"M": (REAL, "[0, inf)", REQUIRED), "N": (REAL, "[0, inf)", REQUIRED),
+         "t": (REAL, "[0, inf)", 0.0)}
+# the campaign's tables block, with its own radius_max and directions
+ENVELOPE = {**SCHEMA, **TABLES, "clf": (NAME, CLFS, REQUIRED),
+            "radius_max": (REAL, "(0, inf)", REQUIRED),
+            "directions": (INTEGER, "[0, inf)", 64), "overflow": (REAL, "(0, inf)", 0.1),
+            "query": (BLOCK, QUERY, CALLER)}
+# a case's step is step_fraction times the guard's delta, which an admissible
+# partition must stay below
+CASES = {"count": (INTEGER, "[0, inf)", REQUIRED), "seed": SEED,
+         "step_fraction": (REAL, "(0, 1)", 0.9),
+         "include_inadmissible": (BOOL, None, False)}
+GUARD = {"points": (INTEGER, "[0, inf)", 2048), "pairs": (INTEGER, "[1, inf)", 4000),
+         "inflation": (REAL, None, 1.25), "seed": SEED}   # ProbeConfig's fields
+CAMPAIGN = {**SCHEMA, "loop": (BLOCK, LOOP, REQUIRED),
+            "M": (REAL, "(0, inf)", REQUIRED), "N": (REAL, "[0, inf)", REQUIRED),
+            "epsilon": (REAL, "(0, inf)", REQUIRED), "horizon": (REAL, None, REQUIRED),
+            "cases": (BLOCK, CASES, REQUIRED), "guard": (BLOCK, GUARD, {}),
+            "adversarial_budget": (INTEGER, "[0, inf)", 0),   # 0: no search
+            "tables": (BLOCK, TABLES, {})}
+# by default u_bound is the disturbance's bound and top is 10 max(1, |x0|)
+EULER_ENVELOPE = {"epsilon": (REAL, "(0, inf)", REQUIRED),
+                  "u_bound": (REAL, "[0, inf)", CALLER), "top": (REAL, "(0, inf)", CALLER)}
+EULER = {**SCHEMA, "loop": (BLOCK, LOOP, CALLER),   # needed unless linear_test
+         "linear_test": (BOOL, None, False), "x0": (VECTOR, None, REQUIRED),
+         "base_step": (REAL, "(0, inf)", REQUIRED),
+         "levels": (INTEGER, "[1, inf)", REQUIRED), "horizon": (REAL, None, REQUIRED),
+         "error_exponent": (REAL + OR_NULL, None, 2.0),   # null: noise-free levels
+         "disturbance": (BLOCK + OR_NULL, SIGNAL, None),
+         "envelope": (BLOCK, EULER_ENVELOPE, CALLER)}
+WEAKISS = {**SCHEMA, "i_max": (INTEGER, "[1, inf)", 8), "safety": (REAL, "(0, 1]", 0.9),
+           "M": (REAL, None, REQUIRED), "N": (REAL, "[0, inf)", REQUIRED),
+           "epsilon": (REAL, "(0, inf)", REQUIRED), "x0_values": (REALS, None, REQUIRED),
+           "horizon": (REAL, None, REQUIRED), "step": (REAL, "(0, inf)", 0.01),
+           "substeps": (INTEGER, "[1, inf)", 16)}
+
+
+def _read(where: str, cfg, table: dict) -> dict:
+    """The fields of config block cfg, at path where, checked against table:
+    no unknown field, no required one missing, each value of its kind and in
+    its range. Constant defaults are filled in; cfg itself is not changed."""
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"{where} must be {BLOCK}, got {json.dumps(cfg)}")
+    for field in cfg:
+        if field not in table:
+            raise ConfigError(f"{where}: unknown field {field!r}")
+    out = {}
+    for field, (kind, rng, default) in table.items():
+        if field not in cfg and default is REQUIRED:
+            raise ConfigError(f"{where}: missing required field {field!r}")
+        if field in cfg or default is not CALLER:
+            out[field] = _value(f"{where}.{field}", cfg.get(field, default), kind, rng)
+    return out
+
+
+def _value(path: str, value, kind: str, rng):
+    """value, checked to be of kind and in rng."""
+    base = kind.removesuffix(OR_NULL)
+    if base != kind and (value is None or (base == NAME and value == "")):
+        return None
+    if base == BLOCK:
+        if isinstance(value, dict):
+            return _read(path, value, rng)
+        ok = False
+    elif base == NAME:
+        ok = isinstance(value, str) and value in rng
+    elif base == BOOL:
+        ok = isinstance(value, bool)
+    elif base == INTEGER:
+        ok = isinstance(value, int) and not isinstance(value, bool)
+    elif base == REALS:
+        ok = isinstance(value, list) and all(_is_real(v, False) for v in value)
+    else:   # REAL, REAL_INF or VECTOR, which may also be one number
+        entries = value if base == VECTOR and isinstance(value, list) else [value]
+        ok = all(_is_real(v, base == REAL_INF) for v in entries)
+    if not ok:
+        want = f"one of {sorted(rng)}" if base == NAME else base
+        raise ConfigError(f"{path} must be {want}{kind[len(base):]}, "
+                          f"got {json.dumps(value)}")
+    if base != NAME and rng is not None and not _within(value, rng):
+        raise ConfigError(f"{path} must lie in {rng}, got {json.dumps(value)}")
+    return value
+
+
+def _is_real(value, inf_ok: bool) -> bool:
+    """Whether value is a number, not a bool, that a float holds: finite, or
+    infinite when inf_ok."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        x = float(value)
+    except OverflowError:   # an integer literal too large for a float
+        return False
+    return math.isfinite(x) or (inf_ok and math.isinf(x))
+
+
+def _within(value, rng: str) -> bool:
+    """Whether value lies in the interval rng, written like "(0, inf]"."""
+    lo, hi = (float(end) for end in rng[1:-1].split(","))
+    return (((lo < value) if rng[0] == "(" else (lo <= value))
+            and ((value < hi) if rng[-1] == ")" else (value <= hi)))
 
 
 def _checked(where: str, build, *args, **kwargs):
-    """build(*args, **kwargs), with a ValueError reported as a ConfigError."""
+    """build(*args, **kwargs), a ValueError or OverflowError as a ConfigError."""
     try:
         return build(*args, **kwargs)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise ConfigError(f"{where}: {exc}") from None
 
 
-def _real(where: str, value, inf_ok: bool = False, least: float = -math.inf):
-    """value, which must be a real number (not a bool) of at least least,
-    finite unless inf_ok."""
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or math.isnan(value) or (math.isinf(value) and not inf_ok)):
-        kind = "a real number" if inf_ok else "a finite real number"
-        raise ConfigError(f"{where} must be {kind}, got {value!r}")
-    if value < least:
-        raise ConfigError(f"{where} must be at least {least:g}, got {value!r}")
-    return value
-
-
-def _integer(where: str, value, least: int = 0):
-    """value, which must be an integer (not a bool) of at least least."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < least:
-        raise ConfigError(f"{where} must be an integer of at least {least}, "
-                          f"got {value!r}")
-    return value
-
-
-def _vector(where: str, value, n: int) -> np.ndarray:
-    """value, a list of n finite real numbers (or one, when n is 1), as a
-    vector."""
-    for entry in value if isinstance(value, list) else [value]:
-        _real(f"{where} entry", entry)
-    return _checked(where, as_vector, value, n)
-
-
-def _build_partition(cfg, horizon: float):
-    _check_fields(cfg, {"kind", "step", "fraction", "seed"}, {"kind", "step"},
-                  "partition")
-    return _checked("partition", make_partition, cfg["kind"], horizon,
-                    _real("partition: step", cfg["step"]),
-                    _real("partition: fraction", cfg.get("fraction", 0.0)),
-                    _integer("partition: seed", cfg.get("seed", 0)))
-
-
 def _build_signal(cfg, dim: int, partition, seed: int, where: str) -> Signal:
-    if cfg is None:
-        return zero_signal(dim)
-    _check_fields(cfg, {"kind", "value", "amplitude", "frequency", "phase",
-                        "bound", "seed"}, {"kind"}, where)
-    kind = cfg["kind"]
+    """The signal of a read disturbance or noise block."""
+    kind = "zero" if cfg is None else cfg["kind"]
     if kind == "zero":
         return zero_signal(dim)
     if kind == "constant":
-        return constant_signal(_vector(f"{where}: value",
-                                       cfg.get("value", [0.0] * dim), dim))
-    if kind not in ("sine", "piecewise"):
-        raise ConfigError(f"{where}: unknown kind {kind!r}")
-    rng = np.random.default_rng(_integer(f"{where}: seed", cfg.get("seed", seed)))
+        return constant_signal(_checked(where, as_vector,
+                                        cfg.get("value", [0.0] * dim), dim))
+    rng = np.random.default_rng(cfg.get("seed", seed))
     if kind == "sine":
-        return sine_signal(
-            rng.normal(size=dim), _real(f"{where}: amplitude", cfg.get("amplitude", 0.0)),
-            _real(f"{where}: frequency", cfg.get("frequency", 1.0)),
-            _real(f"{where}: phase", cfg.get("phase", 0.0)))
-    return _checked(where, random_disturbance, "piecewise", dim,
-                    _real(f"{where}: bound", cfg.get("bound", 0.0)), partition, rng)
+        return sine_signal(rng.normal(size=dim), cfg["amplitude"], cfg["frequency"],
+                           cfg["phase"])
+    return random_disturbance("piecewise", dim, cfg["bound"], partition, rng)
 
 
-def _build_loop(cfg, where: str) -> tuple:
-    """Returns (loop, system, clf or None) from a loop spec block."""
-    _check_fields(cfg, {"system", "clf", "feedback", "substeps", "escape_radius",
-                        "monitor_domain"}, {"system", "feedback"}, where)
-    sys_name = cfg["system"]
-    system = _build(SYSTEMS, "system", sys_name)
-    clf = _build(CLFS, "clf", cfg["clf"]) if "clf" in cfg and cfg["clf"] else None
+def _build_loop(cfg: dict, where: str) -> tuple:
+    """Returns (loop, system, clf or None) from a read loop block."""
+    sys_name, fb_name = cfg["system"], cfg["feedback"]
+    system = SYSTEMS[sys_name]()
+    clf = CLFS[cfg["clf"]]() if cfg["clf"] is not None else None
     if clf is not None and clf.dim != system.n:
         raise ConfigError(f"{where}: clf {cfg['clf']!r} has dimension {clf.dim} "
                           f"but system {sys_name!r} has {system.n} states")
-    fb_name = cfg["feedback"]
-    substeps = _integer(f"{where}: substeps", cfg.get("substeps", 16))
-    escape = _real(f"{where}: escape_radius",
-                   cfg.get("escape_radius", DEFAULT_ESCAPE_RADIUS), inf_ok=True)
+    substeps, escape = cfg["substeps"], cfg["escape_radius"]
     if sys_name == "counterexample":
         if fb_name != "zero":
             raise ConfigError(f"{where}: the counterexample loop supports only feedback 'zero'")
-        loop = _checked(where, nonlinear_loop, system, zero_feedback(1, 1),
-                        substeps, escape)
-        return loop, system, clf
+        return nonlinear_loop(system, zero_feedback(1, 1), substeps, escape), system, clf
     if fb_name == "zero":
         fb = zero_feedback(system.n, system.m)
     elif fb_name == "explicit":
         if sys_name != "integrator":
             raise ConfigError(f"{where}: explicit feedback exists only for the integrator")
         fb = systems.integrator_feedback()
+    elif clf is None:
+        raise ConfigError(f"{where}: {fb_name} feedback needs a clf")
     elif fb_name == "combined":
-        if clf is None:
-            raise ConfigError(f"{where}: combined feedback needs a clf")
         fb = combined_feedback(system, clf)
-    elif fb_name == "damping":
-        if clf is None:
-            raise ConfigError(f"{where}: damping feedback needs a clf")
-        fb = damping_feedback(system, clf)
     else:
-        raise ConfigError(f"{where}: unknown feedback {fb_name!r}")
+        fb = damping_feedback(system, clf)
     margin = None
-    if cfg.get("monitor_domain") and sys_name == "integrator":
+    if cfg["monitor_domain"] and sys_name == "integrator":
         margin = systems.cone_margin
-    loop = _checked(where, affine_loop, system, fb, substeps, escape, margin)
-    return loop, system, clf
+    return affine_loop(system, fb, substeps, escape, margin), system, clf
 
 
 def _out_path(out_dir: str, name: str) -> str:
@@ -220,31 +290,22 @@ def parse_partition_flag(text: str) -> dict:
 
 
 def cmd_simulate(cfg: dict, out_dir: str, seed: int, overrides=None) -> int:
-    _check_fields(cfg, {"schema", "loop", "partition", "horizon", "x0",
-                        "disturbance", "noise", "decrease"},
-                  {"loop", "horizon", "x0"}, "simulate")
     overrides = overrides or {}
     if overrides.get("horizon") is not None:
         cfg["horizon"] = overrides["horizon"]
     if overrides.get("partition") is not None:
         cfg["partition"] = parse_partition_flag(overrides["partition"])
-    if "partition" not in cfg:
-        raise ConfigError("simulate: missing required field 'partition'")
-    if overrides.get("substeps") is not None:
-        cfg.setdefault("loop", {})["substeps"] = overrides["substeps"]
-    if overrides.get("escape_radius") is not None:
-        cfg.setdefault("loop", {})["escape_radius"] = overrides["escape_radius"]
-    loop, system, clf = _build_loop(cfg["loop"], "loop")
-    part = _build_partition(cfg["partition"],
-                            _real("simulate: horizon", cfg["horizon"]))
-    u = _build_signal(cfg.get("disturbance"), loop.m, part, seed, "disturbance")
-    e = _build_signal(cfg.get("noise"), loop.n, part, seed + 1, "noise")
-    x0 = _vector("x0", cfg["x0"], loop.n)
-    dcfg = cfg.get("decrease", {})
-    _check_fields(dcfg, {"s_level", "rel_tol", "abs_tol"}, set(), "decrease")
-    s_level = _real("decrease: s_level", dcfg.get("s_level", 0.0))
-    rel_tol = _real("decrease: rel_tol", dcfg.get("rel_tol", 1e-4), least=0.0)
-    abs_tol = _real("decrease: abs_tol", dcfg.get("abs_tol", 0.0), least=0.0)
+    for key in ("substeps", "escape_radius"):
+        if overrides.get(key) is not None and isinstance(cfg.setdefault("loop", {}), dict):
+            cfg["loop"][key] = overrides[key]
+    c = _read("simulate", cfg, SIMULATE)
+    loop, system, clf = _build_loop(c["loop"], "simulate.loop")
+    p = c["partition"]
+    part = _checked("simulate.partition", make_partition, p["kind"], c["horizon"],
+                    p["step"], p["fraction"], p["seed"])
+    u = _build_signal(c["disturbance"], loop.m, part, seed, "simulate.disturbance")
+    e = _build_signal(c["noise"], loop.n, part, seed + 1, "simulate.noise")
+    x0 = _checked("simulate.x0", as_vector, c["x0"], loop.n)
     traj = sample_solve(loop, part, x0, u, e)
     csv_path = _out_path(out_dir, "trajectory.csv")
     write_trajectory_csv(traj, csv_path)
@@ -256,7 +317,8 @@ def cmd_simulate(cfg: dict, out_dir: str, seed: int, overrides=None) -> int:
         "config": cfg,
     }
     if clf is not None:
-        rep = decrease_check(traj, clf, None, s_level, rel_tol, abs_tol)
+        d = c["decrease"]
+        rep = decrease_check(traj, clf, None, d["s_level"], d["rel_tol"], d["abs_tol"])
         run["decrease"] = rep.to_dict()
     with open(_out_path(out_dir, "run.json"), "w") as fh:
         json.dump(run, fh, indent=2)
@@ -267,26 +329,14 @@ def cmd_simulate(cfg: dict, out_dir: str, seed: int, overrides=None) -> int:
 
 
 def cmd_envelope(cfg: dict, out_dir: str, seed: int) -> int:
-    _check_fields(cfg, {"schema", "clf", "radius_max", "grid_size", "directions",
-                        "radii", "overflow", "query"},
-                  {"clf", "radius_max"}, "envelope")
-    clf = _build(CLFS, "clf", cfg["clf"])
-    if "query" in cfg:
-        q = cfg["query"]
-        _check_fields(q, {"M", "N", "t"}, {"M", "N"}, "envelope.query")
-        M = _real("envelope.query: M", q["M"], least=0.0)
-        N = _real("envelope.query: N", q["N"], least=0.0)
-        t = _real("envelope.query: t", q.get("t", 0.0), least=0.0)
-    tables = _checked("envelope", estimate_alpha_tables, clf,
-                      _real("envelope: radius_max", cfg["radius_max"]),
-                      _integer("envelope: grid_size", cfg.get("grid_size", 257)),
-                      _integer("envelope: directions", cfg.get("directions", 64)),
-                      _integer("envelope: radii", cfg.get("radii", 512), 2), seed=seed)
-    env = _checked("envelope", build_envelope, tables,
-                   _real("envelope: overflow", cfg.get("overflow", 0.1)))
+    c = _read("envelope", cfg, ENVELOPE)
+    tables = _checked("envelope", estimate_alpha_tables, CLFS[c["clf"]](),
+                      **{field: c[field] for field in TABLES}, seed=seed)
+    env = build_envelope(tables, c["overflow"])
     tables.to_csv(_out_path(out_dir, "alpha_tables.csv"))
     report = env.describe()
-    if "query" in cfg:
+    if "query" in c:
+        M, N, t = c["query"]["M"], c["query"]["N"], c["query"]["t"]
         flags = env.saturation_flags(M, N)
         report["query"] = {
             "bound": float(env.bound(M, N, t)),
@@ -300,59 +350,32 @@ def cmd_envelope(cfg: dict, out_dir: str, seed: int) -> int:
 
 
 def cmd_campaign(cfg: dict, out_dir: str, seed: int) -> int:
-    _check_fields(cfg, {"schema", "loop", "M", "N", "epsilon", "horizon",
-                        "cases", "guard", "adversarial_budget", "tables"},
-                  {"loop", "M", "N", "epsilon", "horizon", "cases"}, "campaign")
-    loop, system, clf = _build_loop(cfg["loop"], "loop")
+    c = _read("campaign", cfg, CAMPAIGN)
+    loop, system, clf = _build_loop(c["loop"], "campaign.loop")
     if clf is None:
         raise ConfigError("campaign: loop.clf is required")
     if not isinstance(system, ControlAffineSystem):
-        raise ConfigError(f"campaign: system {cfg['loop']['system']!r} is not "
+        raise ConfigError(f"campaign: system {c['loop']['system']!r} is not "
                           "control-affine; the rate guard needs its f and G")
-    M, N = _real("campaign: M", cfg["M"]), _real("campaign: N", cfg["N"])
-    if M <= 0 or N < 0:
-        raise ConfigError(f"campaign: need M > 0 and N >= 0, got M {M!r} and N {N!r}")
-    epsilon = _real("campaign: epsilon", cfg["epsilon"])
-    horizon = _real("campaign: horizon", cfg["horizon"])
-    ccfg = cfg["cases"]
-    _check_fields(ccfg, {"count", "seed", "step_fraction", "include_inadmissible"},
-                  {"count"}, "cases")
-    count = _integer("cases: count", ccfg["count"])
-    step_fraction = _real("cases: step_fraction", ccfg.get("step_fraction", 0.9))
-    if not 0.0 < step_fraction < 1.0:
-        # a case's step is this fraction of the guard's delta, which an
-        # admissible partition must stay below
-        raise ConfigError(f"cases: step_fraction must lie in (0, 1), got {step_fraction!r}")
-    budget = _integer("campaign: adversarial_budget",
-                      cfg.get("adversarial_budget", 0))
-    tcfg = cfg.get("tables", {})
-    _check_fields(tcfg, {"radius_max", "grid_size", "directions", "radii"},
-                  set(), "tables")
-    tables = _checked("tables", estimate_alpha_tables, clf,
-                      _real("tables: radius_max", tcfg.get("radius_max", 20.0)),
-                      _integer("tables: grid_size", tcfg.get("grid_size", 257)),
-                      _integer("tables: directions", tcfg.get("directions", 256)),
-                      _integer("tables: radii", tcfg.get("radii", 512), 2), seed=seed)
-    env = _checked("campaign", build_envelope, tables, epsilon)
-    gcfg = cfg.get("guard", {})
-    _check_fields(gcfg, {"points", "pairs", "inflation", "seed"}, set(), "guard")
-    probe = ProbeConfig(_integer("guard: points", gcfg.get("points", 2048)),
-                        _integer("guard: pairs", gcfg.get("pairs", 4000), 1),
-                        _real("guard: inflation", gcfg.get("inflation", 1.25)),
-                        _integer("guard: seed", gcfg.get("seed", seed)))
-    guard = _checked("guard", estimate_rate_guard, loop, clf, tables,
+    M, N, epsilon, horizon = c["M"], c["N"], c["epsilon"], c["horizon"]
+    cases_cfg, budget = c["cases"], c["adversarial_budget"]
+    tables = _checked("campaign.tables", estimate_alpha_tables, clf, **c["tables"],
+                      seed=seed)
+    env = build_envelope(tables, epsilon)
+    probe = ProbeConfig(**{"seed": seed, **c["guard"]})
+    guard = _checked("campaign.guard", estimate_rate_guard, loop, clf, tables,
                      epsilon, M, N, system, probe)
     # each case and each adversarial trial must fit one whole step
-    fractions = [step_fraction] if count > 0 else []
+    fractions = [cases_cfg["step_fraction"]] if cases_cfg["count"] > 0 else []
     if budget:
         fractions.append(ADVERSARIAL_STEP_FRACTIONS[1])
     if fractions and horizon < max(fractions) * guard.delta:
         raise ConfigError(
             f"campaign: horizon {horizon:g} is shorter than the largest "
             f"case step, {max(fractions):g} * delta with delta {guard.delta:g}")
-    cases = make_cases(loop, guard, M, N, count, horizon,
-                       _integer("cases: seed", ccfg.get("seed", seed)), step_fraction)
-    if ccfg.get("include_inadmissible"):
+    cases = make_cases(loop, guard, M, N, cases_cfg["count"], horizon,
+                       cases_cfg.get("seed", seed), cases_cfg["step_fraction"])
+    if cases_cfg["include_inadmissible"]:
         part = _checked("campaign", make_partition, "uniform", horizon,
                         2.0 * guard.delta)
         vec = np.zeros(loop.n)
@@ -375,41 +398,27 @@ def cmd_campaign(cfg: dict, out_dir: str, seed: int) -> int:
 
 
 def cmd_euler(cfg: dict, out_dir: str, seed: int) -> int:
-    _check_fields(cfg, {"schema", "loop", "linear_test", "x0", "base_step",
-                        "levels", "horizon", "error_exponent", "disturbance",
-                        "envelope"},
-                  {"x0", "base_step", "levels", "horizon"}, "euler")
-    if cfg.get("linear_test"):
+    c = _read("euler", cfg, EULER)
+    if c["linear_test"]:
         fb = Feedback(1, 1, lambda x: -np.asarray(x, dtype=float))
         loop = ClosedLoop(1, 1, lambda x, p, u: p, fb)
+    elif "loop" not in c:
+        raise ConfigError("euler: need loop or linear_test")
     else:
-        if "loop" not in cfg:
-            raise ConfigError("euler: need loop or linear_test")
-        loop, _, _ = _build_loop(cfg["loop"], "loop")
-    base_step = _real("euler: base_step", cfg["base_step"])
-    horizon = _real("euler: horizon", cfg["horizon"])
-    levels = _integer("euler: levels", cfg["levels"], 1)
-    # null asks for noise-free levels
-    exponent = cfg.get("error_exponent", 2.0)
-    if exponent is not None:
-        _real("euler: error_exponent", exponent)
+        loop, _, _ = _build_loop(c["loop"], "euler.loop")
+    base_step, horizon = c["base_step"], c["horizon"]
     part0 = _checked("euler", make_partition, "uniform", horizon, base_step)
-    u = _build_signal(cfg.get("disturbance"), loop.m, part0, seed, "disturbance")
-    sched = _checked("euler", geometric_schedule, base_step, levels, horizon,
-                     u, loop.n, exponent, seed=seed)
-    x0 = _vector("x0", cfg["x0"], loop.n)
+    u = _build_signal(c["disturbance"], loop.m, part0, seed, "euler.disturbance")
+    sched = _checked("euler", geometric_schedule, base_step, c["levels"], horizon,
+                     u, loop.n, c["error_exponent"], seed=seed)
+    x0 = _checked("euler.x0", as_vector, c["x0"], loop.n)
     env = None
-    if "envelope" in cfg:
-        ecfg = cfg["envelope"]
-        _check_fields(ecfg, {"epsilon", "u_bound", "top"}, {"epsilon"},
-                      "euler.envelope")
-        top = _real("euler.envelope: top",
-                    ecfg.get("top", 10.0 * max(1.0, float(np.linalg.norm(x0)))))
-        u_bound = _real("euler.envelope: u_bound", ecfg.get("u_bound", u.bound),
-                        least=0.0)
-        env = _checked("euler.envelope", build_envelope,
-                       _checked("euler.envelope", AlphaTables.identity, top),
-                       _real("euler.envelope: epsilon", ecfg["epsilon"]))
+    if "envelope" in c:
+        ecfg = c["envelope"]
+        top = ecfg.get("top", 10.0 * max(1.0, float(np.linalg.norm(x0))))
+        u_bound = ecfg.get("u_bound", u.bound)
+        env = build_envelope(_checked("euler.envelope", AlphaTables.identity, top),
+                             ecfg["epsilon"])
     study = euler_study(loop, sched, x0)
     worst_env_margin = None
     if env is not None and study.limit is not None:
@@ -422,35 +431,19 @@ def cmd_euler(cfg: dict, out_dir: str, seed: int) -> int:
 
 
 def cmd_weakiss(cfg: dict, out_dir: str, seed: int) -> int:
-    _check_fields(cfg, {"schema", "i_max", "safety", "M", "N", "epsilon",
-                        "x0_values", "horizon", "step", "substeps"},
-                  {"M", "N", "epsilon", "x0_values", "horizon"}, "weakiss")
-    i_max = _integer("weakiss: i_max", cfg.get("i_max", 8), 1)
-    safety = _real("weakiss: safety", cfg.get("safety", 0.9))
-    if not 0.0 < safety <= 1.0:
-        raise ConfigError(f"weakiss: safety must lie in (0, 1], got {safety!r}")
-    M = _real("weakiss: M", cfg["M"])
-    N = _real("weakiss: N", cfg["N"])
-    if N < 0:
-        raise ConfigError(f"weakiss: N must be at least 0, got {N!r}")
-    if not isinstance(cfg["x0_values"], list):
-        raise ConfigError("weakiss: x0_values must be a list of real numbers")
-    x0_values = [_real("weakiss: x0_values entry", v) for v in cfg["x0_values"]]
-    epsilon = _real("weakiss: epsilon", cfg["epsilon"])
-    horizon = _real("weakiss: horizon", cfg["horizon"])
-    step = _real("weakiss: step", cfg.get("step", 0.01))
-    substeps = _integer("weakiss: substeps", cfg.get("substeps", 16))
+    c = _read("weakiss", cfg, WEAKISS)
+    M, N = c["M"], c["N"]
     system = systems.counterexample_system()
     clf = systems.scalar_abs_clf()
     k1 = zero_feedback(1, 1)
-    cert = systems.build_weak_iss_certificate(system, clf, k1, i_max, safety,
-                                              seed=seed)
-    loop = _checked("weakiss", systems.weak_iss_loop, system, k1, cert, substeps)
-    tables = AlphaTables.identity(max(M, cert.alpha4(N)) * 4.0 + 8.0)
-    env = _checked("weakiss", build_envelope, tables, epsilon, cert.alpha4)
-    part = _checked("weakiss", make_partition, "uniform", horizon, step)
+    cert = systems.build_weak_iss_certificate(system, clf, k1, c["i_max"],
+                                              c["safety"], seed=seed)
+    loop = systems.weak_iss_loop(system, k1, cert, c["substeps"])
+    tables = _checked("weakiss", AlphaTables.identity, max(M, cert.alpha4(N)) * 4.0 + 8.0)
+    env = build_envelope(tables, c["epsilon"], cert.alpha4)
+    part = _checked("weakiss", make_partition, "uniform", c["horizon"], c["step"])
     cert.to_json(_out_path(out_dir, "certificate.json"))
-    runs = [([float(x0)], sign * N) for x0 in x0_values for sign in (1.0, -1.0)]
+    runs = [([float(x0)], sign * N) for x0 in c["x0_values"] for sign in (1.0, -1.0)]
     trajs = sample_solve_batch(loop, [part] * len(runs), [x0 for x0, _ in runs],
                                [constant_signal([u]) for _, u in runs])
     rows = []
@@ -497,6 +490,8 @@ def main(argv=None) -> int:
                            dest="escape_radius")
     args = parser.parse_args(argv)
     try:
+        if args.seed < 0:
+            raise ConfigError(f"--seed must be a nonnegative integer, got {args.seed}")
         cfg = _load_config(args.config)
         if args.command == "simulate":
             overrides = {"partition": args.partition, "horizon": args.horizon,

@@ -499,154 +499,240 @@ def _counterexample_simulate(**changes):
 
 
 @pytest.mark.parametrize("command, doc", [
-    _bad_config("euler", levels=0),
-    _bad_config("euler", horizon=0.1),
-    _bad_config("weakiss", horizon=0.01),
-    _bad_config("simulate", substeps=0),
-    _bad_config("simulate", escape_radius=0.0),
-    _bad_config("simulate", x0=[1.0, 0.5]),
-    _bad_config("euler", x0=[1.0, 0.0]),
-    _bad_config("campaign", horizon=1e-6),
-    _bad_config("campaign", horizon=0.0, cases={"count": 0},
-                adversarial_budget=2),
-    _bad_config("campaign", adversarial_budget=-1),
-    _bad_config("campaign", cases={"count": 3, "seed": 1, "step_fraction": 0.0}),
-    _bad_config("campaign", cases={"count": 3, "seed": 1, "step_fraction": 1.0}),
-    _bad_config("simulate", disturbance={"kind": "constant", "value": [0.1]}),
-    _bad_config("simulate", noise={"kind": "constant", "value": [0.1, 0.0]}),
-    _bad_config("simulate", disturbance={"kind": "piecewise", "bound": -0.5}),
-    _bad_config("euler", disturbance={"kind": "constant", "value": [0.1, 0.0]}),
-    _bad_config("euler", disturbance={"kind": "piecewise", "bound": -0.5}),
-    _bad_config("simulate", disturbance={"kind": "sine", "amplitude": "big"}),
-    _bad_config("simulate", disturbance={"kind": "sine", "frequency": "fast"}),
-    _bad_config("simulate", disturbance={"kind": "sine", "phase": "x"}),
-    _bad_config("simulate", disturbance={"kind": "sine", "seed": "s"}),
-    _bad_config("simulate", disturbance={"kind": "piecewise", "bound": "b"}),
-    _bad_config("simulate", disturbance={"kind": "piecewise", "seed": "s"}),
-    _bad_config("simulate", disturbance={"kind": "piecewise", "seed": -1}),
-    _bad_config("campaign", epsilon=0.0),
-    _bad_config("campaign", M=-1.0),
-    _bad_config("campaign", N=-0.1),
-    _bad_config("campaign", cases={"count": -1}),
-    _bad_config("euler", envelope={"epsilon": 0.0}),
-    _bad_config("weakiss", epsilon=0.0),
-    _bad_config("weakiss", i_max=0),
-    _bad_config("envelope", radius_max=-1.0),
-    _bad_config("envelope", overflow=0.0),
-    _bad_config("euler", base_step="a"),
-    _bad_config("euler", horizon="a"),
-    _bad_config("euler", levels="a"),
-    _bad_config("euler", levels=2.5),
-    _bad_config("euler", error_exponent="a"),
-    _bad_config("weakiss", safety=-1.0),
-    _bad_config("weakiss", safety="a"),
-    _bad_config("weakiss", safety=0.0),
-    _bad_config("weakiss", safety=1.5),
-    _bad_config("weakiss", M="a"),
-    _bad_config("weakiss", N="a"),
-    _bad_config("weakiss", x0_values=["a"]),
-    _bad_config("weakiss", x0_values=0.5),
-    _bad_config("campaign", epsilon=50.0),
-    _bad_config("campaign", M="a"),
-    _bad_config("campaign", N="a"),
-    _bad_config("weakiss", N=-1.0),
-    _bad_config("campaign", epsilon="a"),
-    _bad_config("campaign", horizon="a"),
-    _bad_config("campaign", cases={"count": 3, "seed": 1, "step_fraction": "a"}),
-    _bad_config("campaign", tables={"radius_max": "a"}),
-    _bad_config("campaign", tables={"radius_max": 10.0, "grid_size": "a"}),
-    _bad_config("simulate", substeps="a"),
-    _bad_config("simulate", substeps=2.5),
-    _bad_config("simulate", partition={"kind": "uniform", "step": "a"}),
-    _bad_config("simulate", partition={"kind": "jitter", "step": 0.05,
-                                       "fraction": "a"}),
-    _bad_config("simulate", partition={"kind": "jitter", "step": 0.05,
-                                       "fraction": 0.2, "seed": "s"}),
-    _bad_config("simulate", horizon="a"),
-    _bad_config("envelope", radius_max="a"),
-    _bad_config("envelope", grid_size="a"),
-    _bad_config("weakiss", step="a"),
-    _bad_config("weakiss", substeps="a"),
-    _bad_config("weakiss", horizon="a"),
-    _bad_config("weakiss", epsilon="a"),
-    _bad_config("simulate", escape_radius="a"),
-    _bad_config("simulate", escape_radius=math.nan),
-    _bad_config("envelope", radii="a"),
-    _bad_config("envelope", directions="a"),
-    _bad_config("campaign", tables={"radius_max": 10.0, "radii": "a"}),
-    _bad_config("campaign", tables={"radius_max": 10.0, "directions": "a"}),
-    _bad_config("envelope", overflow="a"),
-    _bad_config("envelope", query={"M": "a", "N": 0.1}),
-    _bad_config("envelope", query={"M": 1.0, "N": "a"}),
-    _bad_config("envelope", query={"M": 1.0, "N": 0.1, "t": "a"}),
-    _bad_config("campaign", guard={"points": "a"}),
-    _bad_config("campaign", guard={"pairs": "a"}),
-    _bad_config("campaign", guard={"inflation": "a"}),
-    _bad_config("campaign", guard={"seed": "a"}),
-    _bad_config("campaign", cases={"count": 3, "seed": "a"}),
-    _bad_config("euler", envelope={"epsilon": "a"}),
-    _bad_config("euler", envelope={"epsilon": 0.1, "u_bound": "a"}),
-    _bad_config("euler", envelope={"epsilon": 0.1, "top": "a"}),
-    _bad_config("simulate", decrease={"s_level": "a"}),
-    _bad_config("simulate", decrease={"rel_tol": "a"}),
-    _bad_config("simulate", decrease={"abs_tol": "a"}),
-    _bad_config("envelope", radii=1),
-    _bad_config("campaign", tables={"radius_max": 10.0, "radii": 0}),
-    _bad_config("euler", envelope={"epsilon": 0.1, "top": 0.0}),
-    _bad_config("envelope", query={"M": -1.0, "N": 0.1}),
-    _bad_config("envelope", query={"M": 1.0, "N": -0.5}),
-    _bad_config("envelope", query={"M": 1.0, "N": 0.1, "t": -1.0}),
-    _bad_config("campaign", guard={"pairs": 0}),
-    _bad_config("euler", envelope={"epsilon": 0.1, "u_bound": -1.0}),
-    _bad_config("simulate", decrease={"rel_tol": -1.0}),
-    _bad_config("simulate", decrease={"abs_tol": -1.0}),
-    _counterexample_simulate(x0=[math.nan]),
-    _counterexample_simulate(x0=[math.inf]),
-    _counterexample_simulate(disturbance={"kind": "constant", "value": [math.nan]}),
-    _counterexample_simulate(x0=[True]),
-    _counterexample_simulate(disturbance={"kind": "constant", "value": [True]}),
-    _bad_config("euler", x0=[math.nan]),
-], ids=["euler-no-levels", "euler-horizon-below-step",
-        "weakiss-horizon-below-step", "substeps-zero", "escape-radius-zero",
-        "simulate-x0-length", "euler-x0-length", "campaign-horizon-below-step",
-        "adversarial-horizon-below-step", "adversarial-budget-negative",
-        "step-fraction-zero", "step-fraction-one", "disturbance-length",
-        "noise-length", "piecewise-bound-negative", "euler-disturbance-length",
-        "euler-piecewise-bound-negative", "sine-amplitude-text",
-        "sine-frequency-text", "sine-phase-text", "sine-seed-text",
-        "piecewise-bound-text", "piecewise-seed-text", "piecewise-seed-negative",
-        "campaign-epsilon-zero", "campaign-M-negative", "campaign-N-negative",
-        "cases-count-negative", "euler-envelope-epsilon-zero",
-        "weakiss-epsilon-zero", "weakiss-i-max-zero",
-        "envelope-radius-max-negative", "envelope-overflow-zero",
-        "euler-base-step-text", "euler-horizon-text", "euler-levels-text",
-        "euler-levels-fraction", "euler-error-exponent-text",
-        "weakiss-safety-negative", "weakiss-safety-text", "weakiss-safety-zero",
-        "weakiss-safety-above-one", "weakiss-M-text", "weakiss-N-text",
-        "weakiss-x0-text", "weakiss-x0-not-a-list", "campaign-probe-region-empty",
-        "campaign-M-text", "campaign-N-text", "weakiss-N-negative",
-        "campaign-epsilon-text", "campaign-horizon-text", "step-fraction-text",
-        "tables-radius-max-text", "tables-grid-size-text", "substeps-text",
-        "substeps-fraction", "partition-step-text", "jitter-fraction-text",
-        "jitter-seed-text", "simulate-horizon-text", "envelope-radius-max-text",
-        "envelope-grid-size-text", "weakiss-step-text", "weakiss-substeps-text",
-        "weakiss-horizon-text", "weakiss-epsilon-text", "escape-radius-text",
-        "escape-radius-nan", "envelope-radii-text", "envelope-directions-text",
-        "tables-radii-text", "tables-directions-text", "envelope-overflow-text",
-        "query-M-text", "query-N-text", "query-t-text", "guard-points-text",
-        "guard-pairs-text", "guard-inflation-text", "guard-seed-text",
-        "cases-seed-text", "euler-envelope-epsilon-text",
-        "euler-envelope-u-bound-text", "euler-envelope-top-text",
-        "decrease-s-level-text", "decrease-rel-tol-text", "decrease-abs-tol-text",
-        "envelope-radii-one", "tables-radii-zero", "euler-envelope-top-zero",
-        "query-M-negative", "query-N-negative", "query-t-negative",
-        "guard-pairs-zero", "euler-envelope-u-bound-negative",
-        "decrease-rel-tol-negative", "decrease-abs-tol-negative",
-        "x0-nan", "x0-infinity", "constant-value-nan", "x0-true",
-        "constant-value-true", "euler-x0-nan"])
+    pytest.param(*_bad_config("euler", levels=0), id="euler-no-levels"),
+    pytest.param(*_bad_config("euler", horizon=0.1), id="euler-horizon-below-step"),
+    pytest.param(*_bad_config("weakiss", horizon=0.01),
+                 id="weakiss-horizon-below-step"),
+    pytest.param(*_bad_config("simulate", substeps=0), id="substeps-zero"),
+    pytest.param(*_bad_config("simulate", escape_radius=0.0), id="escape-radius-zero"),
+    pytest.param(*_bad_config("simulate", x0=[1.0, 0.5]), id="simulate-x0-length"),
+    pytest.param(*_bad_config("euler", x0=[1.0, 0.0]), id="euler-x0-length"),
+    pytest.param(*_bad_config("campaign", horizon=1e-6),
+                 id="campaign-horizon-below-step"),
+    pytest.param(*_bad_config("campaign", horizon=0.0, cases={"count": 0},
+                              adversarial_budget=2),
+                 id="adversarial-horizon-below-step"),
+    pytest.param(*_bad_config("campaign", adversarial_budget=-1),
+                 id="adversarial-budget-negative"),
+    pytest.param(*_bad_config("campaign", cases={"count": 3, "seed": 1, "step_fraction": 0.0}),
+                 id="step-fraction-zero"),
+    pytest.param(*_bad_config("campaign", cases={"count": 3, "seed": 1, "step_fraction": 1.0}),
+                 id="step-fraction-one"),
+    pytest.param(*_bad_config("simulate", disturbance={"kind": "constant", "value": [0.1]}),
+                 id="disturbance-length"),
+    pytest.param(*_bad_config("simulate", noise={"kind": "constant", "value": [0.1, 0.0]}),
+                 id="noise-length"),
+    pytest.param(*_bad_config("simulate", disturbance={"kind": "piecewise", "bound": -0.5}),
+                 id="piecewise-bound-negative"),
+    pytest.param(*_bad_config("euler", disturbance={"kind": "constant", "value": [0.1, 0.0]}),
+                 id="euler-disturbance-length"),
+    pytest.param(*_bad_config("euler", disturbance={"kind": "piecewise", "bound": -0.5}),
+                 id="euler-piecewise-bound-negative"),
+    pytest.param(*_bad_config("simulate", disturbance={"kind": "sine", "amplitude": "big"}),
+                 id="sine-amplitude-text"),
+    pytest.param(*_bad_config("simulate", disturbance={"kind": "sine", "frequency": "fast"}),
+                 id="sine-frequency-text"),
+    pytest.param(*_bad_config("simulate", disturbance={"kind": "sine", "phase": "x"}),
+                 id="sine-phase-text"),
+    pytest.param(*_bad_config("simulate", disturbance={"kind": "sine", "seed": "s"}),
+                 id="sine-seed-text"),
+    pytest.param(*_bad_config("simulate", disturbance={"kind": "piecewise", "bound": "b"}),
+                 id="piecewise-bound-text"),
+    pytest.param(*_bad_config("simulate", disturbance={"kind": "piecewise", "seed": "s"}),
+                 id="piecewise-seed-text"),
+    pytest.param(*_bad_config("simulate", disturbance={"kind": "piecewise", "seed": -1}),
+                 id="piecewise-seed-negative"),
+    pytest.param(*_bad_config("campaign", epsilon=0.0), id="campaign-epsilon-zero"),
+    pytest.param(*_bad_config("campaign", M=-1.0), id="campaign-M-negative"),
+    pytest.param(*_bad_config("campaign", N=-0.1), id="campaign-N-negative"),
+    pytest.param(*_bad_config("campaign", cases={"count": -1}),
+                 id="cases-count-negative"),
+    pytest.param(*_bad_config("euler", envelope={"epsilon": 0.0}),
+                 id="euler-envelope-epsilon-zero"),
+    pytest.param(*_bad_config("weakiss", epsilon=0.0), id="weakiss-epsilon-zero"),
+    pytest.param(*_bad_config("weakiss", i_max=0), id="weakiss-i-max-zero"),
+    pytest.param(*_bad_config("envelope", radius_max=-1.0),
+                 id="envelope-radius-max-negative"),
+    pytest.param(*_bad_config("envelope", overflow=0.0), id="envelope-overflow-zero"),
+    pytest.param(*_bad_config("euler", base_step="a"), id="euler-base-step-text"),
+    pytest.param(*_bad_config("euler", horizon="a"), id="euler-horizon-text"),
+    pytest.param(*_bad_config("euler", levels="a"), id="euler-levels-text"),
+    pytest.param(*_bad_config("euler", levels=2.5), id="euler-levels-fraction"),
+    pytest.param(*_bad_config("euler", error_exponent="a"),
+                 id="euler-error-exponent-text"),
+    pytest.param(*_bad_config("weakiss", safety=-1.0), id="weakiss-safety-negative"),
+    pytest.param(*_bad_config("weakiss", safety="a"), id="weakiss-safety-text"),
+    pytest.param(*_bad_config("weakiss", safety=0.0), id="weakiss-safety-zero"),
+    pytest.param(*_bad_config("weakiss", safety=1.5), id="weakiss-safety-above-one"),
+    pytest.param(*_bad_config("weakiss", M="a"), id="weakiss-M-text"),
+    pytest.param(*_bad_config("weakiss", N="a"), id="weakiss-N-text"),
+    pytest.param(*_bad_config("weakiss", x0_values=["a"]), id="weakiss-x0-text"),
+    pytest.param(*_bad_config("weakiss", x0_values=0.5), id="weakiss-x0-not-a-list"),
+    pytest.param(*_bad_config("campaign", epsilon=50.0),
+                 id="campaign-probe-region-empty"),
+    pytest.param(*_bad_config("campaign", M="a"), id="campaign-M-text"),
+    pytest.param(*_bad_config("campaign", N="a"), id="campaign-N-text"),
+    pytest.param(*_bad_config("weakiss", N=-1.0), id="weakiss-N-negative"),
+    pytest.param(*_bad_config("campaign", epsilon="a"), id="campaign-epsilon-text"),
+    pytest.param(*_bad_config("campaign", horizon="a"), id="campaign-horizon-text"),
+    pytest.param(*_bad_config("campaign", cases={"count": 3, "seed": 1, "step_fraction": "a"}),
+                 id="step-fraction-text"),
+    pytest.param(*_bad_config("campaign", tables={"radius_max": "a"}),
+                 id="tables-radius-max-text"),
+    pytest.param(*_bad_config("campaign", tables={"radius_max": 10.0, "grid_size": "a"}),
+                 id="tables-grid-size-text"),
+    pytest.param(*_bad_config("simulate", substeps="a"), id="substeps-text"),
+    pytest.param(*_bad_config("simulate", substeps=2.5), id="substeps-fraction"),
+    pytest.param(*_bad_config("simulate", partition={"kind": "uniform", "step": "a"}),
+                 id="partition-step-text"),
+    pytest.param(*_bad_config("simulate", partition={"kind": "jitter", "step": 0.05,
+                                                      "fraction": "a"}),
+                 id="jitter-fraction-text"),
+    pytest.param(*_bad_config("simulate", partition={"kind": "jitter", "step": 0.05,
+                                                      "fraction": 0.2, "seed": "s"}),
+                 id="jitter-seed-text"),
+    pytest.param(*_bad_config("simulate", horizon="a"), id="simulate-horizon-text"),
+    pytest.param(*_bad_config("envelope", radius_max="a"),
+                 id="envelope-radius-max-text"),
+    pytest.param(*_bad_config("envelope", grid_size="a"), id="envelope-grid-size-text"),
+    pytest.param(*_bad_config("weakiss", step="a"), id="weakiss-step-text"),
+    pytest.param(*_bad_config("weakiss", substeps="a"), id="weakiss-substeps-text"),
+    pytest.param(*_bad_config("weakiss", horizon="a"), id="weakiss-horizon-text"),
+    pytest.param(*_bad_config("weakiss", epsilon="a"), id="weakiss-epsilon-text"),
+    pytest.param(*_bad_config("simulate", escape_radius="a"), id="escape-radius-text"),
+    pytest.param(*_bad_config("simulate", escape_radius=math.nan),
+                 id="escape-radius-nan"),
+    pytest.param(*_bad_config("envelope", radii="a"), id="envelope-radii-text"),
+    pytest.param(*_bad_config("envelope", directions="a"),
+                 id="envelope-directions-text"),
+    pytest.param(*_bad_config("campaign", tables={"radius_max": 10.0, "radii": "a"}),
+                 id="tables-radii-text"),
+    pytest.param(*_bad_config("campaign", tables={"radius_max": 10.0, "directions": "a"}),
+                 id="tables-directions-text"),
+    pytest.param(*_bad_config("envelope", overflow="a"), id="envelope-overflow-text"),
+    pytest.param(*_bad_config("envelope", query={"M": "a", "N": 0.1}),
+                 id="query-M-text"),
+    pytest.param(*_bad_config("envelope", query={"M": 1.0, "N": "a"}),
+                 id="query-N-text"),
+    pytest.param(*_bad_config("envelope", query={"M": 1.0, "N": 0.1, "t": "a"}),
+                 id="query-t-text"),
+    pytest.param(*_bad_config("campaign", guard={"points": "a"}),
+                 id="guard-points-text"),
+    pytest.param(*_bad_config("campaign", guard={"pairs": "a"}), id="guard-pairs-text"),
+    pytest.param(*_bad_config("campaign", guard={"inflation": "a"}),
+                 id="guard-inflation-text"),
+    pytest.param(*_bad_config("campaign", guard={"seed": "a"}), id="guard-seed-text"),
+    pytest.param(*_bad_config("campaign", cases={"count": 3, "seed": "a"}),
+                 id="cases-seed-text"),
+    pytest.param(*_bad_config("euler", envelope={"epsilon": "a"}),
+                 id="euler-envelope-epsilon-text"),
+    pytest.param(*_bad_config("euler", envelope={"epsilon": 0.1, "u_bound": "a"}),
+                 id="euler-envelope-u-bound-text"),
+    pytest.param(*_bad_config("euler", envelope={"epsilon": 0.1, "top": "a"}),
+                 id="euler-envelope-top-text"),
+    pytest.param(*_bad_config("simulate", decrease={"s_level": "a"}),
+                 id="decrease-s-level-text"),
+    pytest.param(*_bad_config("simulate", decrease={"rel_tol": "a"}),
+                 id="decrease-rel-tol-text"),
+    pytest.param(*_bad_config("simulate", decrease={"abs_tol": "a"}),
+                 id="decrease-abs-tol-text"),
+    pytest.param(*_bad_config("envelope", radii=1), id="envelope-radii-one"),
+    pytest.param(*_bad_config("campaign", tables={"radius_max": 10.0, "radii": 0}),
+                 id="tables-radii-zero"),
+    pytest.param(*_bad_config("euler", envelope={"epsilon": 0.1, "top": 0.0}),
+                 id="euler-envelope-top-zero"),
+    pytest.param(*_bad_config("envelope", query={"M": -1.0, "N": 0.1}),
+                 id="query-M-negative"),
+    pytest.param(*_bad_config("envelope", query={"M": 1.0, "N": -0.5}),
+                 id="query-N-negative"),
+    pytest.param(*_bad_config("envelope", query={"M": 1.0, "N": 0.1, "t": -1.0}),
+                 id="query-t-negative"),
+    pytest.param(*_bad_config("campaign", guard={"pairs": 0}), id="guard-pairs-zero"),
+    pytest.param(*_bad_config("euler", envelope={"epsilon": 0.1, "u_bound": -1.0}),
+                 id="euler-envelope-u-bound-negative"),
+    pytest.param(*_bad_config("simulate", decrease={"rel_tol": -1.0}),
+                 id="decrease-rel-tol-negative"),
+    pytest.param(*_bad_config("simulate", decrease={"abs_tol": -1.0}),
+                 id="decrease-abs-tol-negative"),
+    pytest.param(*_counterexample_simulate(x0=[math.nan]), id="x0-nan"),
+    pytest.param(*_counterexample_simulate(x0=[math.inf]), id="x0-infinity"),
+    pytest.param(*_counterexample_simulate(disturbance={"kind": "constant",
+                                                        "value": [math.nan]}),
+                 id="constant-value-nan"),
+    pytest.param(*_counterexample_simulate(x0=[True]), id="x0-true"),
+    pytest.param(*_counterexample_simulate(disturbance={"kind": "constant", "value": [True]}),
+                 id="constant-value-true"),
+    pytest.param(*_bad_config("euler", x0=[math.nan]), id="euler-x0-nan"),
+    pytest.param(*_counterexample_simulate(x0=[10 ** 400]), id="x0-int-too-large"),
+    pytest.param(*_counterexample_simulate(partition={"kind": "uniform",
+                                                      "step": 10 ** 400}),
+                 id="partition-step-int-too-large"),
+    pytest.param(*_bad_config("simulate", loop=3), id="loop-number"),
+    pytest.param(*_bad_config("simulate", partition=3), id="partition-number"),
+    pytest.param(*_bad_config("simulate", disturbance=3), id="disturbance-number"),
+    pytest.param(*_bad_config("campaign", cases=3), id="cases-number"),
+    pytest.param(*_bad_config("simulate", decrease=None), id="decrease-null"),
+    pytest.param(*_bad_config("campaign", guard=None), id="guard-null"),
+    pytest.param(*_bad_config("campaign", tables=None), id="tables-null"),
+    pytest.param(*_bad_config("simulate", loop={"system": ["integrator"],
+                                                "feedback": "explicit"}),
+                 id="loop-system-list"),
+    pytest.param(*_bad_config("simulate", loop={"system": "integrator",
+                                                "clf": ["integrator_max"],
+                                                "feedback": "explicit"}),
+                 id="loop-clf-list"),
+    pytest.param(*_bad_config("simulate", loop={"system": "integrator",
+                                                "feedback": "explicit",
+                                                "monitor_domain": "no"}),
+                 id="monitor-domain-text"),
+    pytest.param(*_bad_config("campaign", cases={"count": 3, "seed": 1,
+                                                 "include_inadmissible": "yes"}),
+                 id="include-inadmissible-text"),
+    pytest.param(*_bad_config("euler", linear_test=1), id="linear-test-number"),
+    pytest.param(*_bad_config("simulate", schema=1.0), id="schema-fraction"),
+    pytest.param(*_bad_config("euler", base_step=1e300, horizon=1e301),
+                 id="euler-noise-overflow"),
+    pytest.param(*_bad_config("weakiss", M=1e308), id="weakiss-M-too-large"),
+])
 def test_rejected_config_values_exit_2(tmp_path, capsys, command, doc):
     cfg = write_config(tmp_path, "bad.json", doc)
     assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and "Traceback" not in err
     assert [p.name for p in tmp_path.iterdir()] == ["bad.json"]   # no artefact
+
+
+def test_overlong_integer_literal_exit_2(tmp_path, capsys):
+    # Python's int() refuses a literal of more than 4300 digits
+    path = tmp_path / "bad.json"
+    path.write_text('{"schema": 1, "x0": [' + "9" * 5000 + "]}")
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["simulate", "envelope", "campaign", "euler",
+                                     "weakiss"])
+def test_negative_seed_exit_2(tmp_path, capsys, command):
+    cfg = write_config(tmp_path, "cfg.json", _bad_config(command)[1])
+    assert main([command, "--config", cfg, "--out", str(tmp_path),
+                 "--seed", "-1"]) == 2
+    assert "--seed" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]   # no artefact
+
+
+def test_nulls_keep_their_meaning(tmp_path):
+    # a null disturbance or noise is the zero signal, a null or empty clf is
+    # no clf, and run.json records the config as given, defaults left out
+    plain = write_config(tmp_path, "plain.json", integrator_simulate_config())
+    assert main(["simulate", "--config", plain, "--out", str(tmp_path / "plain")]) == 0
+    want = (tmp_path / "plain" / "trajectory.csv").read_bytes()
+    for clf in (None, ""):
+        doc = dict(integrator_simulate_config(), disturbance=None, noise=None)
+        doc["loop"] = dict(doc["loop"], clf=clf)
+        out = tmp_path / f"clf-{clf}"
+        cfg = write_config(tmp_path, "nulls.json", doc)
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        assert (out / "trajectory.csv").read_bytes() == want
+        run = json.loads((out / "run.json").read_text())
+        assert run["config"] == doc and "decrease" not in run

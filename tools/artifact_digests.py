@@ -38,7 +38,9 @@ BENCHMARK_SEEDS = (0, 1)
 # crosses it. The Euler study's four levels step as one batch and escape
 # past radius 50 at the 6th, 12th, 8th and 16th (last) of the 16 substeps
 # of an interval. The integrator campaign is the benchmark's, shortened, with
-# adversarial trials, whose rows step in the cases' lockstep batch
+# adversarial trials, whose rows step in the cases' lockstep batch. The scalar
+# campaign and the envelope give only the fields they must, so every default
+# they read is pinned
 BUILTIN = [
     ("builtin/simulate_noisy_sample_exit", "simulate", {
         "schema": 1,
@@ -67,6 +69,15 @@ BUILTIN = [
         "guard": {"points": 2048, "pairs": 4000, "inflation": 1.25},
         "cases": {"count": 3, "seed": 5},
         "adversarial_budget": 3,
+    }),
+    ("builtin/campaign_defaults", "campaign", {
+        "schema": 1,
+        "loop": {"system": "scalar", "clf": "scalar_abs", "feedback": "combined"},
+        "M": 1.0, "N": 0.1, "epsilon": 0.1, "horizon": 0.5,
+        "cases": {"count": 2},
+    }),
+    ("builtin/envelope_defaults", "envelope", {
+        "schema": 1, "clf": "scalar_square", "radius_max": 5.0,
     }),
 ]
 
