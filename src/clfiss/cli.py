@@ -48,8 +48,8 @@ def _load_config(path) -> dict:
     try:
         with open(path) as fh:
             cfg = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}")
+    except OSError as exc:   # missing, a directory or unreadable
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}")
     except ValueError as exc:   # an integer literal longer than Python parses

@@ -24,15 +24,12 @@ from .sampler import sample_solve  # noqa: F401
 class RefinementSchedule:
     """Shrinking partitions with noise vanishing faster than the lower diameter.
 
-    inputs may be one shared disturbance or one per level; in the per-level
-    (generalized) case every level's sup bound must not exceed the reference
-    disturbance's bound.
+    Every level runs under the one disturbance inputs.
     """
 
     partitions: list
     errors: list
-    inputs: Signal | list
-    reference_input: Signal | None = None
+    inputs: Signal
 
     def __post_init__(self):
         if not self.partitions:
@@ -47,15 +44,6 @@ class RefinementSchedule:
         for a, b in zip(ratios, ratios[1:]):
             if b > a + 1e-12:
                 raise ValueError("noise-to-lower-diameter ratios must not increase")
-        if isinstance(self.inputs, list):
-            if len(self.inputs) != len(self.partitions):
-                raise ValueError("need one input per level")
-            ref = self.reference_input
-            if ref is None:
-                raise ValueError("per-level inputs require a reference input")
-            for k, sig in enumerate(self.inputs):
-                if sig.bound > ref.bound + 1e-12:
-                    raise ValueError(f"level {k} input bound exceeds the reference bound")
 
     @property
     def levels(self) -> int:
@@ -64,11 +52,6 @@ class RefinementSchedule:
     def noise_ratios(self) -> list:
         return [e.bound / lower_diameter(p)
                 for p, e in zip(self.partitions, self.errors)]
-
-    def input_at(self, r: int) -> Signal:
-        if isinstance(self.inputs, list):
-            return self.inputs[r]
-        return self.inputs
 
 
 def geometric_schedule(base_step: float, levels: int, horizon: float,
@@ -133,7 +116,7 @@ def euler_study(loop: ClosedLoop, schedule: RefinementSchedule, x0) -> EulerStud
     finest_states = None
     L = schedule.levels
     trajs = sample_solve_batch(loop, schedule.partitions, [x0] * L,
-                               [schedule.input_at(r) for r in range(L)],
+                               [schedule.inputs] * L,
                                schedule.errors)
     for r, (part, traj) in enumerate(zip(schedule.partitions, trajs)):
         row = {

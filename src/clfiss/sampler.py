@@ -127,6 +127,13 @@ def _hold(loop: ClosedLoop, x, t0, t1, held, u, out) -> None:
                                   u[:, k, 0], u[:, k, 1], u[:, k, 2])
 
 
+def _stops(block, radius: float):
+    """Per state of block (..., n): is it nonfinite, and does it stop a run?
+    A run's record ends before its first stop if nonfinite, else with it."""
+    bad = ~np.isfinite(block).all(axis=-1)
+    return bad, bad | (np.sqrt(rowdot(block, block)) > radius)
+
+
 def _left_at(margin, samples, dense, dense_t, sample_times, S: int) -> float:
     """The time a run first leaves its CLF estimate region, or nan.
 
@@ -273,11 +280,7 @@ def sample_solve_batch(loop: ClosedLoop, partitions, x0, u=None,
             x = states[:, -1]
             if np.abs(states).max() <= screen:   # false at nan
                 continue
-            # a row stops at its first nonfinite substep, at the substep's
-            # start, or at its first one past the escape radius, at the
-            # substep's end, with that state recorded
-            bad = ~np.isfinite(states).all(axis=2)
-            stop = bad | (np.sqrt(rowdot(states, states)) > loop.escape_radius)
+            bad, stop = _stops(states, loop.escape_radius)
             going = ~stop.any(axis=1)
             for r in np.flatnonzero(~going).tolist():
                 k = int(stop[r].argmax())
@@ -286,11 +289,10 @@ def sample_solve_batch(loop: ClosedLoop, partitions, x0, u=None,
                     tau = _stage_times(times[j, i], times[j, i + 1], S)[k, 0]
                     terminal[j] = Status(NUMERICAL_FAILURE, float(tau),
                                          "nonfinite state")
-                    count[j] = first + k
                 else:
                     terminal[j] = Status(BLOWUP, float(dense_t[j, first + k]),
                                          "escape radius reached")
-                    count[j] = first + k + 1
+                count[j] = first + k + (not bad[r, k])
                 done[j], held_n[j], seen[j] = i, i + 1, first + k
             if not going.all():
                 select(np.flatnonzero(going))
@@ -343,60 +345,48 @@ class GronwallReport:
     @property
     def worst_ratio(self) -> float:
         mask = self.bounds > 0
-        if not mask.any():
-            return 0.0
-        return float(np.max(self.observed[mask] / self.bounds[mask]))
+        return float(np.max(self.observed[mask] / self.bounds[mask], initial=0.0))
 
 
 def gronwall_gap(loop: ClosedLoop, partition: Partition, x0,
                  u: Signal | None = None, e: Signal | None = None,
                  L: float = 1.0, delta: float | None = None) -> GronwallReport:
-    """Per-interval gap between the run and its error-shifted companion.
+    """Per-interval gap between sample_solve's run and its companions.
 
-    Both trajectories share the held control computed from the noisy sample;
-    they differ only in the interval's initial state, which is offset by the
-    observation error. The reported bound is |e(t_i)| exp(L delta) with delta
-    defaulting to the upper diameter.
-    """
+    Companion i starts at the run's sample x_i plus the noise e(t_i), holds
+    the run's control over [t_i, t_{i+1}], and steps in one batch with the
+    others. The report ends at the first interval where either turns
+    nonfinite (that substep is left out of the gap) or escapes (it is kept);
+    it is empty for an x0 beyond the escape radius. The bound is
+    |e(t_i)| exp(L delta), delta defaulting to the upper diameter."""
     u = u if u is not None else zero_signal(loop.m)
     e = e if e is not None else zero_signal(loop.n)
-    if delta is None:
-        delta = upper_diameter(partition)
-    times = partition.times
-    # the noise at every sample time and the disturbance at every stage time
-    errs_all = signal_at(e, times[:-1])
-    u_all = signal_at(u, _stage_times(times[:-1], times[1:], loop.substeps))
-    x = as_vector(x0, loop.n).copy()
-    idx, errs, obs, bds = [], [], [], []
-    # the run and its companion after each substep, as two rows that hold
-    # the run's control
-    pair = np.empty((2, loop.substeps, loop.n))
+    delta = upper_diameter(partition) if delta is None else delta
+    S, n, R = loop.substeps, loop.n, loop.escape_radius
+    run = sample_solve(loop, partition, x0, u, e)
+    K = run.held_controls.shape[0]   # the intervals the run took
+    t = partition.times[:K + 1]
+    err = signal_at(e, t[:-1])
+    # the run and the companions at each interval's start and after each of
+    # its substeps, nan past the run's record
+    both = np.full((2, K, S + 1, n), np.nan)
+    both[:, :, 0] = run.dense_states[0:K * S:S]
+    both[1, :, 0] += err
+    both[0, :, 1:].flat[:run.dense_states.size - n] = run.dense_states[1:]
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(partition.intervals):
-            err = errs_all[i]
-            x_tilde = x + err
-            held = as_vector(loop.feedback.eval(x_tilde), loop.m)
-            gap = float(np.linalg.norm(x - x_tilde))
-            _hold(loop, np.stack([x, x_tilde]), float(times[i]),
-                  float(times[i + 1]), np.stack([held, held]),
-                  np.stack([u_all[i], u_all[i]]), pair)
-            ok = True
-            for xa, xb in zip(pair[0], pair[1]):
-                if not (np.all(np.isfinite(xa)) and np.all(np.isfinite(xb))):
-                    ok = False
-                    break
-                gap = max(gap, float(np.linalg.norm(xa - xb)))
-                if max(np.linalg.norm(xa), np.linalg.norm(xb)) > loop.escape_radius:
-                    ok = False
-                    break
-            idx.append(i)
-            errs.append(float(np.linalg.norm(err)))
-            obs.append(gap)
-            bds.append(float(np.linalg.norm(err)) * math.exp(L * delta))
-            if not ok:
-                break
-            x = pair[0, -1].copy()
-    return GronwallReport(np.array(idx), np.array(errs), np.array(obs), np.array(bds))
+        _hold(loop, both[1, :, 0], t[:-1, None], t[1:, None], run.held_controls,
+              signal_at(u, _stage_times(t[:-1], t[1:], S)), both[1, :, 1:])
+        bad, stop = (a.any(axis=0) for a in _stops(both[..., 1:, :], R))
+        d = both[0] - both[1]
+        gaps = np.sqrt(rowdot(d, d))
+    hit = np.flatnonzero(stop)
+    if hit.size:   # the substeps after the first stop do not count
+        K, k = divmod(int(hit[0]), S)
+        gaps[K, k + 1 + (not bad[K, k]):] = 0.0
+        K += 1
+    norms = np.sqrt(rowdot(err, err))[:K]
+    return GronwallReport(np.arange(K), norms, gaps[:K].max(axis=1),
+                          norms * math.exp(L * delta))
 
 
 @dataclass(frozen=True)

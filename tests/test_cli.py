@@ -721,6 +721,16 @@ def test_negative_seed_exit_2(tmp_path, capsys, command):
     assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]   # no artefact
 
 
+@pytest.mark.parametrize("command", ["simulate", "envelope", "campaign", "euler",
+                                     "weakiss"])
+def test_config_directory_exit_2(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    assert main([command, "--config", str(tmp_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "Traceback" not in err
+    assert not out.exists()   # no artefact
+
+
 def test_nulls_keep_their_meaning(tmp_path):
     # a null disturbance or noise is the zero signal, a null or empty clf is
     # no clf, and run.json records the config as given, defaults left out

@@ -31,15 +31,6 @@ class TestSchedule:
         with pytest.raises(ValueError):
             RefinementSchedule(parts, errs, zero_signal(1))
 
-    def test_generalized_inputs_bound_checked(self):
-        parts = [make_partition("uniform", 1.0, 0.2),
-                 make_partition("uniform", 1.0, 0.1)]
-        errs = [zero_signal(1), zero_signal(1)]
-        with pytest.raises(ValueError):
-            RefinementSchedule(parts, errs,
-                               [constant_signal([2.0]), constant_signal([0.5])],
-                               reference_input=constant_signal([1.0]))
-
     def test_geometric_schedule_shapes(self):
         s = geometric_schedule(0.2, 5, 1.0, dim_e=1)
         assert s.levels == 5
@@ -81,16 +72,6 @@ class TestEulerStudy:
         gap = np.max(np.abs(noisy.limit_states - clean.limit_states))
         assert gap < 1e-3
 
-    def test_generalized_constant_inputs_bit_exact(self):
-        loop = linear_loop()
-        base = geometric_schedule(0.2, 4, 1.0, dim_e=1)
-        u = zero_signal(1)
-        gen = RefinementSchedule(base.partitions, base.errors,
-                                 [u, u, u, u], reference_input=u)
-        a = euler_study(loop, base, [1.0])
-        b = euler_study(loop, gen, [1.0])
-        assert np.array_equal(a.limit_states, b.limit_states)
-
     def test_divergent_level_reported(self):
         sysc = counterexample_system()
         loop = nonlinear_loop(sysc, zero_feedback(1, 1))
@@ -111,7 +92,7 @@ def reference_study(loop, schedule, x0):
     prev = limit = limit_states = None
     divergent_level = divergent_time = None
     for r, part in enumerate(schedule.partitions):
-        traj = sample_solve(loop, part, x0, schedule.input_at(r),
+        traj = sample_solve(loop, part, x0, schedule.inputs,
                             schedule.errors[r])
         row = {"delta_bar": upper_diameter(part),
                "delta_lower": lower_diameter(part),
@@ -144,26 +125,12 @@ def same_bytes(a, b):
         and a.tobytes() == b.tobytes())
 
 
-def disturbed_linear_loop(substeps=4):
-    fb = Feedback(1, 1, lambda x: -np.asarray(x, float))
-    return ClosedLoop(1, 1, lambda x, p, u: p + u, fb, substeps)
-
-
-def per_level_input_schedule():
-    base = geometric_schedule(0.2, 5, 1.5, dim_e=1)
-    inputs = [constant_signal([0.5 * (-1.0) ** r * 2.0 ** -r])
-              for r in range(base.levels)]
-    return RefinementSchedule(base.partitions, base.errors, inputs,
-                              reference_input=constant_signal([0.5]))
-
-
 @pytest.mark.parametrize("loop, schedule, x0", [
     (linear_loop(), geometric_schedule(0.2, 6, 2.0, dim_e=1), [1.0]),
-    (disturbed_linear_loop(), per_level_input_schedule(), [1.0]),
     (nonlinear_loop(counterexample_system(), zero_feedback(1, 1)),
      geometric_schedule(0.05, 3, 1.0, dim_e=1,
                         input_signal=constant_signal([1.0])), [4.0]),
-], ids=["linear", "per-level-inputs", "divergent"])
+], ids=["linear", "divergent"])
 def test_batched_study_matches_per_level_runs(loop, schedule, x0):
     study = euler_study(loop, schedule, x0)
     (levels, verdict, divergent_level, divergent_time, limit, grid_times,
@@ -223,7 +190,7 @@ class TestCheckIssEuler:
         limit_margin = float(np.min(bound - limit_norms))
         for r in range(sched.levels):
             traj = sample_solve(loop, sched.partitions[r], [1.0],
-                                sched.input_at(r), sched.errors[r])
+                                sched.inputs, sched.errors[r])
             states = traj.state_at(grid)
             margin_r = float(np.min(bound - np.linalg.norm(states, axis=1)))
             dist = float(np.max(np.linalg.norm(states - study.limit_states,

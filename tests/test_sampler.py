@@ -342,6 +342,21 @@ def gronwall_runs():
         (ClosedLoop(1, 1, lambda x, p, u: x * x, drift, 4, math.inf),
          make_partition("uniform", 0.3, 0.01), [10.0],
          {"e": constant_signal([1e-3])}),
+        # the run reads its signals per BLOCK substeps on a jittered
+        # partition, the companions in one call
+        (affine_loop(integrator_system(), integrator_feedback(), substeps=4),
+         make_partition("jitter", 2.0, 0.01, 0.4, seed=5), [1.0, -0.5, 0.5],
+         {"u": sine_signal([1.0, -0.5], 0.05, 2.0),
+          "e": sine_signal([0.3, -0.2, 1.0], 1e-4, 3.0, 0.5)}),
+        # 2000 intervals of 16 substeps
+        (affine_loop(integrator_system(), integrator_feedback(), substeps=16),
+         make_partition("uniform", 2.0, 1e-3), [1.0, -0.5, 0.5],
+         {"e": constant_signal([1e-6, 0.0, 0.0])}),
+        # the companion of [0.4, 0.5] escapes, the run only in [0.5, 0.6]
+        (ClosedLoop(1, 1, lambda x, p, u: x, drift, 16,
+                    math.exp(0.5) * 1.0005),
+         make_partition("uniform", 1.0, 0.1), [1.0],
+         {"e": constant_signal([1e-3])}),
     ]
 
 
@@ -354,8 +369,23 @@ def test_gronwall_gap_matches_reference_loop(run):
     got = (rep.intervals, rep.error_norms, rep.observed, rep.bounds)
     for a, b in zip(got, ref):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
-    if run >= 5:   # the escaping and the overflowing run stop early
+    if run in (5, 6, 9):   # the escaping and the overflowing runs stop early
         assert rep.intervals.size < part.intervals
+    if run == 9:   # where the companion escapes, before the run does
+        held = sample_solve(loop, part, x0, e=kwargs["e"]).held_controls
+        assert rep.intervals.size == 5 < held.shape[0]
+
+
+def test_gronwall_gap_empty_beyond_escape_radius():
+    # the run records no interval, where the reference loop reports one
+    loop = ClosedLoop(1, 1, lambda x, p, u: x, zero_feedback(1, 1), 4, 1.0)
+    part = make_partition("uniform", 1.0, 0.1)
+    e = constant_signal([1e-3])
+    rep = gronwall_gap(loop, part, [2.0], e=e)
+    for a in (rep.intervals, rep.error_norms, rep.observed, rep.bounds):
+        assert a.shape == (0,)
+    assert rep.worst_ratio == 0.0
+    assert reference_gronwall_gap(loop, part, [2.0], e=e)[0].size == 1
 
 
 def reference_dense_states(loop, partition, x0, u, e):
