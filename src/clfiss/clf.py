@@ -1,24 +1,20 @@
 """Nonsmooth control Lyapunov functions and the comparison-function machinery.
 
-A Clf packages the value function, a subgradient selection, the admissible
-control-magnitude bound, and the region where its one-sided quadratic upper
-estimates hold. AlphaTables tabulate the inner/outer level-set radii that feed
-the ISS envelope.
+A Clf packages the value function, a subgradient selection and the admissible
+control-magnitude bound. AlphaTables tabulate the inner/outer level-set radii
+that feed the ISS envelope.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .core import Vector, direction_set, rowwise
-
-
-def _always(x) -> np.ndarray:
-    return np.ones(np.shape(x)[:-1], dtype=bool)
+from .core import Vector, bisect, direction_set, rowwise
 
 
 @dataclass(frozen=True, eq=False)
@@ -27,27 +23,25 @@ class Clf:
 
     subgrad must be a selection of the limiting subdifferential with
     subgrad(0) = 0. control_bound(s) bounds the norm of admissible controls at
-    states of norm s. domain marks where the semiconcavity estimates hold.
-    V also weights the signed damping term of the synthesized feedback.
+    states of norm s. V also weights the signed damping term of the
+    synthesized feedback.
 
-    V, subgrad and domain are row-wise: a state array of shape (..., n) maps
-    to values of shape (...), subgradients of shape (..., n) and domain flags
-    of shape (...), each row as it would map alone. A single state of shape
-    (n,) is a batch with no leading axes. control_bound is element-wise: state
-    norms of shape (...) map to bounds of shape (...). The level-set tables,
-    the rate guard, the synthesized feedback and the weak-ISS certificate call
-    them on whole batches.
+    V and subgrad are row-wise: a state array of shape (..., n) maps to
+    values of shape (...) and subgradients of shape (..., n), each row as it
+    would map alone. A single state of shape (n,) is a batch with no leading
+    axes. control_bound is element-wise: state norms of shape (...) map to
+    bounds of shape (...). The level-set tables, the rate guard, the
+    synthesized feedback and the weak-ISS certificate call them on whole
+    batches.
     """
 
     dim: int
     V: Callable[[Vector], np.ndarray]
     subgrad: Callable[[Vector], Vector]
     control_bound: Callable[[np.ndarray], np.ndarray]
-    domain: Callable[[Vector], np.ndarray] = _always
 
 
-def _pl_inverse(levels: np.ndarray, values: np.ndarray, y: float,
-                iters: int = 64) -> float:
+def _pl_inverse(levels: np.ndarray, values: np.ndarray, y: float) -> float:
     """Infimum of the preimage of [y, inf) under the piecewise-linear table.
 
     Saturates at the grid ends for out-of-range queries.
@@ -56,14 +50,9 @@ def _pl_inverse(levels: np.ndarray, values: np.ndarray, y: float,
         return float(levels[0])
     if y >= values[-1]:
         return float(levels[-1])
-    lo, hi = float(levels[0]), float(levels[-1])
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if np.interp(mid, levels, values) >= y:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    # hi keeps interp(hi) >= y, which keeps beta conservative
+    return bisect(lambda mid: not np.interp(mid, levels, values) >= y,
+                  float(levels[0]), float(levels[-1]), 64)[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,8 +89,11 @@ class AlphaTables:
         object.__setattr__(self, "upper", up)
 
     @classmethod
-    def identity(cls, top: float, size: int = 129) -> "AlphaTables":
-        g = np.linspace(0.0, top, size)
+    def identity(cls, top: float) -> "AlphaTables":
+        if not (math.isfinite(top) and top > 0.0):
+            raise ValueError(f"the identity tables need a finite positive top, "
+                             f"got {top:g}")
+        g = np.linspace(0.0, top, 129)
         return cls(g, g.copy(), g.copy(), 1e-12, top)
 
     def lower_at(self, s):

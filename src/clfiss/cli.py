@@ -275,29 +275,7 @@ def _out_path(out_dir: str, name: str) -> str:
     return os.path.join(out_dir, name)
 
 
-def parse_partition_flag(text: str) -> dict:
-    """uniform:STEP or jitter:STEP:FRAC:SEED into a partition config block."""
-    parts = text.split(":")
-    try:
-        if parts[0] == "uniform" and len(parts) == 2:
-            return {"kind": "uniform", "step": float(parts[1])}
-        if parts[0] == "jitter" and len(parts) == 4:
-            return {"kind": "jitter", "step": float(parts[1]),
-                    "fraction": float(parts[2]), "seed": int(parts[3])}
-    except ValueError:
-        pass
-    raise ConfigError(f"--partition: cannot parse {text!r}")
-
-
-def cmd_simulate(cfg: dict, out_dir: str, seed: int, overrides=None) -> int:
-    overrides = overrides or {}
-    if overrides.get("horizon") is not None:
-        cfg["horizon"] = overrides["horizon"]
-    if overrides.get("partition") is not None:
-        cfg["partition"] = parse_partition_flag(overrides["partition"])
-    for key in ("substeps", "escape_radius"):
-        if overrides.get(key) is not None and isinstance(cfg.setdefault("loop", {}), dict):
-            cfg["loop"][key] = overrides[key]
+def cmd_simulate(cfg: dict, out_dir: str, seed: int) -> int:
     c = _read("simulate", cfg, SIMULATE)
     loop, system, clf = _build_loop(c["loop"], "simulate.loop")
     p = c["partition"]
@@ -481,23 +459,11 @@ def main(argv=None) -> int:
         p.add_argument("--config", required=True, help="path to a JSON config")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--seed", type=int, default=0, help="base RNG seed")
-        if name == "simulate":
-            p.add_argument("--partition", default=None,
-                           help="uniform:STEP | jitter:STEP:FRAC:SEED")
-            p.add_argument("--horizon", type=float, default=None)
-            p.add_argument("--substeps", type=int, default=None)
-            p.add_argument("--escape-radius", type=float, default=None,
-                           dest="escape_radius")
     args = parser.parse_args(argv)
     try:
         if args.seed < 0:
             raise ConfigError(f"--seed must be a nonnegative integer, got {args.seed}")
         cfg = _load_config(args.config)
-        if args.command == "simulate":
-            overrides = {"partition": args.partition, "horizon": args.horizon,
-                         "substeps": args.substeps,
-                         "escape_radius": args.escape_radius}
-            return cmd_simulate(cfg, args.out, args.seed, overrides)
         return COMMANDS[args.command](cfg, args.out, args.seed)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

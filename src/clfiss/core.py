@@ -51,6 +51,18 @@ def rowdot(a, b) -> np.ndarray:
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
+def bisect(ok, lo: float, hi: float, iters: int) -> tuple:
+    """(lo, hi) after iters halvings of [lo, hi]: the midpoint becomes lo
+    where ok(midpoint) holds, else hi."""
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        if ok(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
 def unit_rows(rng, count: int, dim: int) -> np.ndarray:
     """count random unit vectors of R^dim, one per row (normalised normal draws)."""
     d = rng.normal(size=(count, dim))

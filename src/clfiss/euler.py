@@ -57,11 +57,11 @@ class RefinementSchedule:
 def geometric_schedule(base_step: float, levels: int, horizon: float,
                        input_signal: Signal | None = None, dim_e: int = 1,
                        error_exponent: float | None = 2.0,
-                       seed: int = 0, dim_u: int = 1) -> RefinementSchedule:
+                       seed: int = 0) -> RefinementSchedule:
     """Uniform partitions with steps base_step * 2^-r and noise sup = step^exponent.
 
-    error_exponent None produces noise-free levels. dim_u sizes the default
-    zero disturbance when no input signal is given.
+    error_exponent None produces noise-free levels. Without an input signal
+    the disturbance is the one-input zero signal.
     """
     d = np.random.default_rng(seed).normal(size=dim_e)
     d = d / np.linalg.norm(d)
@@ -71,7 +71,7 @@ def geometric_schedule(base_step: float, levels: int, horizon: float,
         parts.append(make_partition("uniform", horizon, step))
         mag = 0.0 if error_exponent is None else step ** error_exponent
         errs.append(constant_signal(mag * d) if mag > 0 else zero_signal(d.size))
-    u = input_signal if input_signal is not None else zero_signal(dim_u)
+    u = input_signal if input_signal is not None else zero_signal(1)
     return RefinementSchedule(parts, errs, u)
 
 

@@ -18,7 +18,7 @@ from .clf import AlphaTables, Clf
 from .core import (BLOWUP, COMPLETED, DEFAULT_ESCAPE_RADIUS, LEFT_DOMAIN,
                    NUMERICAL_FAILURE, ControlAffineSystem, FullyNonlinearSystem,
                    Partition, Signal, Status, Trajectory, Vector, as_vector,
-                   lower_diameter, rowdot, rowwise, signal_at, unit_rows,
+                   bisect, lower_diameter, rowdot, rowwise, signal_at, unit_rows,
                    upper_diameter, zero_signal)
 from .feedback import Feedback
 
@@ -553,19 +553,12 @@ def estimate_rate_guard(loop: ClosedLoop, clf: Clf, tables: AlphaTables,
         return bool(np.all(tables.upper_at(grid + L_eps * et / 4.0)
                            <= base + epsilon / 8.0 + 1e-15))
 
-    lo_e, hi_e = 0.0, epsilon
     if not margin_ok(epsilon * 1e-9):
         raise ValueError("tables too coarse to certify any overflow margin")
     if margin_ok(epsilon):
         eps_tilde = epsilon
     else:
-        for _ in range(60):
-            mid = 0.5 * (lo_e + hi_e)
-            if margin_ok(mid):
-                lo_e = mid
-            else:
-                hi_e = mid
-        eps_tilde = lo_e
+        eps_tilde = bisect(margin_ok, 0.0, epsilon, 60)[0]
     eps_tilde *= 0.99
 
     delta = 0.999 * eps_tilde / (16.0 + 17.0 * lam_plus)

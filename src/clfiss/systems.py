@@ -13,13 +13,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .clf import Clf
 from .core import (ControlAffineSystem, FullyNonlinearSystem, as_vector,
-                   direction_set, rowdot, rowwise)
+                   bisect, direction_set, rowdot, rowwise)
 from .feedback import Feedback, _k1
 from .sampler import ClosedLoop
 
@@ -76,8 +75,8 @@ def integrator_system() -> ControlAffineSystem:
 def integrator_max_clf() -> Clf:
     """Max-form CLF max(r, |x3| - r) with its casewise subgradient selection.
 
-    Semiconcave away from the cone x3^2 = 4 r^2, so the estimate region
-    excludes that cone; runs that cross it are flagged by the sampler.
+    Semiconcave away from the cone x3^2 = 4 r^2, where cone_margin is zero;
+    a loop that monitors cone_margin flags the runs that cross it.
     """
 
     def V(x):
@@ -97,10 +96,7 @@ def integrator_max_clf() -> Clf:
                             s3], axis=-1)
         return np.where((r == 0.0)[..., None], on_axis, off_axis)
 
-    def domain(x):
-        return cone_margin(x) != 0.0
-
-    return Clf(3, V, subgrad, lambda s: s, domain)
+    return Clf(3, V, subgrad, lambda s: s)
 
 
 def _sign(v: float) -> float:
@@ -196,8 +192,7 @@ def integrator_squared_clf() -> Clf:
                       [np.zeros(x.shape), on_axis, on_plane], elsewhere)
         return np.ldexp(z, -k)
 
-    return Clf(3, V, subgrad, lambda s: np.maximum(s, 1.0),
-               lambda x: np.any(x, axis=-1))
+    return Clf(3, V, subgrad, lambda s: np.maximum(s, 1.0))
 
 
 def integrator_feedback_crosscheck(count: int = 10000, seed: int = 0) -> dict:
@@ -347,8 +342,6 @@ class WeakIssCertificate:
     the tabulated input-to-radius threshold used in the envelope.
     """
 
-    k1: Feedback
-    decay_margin: Callable[[float, float], float]
     r_seq: np.ndarray
     r_prime_seq: np.ndarray
     i_max: int
@@ -445,13 +438,7 @@ def _band_radius(margin_fn, lo: float, hi: float) -> float:
     if hi_b >= cap:
         return cap
     lo_b = hi_b / 2.0 if hi_b > 1.0 else tiny
-    for _ in range(40):
-        mid = 0.5 * (lo_b + hi_b)
-        if worst(mid) < 0.0:
-            lo_b = mid
-        else:
-            hi_b = mid
-    return lo_b
+    return bisect(lambda b: worst(b) < 0.0, lo_b, hi_b, 40)[0]
 
 
 def build_weak_iss_certificate(sys: FullyNonlinearSystem, clf: Clf,
@@ -491,7 +478,7 @@ def build_weak_iss_certificate(sys: FullyNonlinearSystem, clf: Clf,
         rp_seq[i] = min(raw_rp[i], r_seq[i] * shrink)
         prev = rp_seq[i]
 
-    cert = WeakIssCertificate(k1, margin, r_seq, rp_seq, i_max,
+    cert = WeakIssCertificate(r_seq, rp_seq, i_max,
                               np.array([0.0, 1.0]), np.array([0.0, 1.0]))
 
     # tabulate alpha4 against the installed gain: per input level, the last
@@ -507,7 +494,7 @@ def build_weak_iss_certificate(sys: FullyNonlinearSystem, clf: Clf,
     a4 = np.maximum.accumulate(a4)
     a4 = np.maximum(a4, n_grid)
 
-    return WeakIssCertificate(k1, margin, r_seq, rp_seq, i_max, n_grid, a4)
+    return WeakIssCertificate(r_seq, rp_seq, i_max, n_grid, a4)
 
 
 def weak_iss_loop(sys: FullyNonlinearSystem, k1: Feedback,

@@ -93,7 +93,7 @@ class TestAlphaTables:
             assert build_envelope(t, 0.1).beta(s, 0.0) >= s
 
     def test_csv_round_trip(self, tmp_path):
-        t = AlphaTables.identity(5.0, 33)
+        t = AlphaTables.identity(5.0)
         path = tmp_path / "tables.csv"
         t.to_csv(path)
         with open(path, newline="") as fh:

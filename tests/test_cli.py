@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -211,39 +212,44 @@ class TestWeakIssCmd:
         assert rep["failed"] == 0
 
 
-class TestFlagOverrides:
-    def test_partition_flag_and_decrease_block(self, tmp_path):
+class TestSimulateConfig:
+    def test_partition_and_decrease_block(self, tmp_path):
         doc = {
             "schema": 1,
             "loop": {"system": "scalar", "clf": "scalar_abs",
-                     "feedback": "combined", "substeps": 2},
-            "horizon": 1.0,
+                     "feedback": "combined", "substeps": 4, "escape_radius": 1e6},
+            "partition": {"kind": "uniform", "step": 0.05},
+            "horizon": 2.0,
             "x0": [1.0],
         }
         cfg = write_config(tmp_path, "sim.json", doc)
-        code = main(["simulate", "--config", cfg, "--out", str(tmp_path),
-                     "--partition", "uniform:0.05", "--substeps", "4",
-                     "--escape-radius", "1e6", "--horizon", "2.0"])
-        assert code == 0
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 0
         run = json.loads((tmp_path / "run.json").read_text())
         assert run["final_time"] == pytest.approx(2.0)
+        assert run["config"] == doc
         dec = run["decrease"]
         assert dec["violations"] == []
         assert dec["checked"] > 0
 
-    def test_jitter_flag(self, tmp_path):
+    def test_jitter_partition(self, tmp_path):
         doc = {"schema": 1,
                "loop": {"system": "integrator", "feedback": "explicit"},
+               "partition": {"kind": "jitter", "step": 0.05, "fraction": 0.4,
+                             "seed": 3},
                "horizon": 0.5, "x0": [0.5, 0.0, 0.2]}
         cfg = write_config(tmp_path, "sim.json", doc)
-        assert main(["simulate", "--config", cfg, "--out", str(tmp_path),
-                     "--partition", "jitter:0.05:0.4:3"]) == 0
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 0
 
-    def test_bad_partition_flag(self, tmp_path):
-        doc = integrator_simulate_config()
-        cfg = write_config(tmp_path, "sim.json", doc)
-        assert main(["simulate", "--config", cfg, "--out", str(tmp_path),
-                     "--partition", "weird:1:2"]) == 2
+    @pytest.mark.parametrize("flag, value", [
+        ("--partition", "uniform:0.05"), ("--horizon", "2.0"),
+        ("--substeps", "4"), ("--escape-radius", "1e6")])
+    def test_override_flags_are_gone(self, tmp_path, flag, value):
+        # the config file is simulate's only input besides --out and --seed
+        cfg = write_config(tmp_path, "sim.json", integrator_simulate_config())
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--config", cfg, "--out", str(tmp_path), flag, value])
+        assert exc.value.code == 2
+        assert [p.name for p in tmp_path.iterdir()] == ["sim.json"]
 
 
 class TestCampaignFailureExit:
@@ -457,7 +463,7 @@ def test_start_beyond_escape_radius(tmp_path):
 
 
 def test_infinite_escape_radius_is_accepted(tmp_path):
-    # JSON Infinity (or --escape-radius inf) turns the escape check off
+    # JSON Infinity turns the escape check off
     command, doc = _bad_config("simulate", escape_radius=math.inf)
     cfg = write_config(tmp_path, "sim.json", doc)
     assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 0
@@ -669,6 +675,8 @@ def _counterexample_simulate(**changes):
                  id="partition-step-int-too-large"),
     pytest.param(*_bad_config("simulate", loop=3), id="loop-number"),
     pytest.param(*_bad_config("simulate", partition=3), id="partition-number"),
+    pytest.param(*_bad_config("simulate", partition={"kind": "weird", "step": 0.05}),
+                 id="partition-kind-unknown"),
     pytest.param(*_bad_config("simulate", disturbance=3), id="disturbance-number"),
     pytest.param(*_bad_config("campaign", cases=3), id="cases-number"),
     pytest.param(*_bad_config("simulate", decrease=None), id="decrease-null"),
@@ -692,11 +700,14 @@ def _counterexample_simulate(**changes):
     pytest.param(*_bad_config("simulate", schema=1.0), id="schema-fraction"),
     pytest.param(*_bad_config("euler", base_step=1e300, horizon=1e301),
                  id="euler-noise-overflow"),
+    # its identity tables' top, 4 M + 8, is infinite
     pytest.param(*_bad_config("weakiss", M=1e308), id="weakiss-M-too-large"),
 ])
 def test_rejected_config_values_exit_2(tmp_path, capsys, command, doc):
     cfg = write_config(tmp_path, "bad.json", doc)
-    assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")   # rejected before any numpy warning
+        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and "Traceback" not in err
     assert [p.name for p in tmp_path.iterdir()] == ["bad.json"]   # no artefact

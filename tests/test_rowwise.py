@@ -90,7 +90,7 @@ class TestProtocol:
         for clf in (integrator_max_clf(), integrator_squared_clf()):
             assert_rowwise(clf.V, pts)
             assert_rowwise(clf.subgrad, pts)
-            assert_rowwise(clf.domain, pts)
+        assert_rowwise(cone_margin, pts)
         assert_rowwise(sys3.f, pts)
         assert_rowwise(sys3.G, pts)
 
@@ -101,7 +101,6 @@ class TestProtocol:
         for clf in (scalar_abs_clf(), scalar_square_clf()):
             assert_rowwise(clf.V, pts)
             assert_rowwise(clf.subgrad, pts)
-            assert_rowwise(clf.domain, pts)
         assert_rowwise(sys1.f, pts)
         assert_rowwise(sys1.G, pts)
 
@@ -553,7 +552,7 @@ class TestReferences:
         a4 = np.maximum(np.maximum.accumulate(a4), np.linspace(0.0, 2.0, 41))
         assert np.array_equal(cert.alpha4_values, a4)
         # the certificate's margin still answers scalar queries
-        assert cert.decay_margin(1.5, 0.2) == margin(1.5, 0.2)
+        assert estimate_decay_margin(sysc, clf, k1.eval, 1.5, 0.2, 64, 0) == margin(1.5, 0.2)
 
     def test_decay_margin_broadcasts(self):
         # a nonzero k1 makes the two disturbance directions differ
@@ -593,8 +592,8 @@ def test_gain_rowwise_matches_scalar():
     # beyond i_max + 1, with levels below 1 and levels clipped to 1
     for i_max, top in ((1, 3.0), (2, 0.9), (4, 2.5), (6, 8.0)):
         r_seq = top * 0.7 ** np.arange(i_max)
-        cert = WeakIssCertificate(zero_feedback(1, 1), None, r_seq, 0.9 * r_seq,
-                                  i_max, np.array([0.0, 1.0]), np.array([0.0, 1.0]))
+        cert = WeakIssCertificate(r_seq, 0.9 * r_seq, i_max, np.array([0.0, 1.0]),
+                                  np.array([0.0, 1.0]))
         edges = np.array([e for band in _band_edges(i_max) for e in band], dtype=float)
         s = np.concatenate([np.linspace(0.0, 1.0, 65), np.arange(0.0, i_max + 4.0),
                             np.nextafter(edges, 0.0), np.nextafter(edges, np.inf),

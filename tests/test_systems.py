@@ -76,10 +76,8 @@ class TestMaxClf:
         assert np.allclose(k2v, -v * np.sign(b), rtol=1e-15, atol=0.0)
 
     def test_domain_excludes_cone(self):
-        clf = integrator_max_clf()
-        assert not clf.domain([1.0, 0.0, 2.0])   # on the cone
-        assert clf.domain([1.0, 0.0, 0.5])
-        assert cone_margin([1.0, 0.0, 2.0]) == 0.0
+        assert cone_margin([1.0, 0.0, 2.0]) == 0.0   # on the cone
+        assert cone_margin([1.0, 0.0, 0.5]) < 0.0   # equatorial
 
 
 class TestExplicitFeedback:
@@ -230,7 +228,7 @@ class TestWeakIssCertificate:
         assert all(x > y > 0 for x, y in zip(seq, seq[1:]))
 
     def test_bands_negative_and_decay(self, certificate):
-        sysc, clf, _, cert = certificate
+        sysc, clf, k1, cert = certificate
         rng = np.random.default_rng(3)
         # the decay margin is negative inside each band's disturbance radius
         worst = -np.inf
@@ -238,7 +236,8 @@ class TestWeakIssCertificate:
             for _ in range(12):
                 s = rng.uniform(band["lo"], band["hi"])
                 b = rng.uniform(0.0, band["radius"])
-                worst = max(worst, cert.decay_margin(float(s), float(b)))
+                worst = max(worst, estimate_decay_margin(sysc, clf, k1.eval, float(s),
+                                                         float(b), 64, 0))
         assert worst < 0.0
         # past alpha4(|u|) the decay inequality holds under the gain g(|x|)
         for _ in range(150):
@@ -251,7 +250,7 @@ class TestWeakIssCertificate:
             x = s * d / np.linalg.norm(d)
             du = rng.normal(size=sysc.m)
             du *= nv / max(np.linalg.norm(du), 1e-30)
-            u = cert.k1.eval(x) + cert.g(float(np.linalg.norm(x))) * du
+            u = k1.eval(x) + cert.g(float(np.linalg.norm(x))) * du
             assert clf.subgrad(x) @ sysc.f(x, u) <= -0.5 * clf.V(x) + 1e-9
 
     def test_alpha4_at_least_identity(self, certificate):
@@ -303,7 +302,6 @@ def test_cone_margin_agrees_at_tiny_states(x):
     clf = integrator_max_clf()
     assert np.array_equal(integrator_k1_k2(x)[0], -np.array(x[:2]))   # equatorial
     assert cone_margin(x) < 0.0
-    assert clf.domain(x)
     assert clf.subgrad(np.array(x))[2] == 0.0   # the equatorial selection
 
 
