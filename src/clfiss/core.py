@@ -51,15 +51,21 @@ def rowdot(a, b) -> np.ndarray:
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
-def bisect(ok, lo: float, hi: float, iters: int) -> tuple:
+def bisect(ok, lo, hi, iters: int) -> tuple:
     """(lo, hi) after iters halvings of [lo, hi]: the midpoint becomes lo
-    where ok(midpoint) holds, else hi."""
+    where ok(midpoint) holds, else hi.
+
+    With array bounds, ok maps the array of midpoints to a boolean array and
+    every entry halves its own interval, by the same float operations as a
+    scalar bisection of that entry alone."""
+    scalar = np.ndim(lo) == 0 and np.ndim(hi) == 0
     for _ in range(iters):
         mid = 0.5 * (lo + hi)
-        if ok(mid):
-            lo = mid
+        good = ok(mid)
+        if scalar:
+            lo, hi = (mid, hi) if good else (lo, mid)
         else:
-            hi = mid
+            lo, hi = np.where(good, mid, lo), np.where(good, hi, mid)
     return lo, hi
 
 

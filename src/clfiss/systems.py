@@ -304,31 +304,51 @@ class BandInfeasible(RuntimeError):
         super().__init__(f"no positive disturbance radius keeps decay negative on band {band}")
 
 
-def estimate_decay_margin(sys: FullyNonlinearSystem, clf: Clf, k1_eval,
-                          s, r, probes: int = 64, seed: int = 0):
-    """Worst decay margin sup <subgrad(x), f(x, k1(x) + p)> + V(x)/2 over
+def decay_margin_on(sys: FullyNonlinearSystem, clf: Clf, k1_eval, s,
+                    probes: int = 64, seed: int = 0):
+    """r -> worst decay margin sup <subgrad(x), f(x, k1(x) + p)> + V(x)/2 over
     |x| = s, |p| = r, by Monte Carlo plus axis extremes.
 
-    s and r broadcast against each other and the result takes their broadcast
-    shape; two scalars give a float. The state points, and k1 on them, are
-    evaluated once per entry of s, however many disturbance radii share it.
+    The state-only terms (the direction sets, the state points x and k1,
+    subgrad and V/2 on them) are evaluated here, once for the grid s; each
+    call of the returned function then evaluates f alone. Its r broadcasts
+    against s and the margin takes their broadcast shape; two scalars give a
+    float.
     """
     s = np.asarray(s, dtype=float)
-    r = np.asarray(r, dtype=float)
-    if np.any(s < 0) or np.any(r < 0):
+    if np.any(s < 0):
         raise ValueError("radii must be nonnegative")
     rng = np.random.default_rng(seed)
     pds = direction_set(rng, probes, sys.m)
     x = s[..., None, None] * direction_set(rng, probes, sys.n)
     base = rowwise(k1_eval(x), x, (sys.m,))[..., None, :]
-    # axes: (*broadcast(s, r), state direction, disturbance direction, coordinate)
-    u = base + r[..., None, None, None] * pds
-    xs = np.broadcast_to(x[..., None, :], u.shape[:-1] + (sys.n,))
     z = rowwise(clf.subgrad(x), x, (sys.n,))[..., None, :]
     v_half = 0.5 * rowwise(clf.V(x), x)[..., None]
-    val = rowdot(z, rowwise(sys.f(xs, u), xs, (sys.n,))) + v_half
-    worst = np.fmax.reduce(val, axis=(-2, -1))   # skips NaN, as max() did
-    return float(worst) if worst.ndim == 0 else worst
+
+    def margin(r):
+        r = np.asarray(r, dtype=float)
+        if np.any(r < 0):
+            raise ValueError("radii must be nonnegative")
+        # axes: (*broadcast(s, r), state direction, disturbance direction, coordinate)
+        u = base + r[..., None, None, None] * pds
+        xs = np.broadcast_to(x[..., None, :], u.shape[:-1] + (sys.n,))
+        val = rowdot(z, rowwise(sys.f(xs, u), xs, (sys.n,))) + v_half
+        worst = np.fmax.reduce(val, axis=(-2, -1))   # skips NaN, as max() did
+        return float(worst) if worst.ndim == 0 else worst
+
+    return margin
+
+
+def estimate_decay_margin(sys: FullyNonlinearSystem, clf: Clf, k1_eval,
+                          s, r, probes: int = 64, seed: int = 0):
+    """decay_margin_on(sys, clf, k1_eval, s, probes, seed)(r): the worst decay
+    margin over |x| = s, |p| = r, in the broadcast shape of s and r.
+
+    A query that reuses its s should build decay_margin_on once: the weak-ISS
+    band search builds it once on the (bands, 17, 1) grid of every band and
+    then steps all the bands' bisections in lockstep, one call of the margin
+    per step, and the alpha4 scan is one call of this function."""
+    return decay_margin_on(sys, clf, k1_eval, s, probes, seed)(r)
 
 
 @dataclass(frozen=True, eq=False)
@@ -390,9 +410,8 @@ class WeakIssCertificate:
         """Tabulated threshold radius, at least the identity, nondecreasing."""
         if s <= 0.0:
             return 0.0
+        # beyond the grid np.interp returns the last tabulated value
         v = float(np.interp(s, self.alpha4_grid, self.alpha4_values))
-        if s > self.alpha4_grid[-1]:
-            v = float(self.alpha4_values[-1])
         return max(v, float(s))
 
     def bands(self) -> list:
@@ -420,25 +439,38 @@ def _band_edges(i_max: int) -> list:
             + [(1.0 / (i + 1), 1.0 / i) for i in range(1, i_max + 1)])
 
 
-def _band_radius(margin_fn, lo: float, hi: float) -> float:
-    """Largest b with negative decay margin for every s in the band and every
-    disturbance magnitude up to b (scanned on sub-grids, bisected on b)."""
-    s_grid = np.linspace(lo, hi, 17)[:, None]
-    fracs = np.linspace(0.0, 1.0, 9)
+def _band_radii(margin_on, edges: list) -> np.ndarray:
+    """Per band (lo, hi) of edges, the largest b with negative decay margin for
+    every s in the band and every disturbance magnitude up to b (scanned on
+    sub-grids, bisected on b). margin_on(s) builds the margin r -> margin on
+    the state-norm grid s.
 
-    def worst(b):
-        return float(np.fmax.reduce(margin_fn(s_grid, b * fracs), axis=None))
+    The bands step in lockstep, one margin evaluation on a (bands, 17, 9)
+    grid per step, and each band sees the b values it would see alone: tiny,
+    then 1, 2, 4, ... up to the first one whose margin is not negative or the
+    cap, then 40 halvings. A band that hits the cap only repeats the cap.
+    Raises BandInfeasible for the first band, in band order, whose margin is
+    not negative at tiny b (a nan margin included).
+    """
+    s_grid = np.array([np.linspace(lo, hi, 17) for lo, hi in edges])[:, :, None]
+    fracs = np.linspace(0.0, 1.0, 9)
+    margin = margin_on(s_grid)
+
+    def negative(b):
+        worst = np.fmax.reduce(margin(b[:, None, None] * fracs), axis=(1, 2))
+        return worst < 0.0
 
     tiny, cap = 1e-9, 64.0
-    if worst(tiny) >= 0.0:
-        return 0.0
-    hi_b = 1.0
-    while worst(hi_b) < 0.0 and hi_b < cap:
-        hi_b *= 2.0
-    if hi_b >= cap:
-        return cap
-    lo_b = hi_b / 2.0 if hi_b > 1.0 else tiny
-    return bisect(lambda b: worst(b) < 0.0, lo_b, hi_b, 40)[0]
+    feasible = negative(np.full(len(edges), tiny))
+    if not feasible.all():
+        raise BandInfeasible(edges[int(np.argmin(feasible))])
+    hi_b = np.ones(len(edges))
+    growing = np.ones(len(edges), dtype=bool)
+    while growing.any():
+        growing &= negative(hi_b) & (hi_b < cap)
+        hi_b = np.where(growing, 2.0 * hi_b, hi_b)
+    lo_b = np.where(hi_b >= cap, cap, np.where(hi_b > 1.0, hi_b / 2.0, tiny))
+    return bisect(negative, lo_b, hi_b, 40)[0]
 
 
 def build_weak_iss_certificate(sys: FullyNonlinearSystem, clf: Clf,
@@ -448,24 +480,20 @@ def build_weak_iss_certificate(sys: FullyNonlinearSystem, clf: Clf,
     """Build the staircase / gain / threshold certificate for a nonlinear loop.
 
     Per band, a bisection finds the largest disturbance magnitude keeping the
-    estimated decay margin negative; radii are deflated by the safety factor
-    and clamped so the interleaved sequence decreases strictly. The gain g
-    bridges the per-band minima of rho(s)/s with a clamped smoothstep, and
-    alpha4 is tabulated by scanning state-norm shells for the largest one where
-    the closed decay inequality still fails under inputs up to each magnitude.
+    estimated decay margin negative (all bands in lockstep, see _band_radii);
+    radii are deflated by the safety factor and clamped so the interleaved
+    sequence decreases strictly. The gain g bridges the per-band minima of
+    rho(s)/s with a clamped smoothstep, and alpha4 is tabulated by scanning
+    state-norm shells for the largest one where the closed decay inequality
+    still fails under inputs up to each magnitude.
     """
     if i_max < 1:
         raise ValueError("need at least one band")
 
-    def margin(s, r):
-        return estimate_decay_margin(sys, clf, k1.eval, s, r, 64, seed)
+    def margin_on(s):
+        return decay_margin_on(sys, clf, k1.eval, s, 64, seed)
 
-    raw = []
-    for band in _band_edges(i_max):
-        b = _band_radius(margin, float(band[0]), float(band[1]))
-        if b <= 0.0:
-            raise BandInfeasible(band)
-        raw.append(safety * b)
+    raw = safety * _band_radii(margin_on, _band_edges(i_max))
     raw_r, raw_rp = raw[:i_max], raw[i_max:]
 
     # interleave r_1 > r'_1 > r_2 > r'_2 > ... strictly

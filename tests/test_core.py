@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,7 @@ from clfiss import (ControlAffineSystem, FullyNonlinearSystem, Partition,
                     constant_signal, lower_diameter, make_partition,
                     piecewise_constant_signal, sine_signal, upper_diameter,
                     zero_signal)
-from clfiss.core import direction_set, unit_rows
+from clfiss.core import bisect, direction_set, unit_rows
 
 
 def test_upper_diameter_uniform():
@@ -144,3 +146,26 @@ def test_direction_set_on_the_line_draws_nothing():
     dirs = direction_set(rng, 64, 1)
     assert dirs.tolist() == [[1.0], [-1.0]]
     assert rng.bit_generator.state == state
+
+
+def test_bisect_array_bounds_match_scalar():
+    # entry by entry, array bounds halve as a scalar bisection of that entry
+    # alone: random intervals, an empty one and a nan threshold, with a
+    # predicate whose outcome flips many times along each interval and whose
+    # array and float forms agree exactly
+    rng = np.random.default_rng(11)
+    lo = rng.uniform(-5.0, 5.0, size=200)
+    hi = lo + 10.0 ** rng.uniform(-9.0, 2.0, size=200)
+    hi[0] = lo[0]
+    k = rng.uniform(0.5, 50.0, size=200)
+    c = rng.uniform(0.0, 2.0, size=200)
+    c[1] = np.nan
+    for iters in (0, 1, 40, 64):
+        got_lo, got_hi = bisect(lambda m: np.floor(k * m) % 2 < c, lo, hi, iters)
+        assert got_lo.shape == got_hi.shape == (200,)
+        for i in range(200):
+            want = bisect(lambda m: math.floor(k[i] * m) % 2 < c[i],
+                          float(lo[i]), float(hi[i]), iters)
+            assert type(want[0]) is float and type(want[1]) is float
+            assert got_lo[i].tobytes() == np.float64(want[0]).tobytes()
+            assert got_hi[i].tobytes() == np.float64(want[1]).tobytes()

@@ -16,7 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clfiss import (Clf, DecayViolation, Feedback, ProbeConfig, affine_loop,
+from clfiss import (Clf, DecayViolation, Feedback, FullyNonlinearSystem,
+                    ProbeConfig, affine_loop,
                     combined_feedback, constant_signal, damping_feedback,
                     decrease_check, estimate_alpha_tables, estimate_rate_guard,
                     kappa_formula, make_partition,
@@ -25,7 +26,8 @@ from clfiss import (Clf, DecayViolation, Feedback, ProbeConfig, affine_loop,
 from clfiss.clf import _angular_tol
 from clfiss.core import as_vector, direction_set, unit_rows
 from clfiss.sampler import MARGIN_GRID
-from clfiss.systems import (WeakIssCertificate, _band_edges, _sign, _tiny_safe,
+from clfiss.systems import (BandInfeasible, WeakIssCertificate, _band_edges,
+                            _sign, _tiny_safe,
                             build_weak_iss_certificate,
                             counterexample_system, cone_margin,
                             estimate_decay_margin, integrator_feedback,
@@ -326,7 +328,10 @@ def reference_margin(sys, clf, k1, s, r, probes, seed):
 
 def reference_certificate(sys, clf, k1, i_max, safety=0.9, band_grid=17,
                           probes=64, seed=0):
-    """Band radii, interleaved staircase and alpha4 table, point by point."""
+    """Band radii and interleaved staircase, point by point and one band after
+    another: [i, i+1) for i = 1..i_max, then [1/(i+1), 1/i). Raises
+    BandInfeasible for the first of them whose margin is not negative at
+    tiny b."""
 
     def margin(s, r):
         return reference_margin(sys, clf, k1, s, r, probes, seed)
@@ -336,8 +341,8 @@ def reference_certificate(sys, clf, k1, i_max, safety=0.9, band_grid=17,
                    for s in np.linspace(lo, hi, band_grid))
 
     def band(lo, hi, tiny=1e-9):
-        if worst(lo, hi, tiny) >= 0.0:
-            return 0.0
+        if not worst(lo, hi, tiny) < 0.0:
+            raise BandInfeasible((lo, hi))
         hi_b = 1.0
         while worst(lo, hi, hi_b) < 0.0 and hi_b < 64.0:
             hi_b *= 2.0
@@ -349,13 +354,43 @@ def reference_certificate(sys, clf, k1, i_max, safety=0.9, band_grid=17,
             lo_b, hi_b = (mid, hi_b) if worst(lo, hi, mid) < 0.0 else (lo_b, mid)
         return lo_b
 
+    radii = [band(i, i + 1) for i in range(1, i_max + 1)]
+    radii_p = [band(1.0 / (i + 1), 1.0 / i) for i in range(1, i_max + 1)]
     r_seq, rp_seq, prev = [], [], np.inf
-    for i in range(1, i_max + 1):
-        r_seq.append(min(safety * band(float(i), float(i + 1)), prev * (1.0 - 1e-6)))
-        rp_seq.append(min(safety * band(1.0 / (i + 1), 1.0 / i),
-                          r_seq[-1] * (1.0 - 1e-6)))
+    for r, rp in zip(radii, radii_p):
+        r_seq.append(min(safety * r, prev * (1.0 - 1e-6)))
+        rp_seq.append(min(safety * rp, r_seq[-1] * (1.0 - 1e-6)))
         prev = rp_seq[-1]
     return np.array(r_seq), np.array(rp_seq), margin
+
+
+def reference_alpha4(sys, clf, k1, cert, seed=0):
+    """alpha4 table: per input level, the last shell where some probe breaks
+    the decay inequality under the certificate's gain, point by point."""
+    shells = np.linspace(1e-3, cert.i_max + 1.0, 16 * (cert.i_max + 1) + 1)
+    a4 = []
+    for nv in np.linspace(0.0, 2.0, 41):
+        hits = [s for s in shells
+                if reference_margin(sys, clf, k1, s, cert.g(float(s)) * nv,
+                                    16, seed + 1) > 0.0]
+        a4.append(hits[-1] + (shells[1] - shells[0]) if hits else 0.0)
+    return np.maximum(np.maximum.accumulate(a4), np.linspace(0.0, 2.0, 41))
+
+
+def cap_system():
+    """dx = -x + u x^3 / 200: the decay margin -s/2 + b s^3/200 at |p| = b
+    stays negative up to b = 100 / s^2, past the cap of 64 on the reciprocal
+    bands and below it on [1, 2) and [2, 3)."""
+    return FullyNonlinearSystem(1, 1, lambda x, u: -np.asarray(x, dtype=float)
+                                + 5e-3 * np.asarray(u) * np.asarray(x) ** 3)
+
+
+def late_infeasible_system():
+    """dx = x (|x| - 3) + u x^2: the decay margin s (s - 5/2) at b = 0 is
+    negative on [1, 2) and every reciprocal band, and not on [2, 3) or
+    [3, 4)."""
+    return FullyNonlinearSystem(1, 1, lambda x, u: np.asarray(x, dtype=float)
+                                * (np.abs(x) - 3.0) + np.asarray(u) * np.asarray(x) ** 2)
 
 
 def reference_region(x):
@@ -536,23 +571,34 @@ class TestReferences:
             assert guard.kappa == kappa
 
     def test_weak_iss_certificate(self):
-        sysc, clf, k1 = counterexample_system(), scalar_abs_clf(), zero_feedback(1, 1)
-        cert = build_weak_iss_certificate(sysc, clf, k1, i_max=2)
-        r_seq, rp_seq, margin = reference_certificate(sysc, clf, k1.eval, 2)
-        assert np.array_equal(cert.r_seq, r_seq)
-        assert np.array_equal(cert.r_prime_seq, rp_seq)
-        # alpha4: last shell where some probe breaks the decay inequality
-        shells = np.linspace(1e-3, 3.0, 49)
-        a4 = []
-        for nv in np.linspace(0.0, 2.0, 41):
-            hits = [s for s in shells
-                    if reference_margin(sysc, clf, k1.eval, s, cert.g(float(s)) * nv,
-                                        16, 1) > 0.0]
-            a4.append(hits[-1] + (shells[1] - shells[0]) if hits else 0.0)
-        a4 = np.maximum(np.maximum.accumulate(a4), np.linspace(0.0, 2.0, 41))
-        assert np.array_equal(cert.alpha4_values, a4)
-        # the certificate's margin still answers scalar queries
-        assert estimate_decay_margin(sysc, clf, k1.eval, 1.5, 0.2, 64, 0) == margin(1.5, 0.2)
+        # i_max 8 at seed 108 is the certificate of criterion 8; the cap
+        # system's reciprocal bands stop at the cap of 64 and its bands
+        # [1, 2) and [2, 3) bisect below it, all in one lockstep
+        clf, k1 = scalar_abs_clf(), zero_feedback(1, 1)
+        for sysc, i_max, seed in ((counterexample_system(), 2, 0),
+                                  (counterexample_system(), 8, 108),
+                                  (cap_system(), 2, 0)):
+            cert = build_weak_iss_certificate(sysc, clf, k1, i_max=i_max, seed=seed)
+            r_seq, rp_seq, margin = reference_certificate(sysc, clf, k1.eval, i_max,
+                                                          seed=seed)
+            assert np.array_equal(cert.r_seq, r_seq)
+            assert np.array_equal(cert.r_prime_seq, rp_seq)
+            assert np.array_equal(cert.alpha4_values,
+                                  reference_alpha4(sysc, clf, k1.eval, cert, seed))
+            # the certificate's margin still answers scalar queries
+            assert (estimate_decay_margin(sysc, clf, k1.eval, 1.5, 0.2, 64, seed)
+                    == margin(1.5, 0.2))
+        # the cap system's reciprocal bands keep a negative margin at the cap
+        assert margin(1.0, 64.0) < 0.0 < margin(2.0, 32.0)
+
+    def test_first_infeasible_band_named(self):
+        # [2, 3) and [3, 4) are infeasible; the band order names [2, 3)
+        sysc, clf, k1 = late_infeasible_system(), scalar_abs_clf(), zero_feedback(1, 1)
+        with pytest.raises(BandInfeasible) as want:
+            reference_certificate(sysc, clf, k1.eval, 3)
+        with pytest.raises(BandInfeasible) as got:
+            build_weak_iss_certificate(sysc, clf, k1, i_max=3)
+        assert got.value.band == want.value.band == (2, 3)
 
     def test_decay_margin_broadcasts(self):
         # a nonzero k1 makes the two disturbance directions differ

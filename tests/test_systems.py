@@ -5,7 +5,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from clfiss import constant_signal, make_partition, sample_solve, zero_feedback
+from clfiss import (FullyNonlinearSystem, constant_signal, make_partition,
+                    sample_solve, zero_feedback)
 from clfiss.feedback import damping_feedback, synthesize_k1
 from clfiss.systems import (BandInfeasible, build_weak_iss_certificate,
                             cone_margin, counterexample_system,
@@ -258,6 +259,10 @@ class TestWeakIssCertificate:
         for s in np.linspace(0.0, 2.0, 21):
             assert cert.alpha4(s) >= s
         assert cert.alpha4(0.0) == 0.0
+        # beyond the grid the table holds its last value, then the identity
+        top, last = float(cert.alpha4_grid[-1]), float(cert.alpha4_values[-1])
+        for s in (np.nextafter(top, np.inf), top + 0.5, last, last + 1.0, 1e6):
+            assert cert.alpha4(float(s)) == max(last, float(s))
 
     def test_serialization(self, certificate, tmp_path):
         _, _, _, cert = certificate
@@ -266,11 +271,19 @@ class TestWeakIssCertificate:
         assert doc["alpha4_table"][0][0] == 0.0
 
     def test_band_infeasible_raised(self):
-        from clfiss import FullyNonlinearSystem
         bad = FullyNonlinearSystem(1, 1, lambda x, u: np.asarray(x, dtype=float) ** 2)
         with pytest.raises(BandInfeasible):
             build_weak_iss_certificate(bad, scalar_abs_clf(),
                                        zero_feedback(1, 1), i_max=2)
+
+    def test_nan_margin_band_infeasible(self):
+        # a decay margin that is nan on the whole band grid certifies nothing
+        nan = FullyNonlinearSystem(1, 1, lambda x, u: np.where(
+            np.asarray(x) == 0.0, 0.0, np.nan))
+        with pytest.raises(BandInfeasible) as err:
+            build_weak_iss_certificate(nan, scalar_abs_clf(), zero_feedback(1, 1),
+                                       i_max=2)
+        assert err.value.band == (1, 2)
 
 
 class TestWeakIssLoop:
