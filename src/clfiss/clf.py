@@ -144,7 +144,7 @@ _BLOCK_POINTS = 16384
 
 def estimate_alpha_tables(clf: Clf, radius_max: float, grid_size: int = 257,
                           directions: int = 64, radii: int = 512,
-                          levels=None, seed: int = 0) -> AlphaTables:
+                          seed: int = 0) -> AlphaTables:
     """Tabulate level-set radius bounds by dense sampling on radial shells.
 
     For each level s, lower(s) approximates the smallest sampled |x| with
@@ -167,10 +167,7 @@ def estimate_alpha_tables(clf: Clf, radius_max: float, grid_size: int = 257,
         pts = dirs[d:d + block, None, :] * shells[:, None]
         values[d:d + block] = rowwise(clf.V(pts), pts)
     s_top = float(np.min(np.max(values, axis=1)))
-    if levels is None:
-        u = np.linspace(0.0, 1.0, grid_size)
-        levels = s_top * u ** 2
-    levels = np.asarray(levels, dtype=float)
+    levels = s_top * np.linspace(0.0, 1.0, grid_size) ** 2
 
     # reach[k]: largest sampled value on shells 0..k; floor[k]: smallest on
     # shells k..end. Both are monotone, so each column is one searchsorted.
@@ -185,7 +182,7 @@ def estimate_alpha_tables(clf: Clf, radius_max: float, grid_size: int = 257,
 
     lower = np.minimum(lower, levels)
     spacing = radius_max / (radii - 1)
-    jump = max(float(np.max(np.diff(lower))), float(np.max(np.diff(upper)))) if levels.size > 1 else 0.0
+    jump = max(float(np.max(np.diff(lower))), float(np.max(np.diff(upper))))
     grid_tol = spacing + _angular_tol(clf.dim, dirs.shape[0]) * radius_max + jump
     return AlphaTables(levels, lower, upper, grid_tol, radius_max, truncated)
 

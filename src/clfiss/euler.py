@@ -107,53 +107,36 @@ def euler_study(loop: ClosedLoop, schedule: RefinementSchedule, x0) -> EulerStud
     """
     horizon = min(p.horizon for p in schedule.partitions)
     grid = np.linspace(0.0, horizon, 4096)
-    rows = []
-    prev_states = None
-    distances = []
-    divergent_level = None
-    divergent_time = None
-    finest = None
-    finest_states = None
     L = schedule.levels
     trajs = sample_solve_batch(loop, schedule.partitions, [x0] * L,
-                               [schedule.inputs] * L,
-                               schedule.errors)
+                               [schedule.inputs] * L, schedule.errors)
+    rows, distances, states, finest, divergent = [], [], None, None, None
     for r, (part, traj) in enumerate(zip(schedule.partitions, trajs)):
-        row = {
+        rows.append({
             "delta_bar": upper_diameter(part),
             "delta_lower": lower_diameter(part),
             "sup_e": schedule.errors[r].bound,
             "distance_to_prev": None,
-        }
+        })
         if traj.status.kind in (BLOWUP, NUMERICAL_FAILURE):
-            divergent_level = r
-            divergent_time = traj.status.time
-            rows.append(row)
+            divergent = r
             break
-        states = traj.state_at(grid)
-        if prev_states is not None:
-            dist = float(np.max(np.linalg.norm(states - prev_states, axis=1)))
-            row["distance_to_prev"] = dist
-            distances.append(dist)
-        prev_states = states
-        finest, finest_states = traj, states
-        rows.append(row)
+        prev, states, finest = states, traj.state_at(grid), traj
+        if prev is not None:
+            rows[-1]["distance_to_prev"] = float(
+                np.max(np.linalg.norm(states - prev, axis=1)))
+            distances.append(rows[-1]["distance_to_prev"])
 
-    verdict = False
-    if divergent_level is None and len(distances) >= 2:
-        ratios = []
-        for a, b in zip(distances, distances[1:]):
-            if a <= 0.0:
-                ratios.append(0.0 if b <= 0.0 else np.inf)
-            else:
-                ratios.append(b / a)
-        verdict = all(q <= 0.8 for q in ratios[-3:])
-    elif divergent_level is None and len(distances) <= 1:
-        # degenerate schedules (identical runs) converge trivially
-        verdict = all(d == 0.0 for d in distances) if distances else True
-
-    return EulerStudy(rows, verdict, divergent_level, divergent_time,
-                      finest, grid if finest is not None else None, finest_states)
+    # each of the last three ratios of neighbouring distances is at most 0.8;
+    # over a zero distance the ratio is 0 if the next is zero too, else inf.
+    # A lone distance is taken over zero, so degenerate schedules (identical
+    # runs) converge trivially
+    pairs = list(zip(distances, distances[1:])) or [(0.0, d) for d in distances]
+    verdict = divergent is None and all(
+        b <= 0.0 if a <= 0.0 else b / a <= 0.8 for a, b in pairs[-3:])
+    t_div = None if divergent is None else trajs[divergent].status.time
+    return EulerStudy(rows, verdict, divergent, t_div, finest,
+                      grid if finest is not None else None, states)
 
 
 @dataclass(frozen=True, eq=False)

@@ -170,12 +170,13 @@ def sample_solve_batch(loop: ClosedLoop, partitions, x0, u=None,
     np.errstate(over="ignore", invalid="ignore"), which also covers the
     feedback and signal calls made in it. A row that reaches its horizon
     leaves too. Returns one Trajectory per row, byte for byte the one the row
-    gives alone, as sample_solve describes. The feedback is called once per
-    interval, on the noisy samples of every running row; each row's
-    disturbance and noise once per block of BLOCK RK4 substeps (at least one
-    interval), at their RK4 stage times and sample times. The domain margin
-    is evaluated once per row after the loop, on the states the row reached
-    and its noisy samples, for which its noise is evaluated once more.
+    gives alone, as sample_solve describes; its arrays are views of the
+    batch's buffers, which live as long as one of them does. The feedback is
+    called once per interval, on the noisy samples of every running row; each
+    row's disturbance and noise once per block of BLOCK RK4 substeps (at
+    least one interval), at their RK4 stage times and sample times. The domain
+    margin is evaluated once per row after the loop, on the states the row
+    reached and its noisy samples, for which its noise is evaluated once more.
     """
     B, n, m, S = len(partitions), loop.n, loop.m, loop.substeps
     u = [zero_signal(m) if s is None else s for s in (u or [None] * B)]
@@ -201,11 +202,10 @@ def sample_solve_batch(loop: ClosedLoop, partitions, x0, u=None,
     dense_t = np.empty((B, k_max * S + 1))
     held_all = np.empty((B, k_max, m))
     dense_x[:, 0], dense_t[:, 0] = x, 0.0
-    # per row: dense rows, whole intervals and held controls at its end, and
-    # the dense rows the domain monitor reads (not the state a row stops at)
-    count, done, held_n, seen = K * S + 1, K.copy(), K.copy(), K * S + 1
+    # per row, the dense row it stopped at (K S + 1 when it completed) and
+    # why; its record ends before that row, or with it when it escaped
+    stopped_at = K * S + 1
     terminal = [None] * B
-    left_at = np.full(B, np.nan)
     # a block whose entries are all at most screen in size is finite and
     # inside the escape radius, with norms and squares that do not overflow;
     # nan fails the test
@@ -215,8 +215,8 @@ def sample_solve_batch(loop: ClosedLoop, partitions, x0, u=None,
     blk = np.empty((B, S, n))    # states after each substep of an interval
 
     # the running rows: their count and ids (a slice while none has
-    # stopped), and their disturbance at the stage times and their noise at
-    # the sample times of the current block of intervals; x holds their states
+    # stopped), their states, and their disturbance at the stage times and
+    # their noise at the sample times of the current block of intervals
     live, rows = B, slice(0, B)
     u_tab, e_tab = np.empty((B, 0, S, 3, m)), np.empty((B, 0, n))
 
@@ -225,10 +225,11 @@ def sample_solve_batch(loop: ClosedLoop, partitions, x0, u=None,
         return np.arange(B)[rows][pos]
 
     def select(keep):
-        # go on with the running rows at positions keep only
-        nonlocal live, rows, u_tab, e_tab
+        # go on with the running rows where keep holds only
+        nonlocal live, rows, x, u_tab, e_tab
+        keep = np.flatnonzero(keep)
         live, rows = keep.size, ids(keep)
-        u_tab, e_tab = u_tab[keep], e_tab[keep]
+        x, u_tab, e_tab = x[keep], u_tab[keep], e_tab[keep]
 
     def tabulate(i):
         # each running row's signals over its intervals i, ..., i + block - 1
@@ -250,16 +251,13 @@ def sample_solve_batch(loop: ClosedLoop, partitions, x0, u=None,
     out = np.sqrt(rowdot(x, x)) > loop.escape_radius
     for j in np.flatnonzero(out).tolist():
         terminal[j] = Status(BLOWUP, 0.0, "initial state beyond escape radius")
-    count[out], done[out], held_n[out], seen[out] = 1, 0, 0, 0
+    stopped_at[out] = 0
     if out.any():
-        select(np.flatnonzero(~out))
-        x = x[~out]
+        select(~out)
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(k_max):
             if ends[i]:
-                going = K[rows] > i
-                select(np.flatnonzero(going))
-                x = x[going]
+                select(K[rows] > i)
             if not x.shape[0]:
                 break
             if same[i] and same[i + 1]:
@@ -292,35 +290,36 @@ def sample_solve_batch(loop: ClosedLoop, partitions, x0, u=None,
                 else:
                     terminal[j] = Status(BLOWUP, float(dense_t[j, first + k]),
                                          "escape radius reached")
-                count[j] = first + k + (not bad[r, k])
-                done[j], held_n[j], seen[j] = i, i + 1, first + k
+                stopped_at[j] = first + k
             if not going.all():
-                select(np.flatnonzero(going))
-                x = x[going]
+                select(going)
 
-    # each monitored row's exit, before the copies below take memory, from
-    # the noisy samples the feedback read, recomputed
-    for j in np.flatnonzero(seen).tolist() if monitor is not None else []:
-        left_at[j] = _left_at(monitor, dense_x[j, 0:held_n[j] * S:S]
-                              + signal_at(e[j], times[j, :held_n[j]]),
-                              dense_x[j, :seen[j]], dense_t[j], times[j], S)
     trajectories = []
     for j, p in enumerate(partitions):
+        s = int(stopped_at[j])
         status = terminal[j] or Status(COMPLETED)
-        if not np.isnan(left_at[j]):
-            t_left = float(left_at[j])
-            if terminal[j] is None:
-                status = Status(LEFT_DOMAIN, t_left, "left CLF estimate region")
-            else:
-                status = Status(status.kind, status.time, status.detail
-                                + f"; left CLF estimate region at t={t_left:g}")
+        # the intervals the row completed and began (it held a control on
+        # each one it began), and its dense rows
+        done, began = max(s - 1, 0) // S, min((s + S - 1) // S, int(K[j]))
+        count = s + (status.kind == BLOWUP)
+        # the monitor reads the states before the stop and the noisy samples
+        # the feedback read, recomputed
+        t_left = (_left_at(monitor, dense_x[j, 0:began * S:S]
+                           + signal_at(e[j], times[j, :began]),
+                           dense_x[j, :s], dense_t[j], times[j], S)
+                  if monitor is not None and s else math.nan)
+        if not math.isnan(t_left):
+            status = (Status(LEFT_DOMAIN, t_left, "left CLF estimate region")
+                      if terminal[j] is None else
+                      Status(status.kind, status.time, status.detail
+                             + f"; left CLF estimate region at t={t_left:g}"))
         # each interval adds S dense rows, so the end state of a completed
-        # one is every S-th dense row; the copies free the batch's buffers
-        dense = dense_x[j, :count[j]].copy()
+        # one is every S-th dense row
+        dense = dense_x[j, :count]
         trajectories.append(Trajectory(
-            p, p.times[:done[j] + 1], dense[:done[j] * S + 1:S],
-            dense_t[j, :count[j]].copy(), dense, held_all[j, :held_n[j]].copy(),
-            np.maximum(np.arange(count[j]) - 1, 0) // S, status))
+            p, p.times[:done + 1], dense[:done * S + 1:S], dense_t[j, :count],
+            dense, held_all[j, :began],
+            np.maximum(np.arange(count) - 1, 0) // S, status))
     return trajectories
 
 

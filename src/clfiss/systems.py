@@ -358,8 +358,9 @@ class WeakIssCertificate:
     r_seq[i] is the admissible disturbance radius on the state-norm band
     [i+1, i+2); r_prime_seq[i] covers the reciprocal band down toward zero,
     interleaved so the full sequence decreases strictly. g is the monotone C^1
-    gain profile (1 near the origin, below rho(s)/s beyond s = 2) and alpha4
-    the tabulated input-to-radius threshold used in the envelope.
+    gain profile (1 near the origin, below r_seq[min(floor(s), i_max) - 1] / s
+    beyond s = 2) and alpha4 the tabulated input-to-radius threshold used in
+    the envelope.
     """
 
     r_seq: np.ndarray
@@ -368,18 +369,8 @@ class WeakIssCertificate:
     alpha4_grid: np.ndarray
     alpha4_values: np.ndarray
 
-    def rho(self, s: float) -> float:
-        """Piecewise-constant admissible disturbance radius at state norm s."""
-        if s <= 0.0:
-            return 0.0
-        if s >= 1.0:
-            k = min(int(math.floor(s)), self.i_max)
-            return float(self.r_seq[k - 1])
-        k = min(max(int(math.ceil(1.0 / s)) - 1, 1), self.i_max)
-        return float(self.r_prime_seq[k - 1])
-
     def _level(self, k: int) -> float:
-        # bridge target on [k, k+1]: the band minimum of rho(s)/s
+        # bridge target on [k, k+1]: the band minimum of the radius over s
         if k <= 1:
             return 1.0
         rk = float(self.r_seq[min(k, self.i_max) - 1])
@@ -448,7 +439,8 @@ def _band_radii(margin_on, edges: list) -> np.ndarray:
     The bands step in lockstep, one margin evaluation on a (bands, 17, 9)
     grid per step, and each band sees the b values it would see alone: tiny,
     then 1, 2, 4, ... up to the first one whose margin is not negative or the
-    cap, then 40 halvings. A band that hits the cap only repeats the cap.
+    cap, then 40 halvings. A band whose margin is still negative at the cap
+    only repeats the cap; one whose margin is not bisects [cap / 2, cap].
     Raises BandInfeasible for the first band, in band order, whose margin is
     not negative at tiny b (a nan margin included).
     """
@@ -467,9 +459,11 @@ def _band_radii(margin_on, edges: list) -> np.ndarray:
     hi_b = np.ones(len(edges))
     growing = np.ones(len(edges), dtype=bool)
     while growing.any():
-        growing &= negative(hi_b) & (hi_b < cap)
+        # every band's margin at its current hi_b, the last one included
+        neg = negative(hi_b)
+        growing &= neg & (hi_b < cap)
         hi_b = np.where(growing, 2.0 * hi_b, hi_b)
-    lo_b = np.where(hi_b >= cap, cap, np.where(hi_b > 1.0, hi_b / 2.0, tiny))
+    lo_b = np.where(neg, cap, np.where(hi_b > 1.0, hi_b / 2.0, tiny))
     return bisect(negative, lo_b, hi_b, 40)[0]
 
 
@@ -483,9 +477,9 @@ def build_weak_iss_certificate(sys: FullyNonlinearSystem, clf: Clf,
     estimated decay margin negative (all bands in lockstep, see _band_radii);
     radii are deflated by the safety factor and clamped so the interleaved
     sequence decreases strictly. The gain g bridges the per-band minima of
-    rho(s)/s with a clamped smoothstep, and alpha4 is tabulated by scanning
-    state-norm shells for the largest one where the closed decay inequality
-    still fails under inputs up to each magnitude.
+    the staircase radius over s with a clamped smoothstep, and alpha4 is
+    tabulated by scanning state-norm shells for the largest one where the
+    closed decay inequality still fails under inputs up to each magnitude.
     """
     if i_max < 1:
         raise ValueError("need at least one band")

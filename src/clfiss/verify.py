@@ -81,7 +81,8 @@ class Campaign:
 def _trajectories(loop: ClosedLoop, cases):
     """Each case's trajectory, in order, from lockstep batches of consecutive
     cases that hold at most DENSE_ROW_BUDGET dense rows (a single case may
-    hold more)."""
+    hold more). The trajectories view their batch's buffers, so a batch's
+    buffers live as long as one of its trajectories does."""
 
     def solve(batch):
         return sample_solve_batch(loop, [c.partition for c in batch],
@@ -125,12 +126,24 @@ def _margins(c: Campaign, vM, g, case: CampaignCase, traj):
 
 @dataclass(frozen=True, eq=False)
 class CampaignReport:
-    """The case rows and their summary, plus the adversarial search's worst
-    trial (adversarial_search's dict) when the campaign ran one."""
+    """The case rows, plus the adversarial search's worst trial
+    (adversarial_search's dict) when the campaign ran one."""
 
     rows: list
-    summary: dict
     adversarial: dict | None = None
+
+    @property
+    def summary(self) -> dict:
+        """Counts of the rows, and the least additive margin of the asserted
+        ones (min folded from inf in row order), None with none asserted."""
+        asserted = [row for row in self.rows if row["asserted"]]
+        worst = min([math.inf, *(row["margin_additive"] for row in asserted)])
+        return {
+            "total": len(self.rows),
+            "asserted": len(asserted),
+            "failed": sum(not row["pass"] for row in asserted),
+            "worst_margin": None if worst is math.inf else worst,
+        }
 
     @property
     def all_passed(self) -> bool:
@@ -157,19 +170,30 @@ def run_campaign(c: Campaign, budget: int = 0, seed: int = 0,
 def _run(c: Campaign, cases: list, trials: list) -> CampaignReport:
     """The report on cases and the worst of trials ((case, step, kind) as
     random_cases yields them), from one stream of lockstep batches: the
-    cases' rows, then the trials'. gamma(N) and the inverse of M are taken
-    once, each |x0| inverted once; with no rows, not at all."""
+    cases' rows, then the trials', folded in that order. gamma(N) and the
+    inverse of M are taken once, each |x0| inverted once; with no rows, not
+    at all."""
     env = c.envelope
     vM, g = ((env.tables.lower_inv(c.M), env.gamma(c.N)) if cases or trials
              else (None, None))
-    runs = _trajectories(c.loop, cases + [case for case, _, _ in trials])
+    stream = cases + [case for case, _, _ in trials]
     rows = []
-    failed = 0
-    asserted = 0
-    worst = math.inf
-    # zip reads cases first, so it stops without taking a trial's run
-    for k, (case, traj) in enumerate(zip(cases, runs)):
+    found = {"violation_margin": -math.inf, "case": None, "status": None}
+    for k, (case, traj) in enumerate(zip(stream, _trajectories(c.loop, stream))):
         add_m, max_m, fine_m, first = _margins(c, vM, g, case, traj)
+        diverged = traj.status.kind in (BLOWUP, NUMERICAL_FAILURE)
+        if k >= len(cases):   # an adversarial trial; blow-ups are unbounded
+            viol = math.inf if diverged else -add_m
+            if viol > found["violation_margin"]:
+                _, step, kind = trials[k - len(cases)]
+                found = {
+                    "violation_margin": viol,
+                    "case": {"x0": case.x0.tolist(), "step": step,
+                             "disturbance": kind, "e_bound": case.e.bound,
+                             "index": k - len(cases)},
+                    "status": traj.status.kind,
+                }
+            continue
         row = {
             "id": k,
             "label": case.label,
@@ -180,44 +204,15 @@ def _run(c: Campaign, cases: list, trials: list) -> CampaignReport:
             "margin_maxform": max_m,
             "margin_additive_fine": fine_m,
             "first_violation_t": first,
+            "pass": (bool(not diverged and add_m >= 0.0 and max_m >= 0.0)
+                     if case.assert_envelope else None),
         }
-        if case.assert_envelope:
-            asserted += 1
-            ok = (traj.status.kind not in (BLOWUP, NUMERICAL_FAILURE)
-                  and add_m >= 0.0 and max_m >= 0.0)
-            row["pass"] = bool(ok)
-            if not ok:
-                failed += 1
-            worst = min(worst, add_m)
-        else:
-            row["pass"] = None
         if c.check_decrease and c.clf is not None:
             rep = decrease_check(traj, c.clf, c.guard, c.s_level)
             row["decrease"] = {"checked": rep.checked, "excluded": rep.excluded,
                                "violations": len(rep.violations)}
         rows.append(row)
-    summary = {
-        "total": len(cases),
-        "asserted": asserted,
-        "failed": failed,
-        "worst_margin": (None if worst is math.inf else worst),
-    }
-    found = {"violation_margin": -math.inf, "case": None, "status": None}
-    for k, ((case, step, kind), traj) in enumerate(zip(trials, runs)):
-        if traj.status.kind in (BLOWUP, NUMERICAL_FAILURE):
-            viol = math.inf
-        else:
-            v0 = env.tables.lower_inv(float(np.linalg.norm(case.x0)))
-            viol = -additive_check(env, v0, g, traj.dense_times,
-                                   traj.norms()).worst_margin
-        if viol > found["violation_margin"]:
-            found = {
-                "violation_margin": viol,
-                "case": {"x0": case.x0.tolist(), "step": step, "disturbance": kind,
-                         "e_bound": case.e.bound, "index": k},
-                "status": traj.status.kind,
-            }
-    return CampaignReport(rows, summary, found if trials else None)
+    return CampaignReport(rows, found if trials else None)
 
 
 DISTURBANCE_KINDS = ("piecewise", "constant", "sine")

@@ -46,10 +46,21 @@ class TestAlphaTables:
         assert np.max(np.abs(t.upper - t.levels / 2.0)) < 1e-3
 
     def test_truncation_reported(self):
-        # levels beyond what radius_max can resolve are counted
-        t = estimate_alpha_tables(square_clf(), 3.0, 64, radii=2001,
-                                  levels=np.linspace(0.0, 20.0, 64))
-        assert t.truncated_levels > 0
+        # V = |x| e^(1 - |x|) peaks at 1 on |x| = 1, inside radius_max, so
+        # the levels reach 1; those above V(3) = 3 e^-2 have sublevel sets
+        # that reach past radius_max and are counted
+        def V(x):
+            r = np.abs(np.asarray(x, dtype=float)[..., 0])
+            return r * np.exp(1.0 - r)
+
+        def subgrad(x):
+            x = np.asarray(x, dtype=float)
+            return np.sign(x) * (1.0 - np.abs(x)) * np.exp(1.0 - np.abs(x))
+
+        clf = Clf(1, V, subgrad, lambda s: s)
+        t = estimate_alpha_tables(clf, 3.0, 64, radii=2001)
+        assert 0.999 < t.levels[-1] <= 1.0
+        assert t.truncated_levels == np.count_nonzero(t.levels > 3.0 * np.exp(-2.0)) == 23
 
     def test_monotone_and_normalized(self):
         t = estimate_alpha_tables(integrator_max_clf(), 8.0, 65,

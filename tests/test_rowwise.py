@@ -344,9 +344,9 @@ def reference_certificate(sys, clf, k1, i_max, safety=0.9, band_grid=17,
         if not worst(lo, hi, tiny) < 0.0:
             raise BandInfeasible((lo, hi))
         hi_b = 1.0
-        while worst(lo, hi, hi_b) < 0.0 and hi_b < 64.0:
+        while (neg := worst(lo, hi, hi_b) < 0.0) and hi_b < 64.0:
             hi_b *= 2.0
-        if hi_b >= 64.0:
+        if neg:   # negative at the cap
             return 64.0
         lo_b = hi_b / 2.0 if hi_b > 1.0 else tiny
         for _ in range(40):
@@ -383,6 +383,14 @@ def cap_system():
     bands and below it on [1, 2) and [2, 3)."""
     return FullyNonlinearSystem(1, 1, lambda x, u: -np.asarray(x, dtype=float)
                                 + 5e-3 * np.asarray(u) * np.asarray(x) ** 3)
+
+
+def over_cap_system():
+    """dx = -x + u x^3 / 1000: the decay margin -s/2 + b s^3/1000 at |p| = b
+    stays negative up to b = 500 / s^2, past the cap of 64 on [1, 2) and the
+    reciprocal bands, and between half the cap and the cap on [2, 3)."""
+    return FullyNonlinearSystem(1, 1, lambda x, u: -np.asarray(x, dtype=float)
+                                + 1e-3 * np.asarray(u) * np.asarray(x) ** 3)
 
 
 def late_infeasible_system():
@@ -573,10 +581,12 @@ class TestReferences:
     def test_weak_iss_certificate(self):
         # i_max 8 at seed 108 is the certificate of criterion 8; the cap
         # system's reciprocal bands stop at the cap of 64 and its bands
-        # [1, 2) and [2, 3) bisect below it, all in one lockstep
+        # [1, 2) and [2, 3) bisect below it, all in one lockstep; the over-cap
+        # system's band [2, 3) doubles up to the cap, then bisects below it
         clf, k1 = scalar_abs_clf(), zero_feedback(1, 1)
         for sysc, i_max, seed in ((counterexample_system(), 2, 0),
                                   (counterexample_system(), 8, 108),
+                                  (over_cap_system(), 2, 0),
                                   (cap_system(), 2, 0)):
             cert = build_weak_iss_certificate(sysc, clf, k1, i_max=i_max, seed=seed)
             r_seq, rp_seq, margin = reference_certificate(sysc, clf, k1.eval, i_max,
@@ -590,6 +600,15 @@ class TestReferences:
                     == margin(1.5, 0.2))
         # the cap system's reciprocal bands keep a negative margin at the cap
         assert margin(1.0, 64.0) < 0.0 < margin(2.0, 32.0)
+
+    def test_band_radius_below_cap(self):
+        # [2, 3) needs b < 500/9, between half the cap and the cap: it is not
+        # certified at the cap, and its deflated radius keeps the margin at
+        # s = 3 negative
+        sysc, clf, k1 = over_cap_system(), scalar_abs_clf(), zero_feedback(1, 1)
+        cert = build_weak_iss_certificate(sysc, clf, k1, i_max=2)
+        assert abs(cert.r_seq[1] - 0.9 * 500.0 / 9.0) <= 1e-6
+        assert estimate_decay_margin(sysc, clf, k1.eval, 3.0, cert.r_seq[1]) < 0.0
 
     def test_first_infeasible_band_named(self):
         # [2, 3) and [3, 4) are infeasible; the band order names [2, 3)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from clfiss import (FullyNonlinearSystem, constant_signal, make_partition,
                     sample_solve, zero_feedback)
+from clfiss.core import bisect
 from clfiss.feedback import damping_feedback, synthesize_k1
 from clfiss.systems import (BandInfeasible, build_weak_iss_certificate,
                             cone_margin, counterexample_system,
@@ -218,7 +219,8 @@ class TestWeakIssCertificate:
     def test_gain_below_staircase(self, certificate):
         _, _, _, cert = certificate
         for s in np.linspace(2.0, 10.0, 200):
-            assert cert.g(s) * s <= cert.rho(s) + 1e-9
+            rho = cert.r_seq[min(int(s), cert.i_max) - 1]   # the staircase at s
+            assert cert.g(s) * s <= rho + 1e-9
             assert cert.g(s) <= 1.0
 
     def test_interleaving_strict(self, certificate):
@@ -227,6 +229,36 @@ class TestWeakIssCertificate:
         for a, b in zip(cert.r_seq, cert.r_prime_seq):
             seq += [a, b]
         assert all(x > y > 0 for x, y in zip(seq, seq[1:]))
+
+    def test_criterion_8_certificate_closed_forms(self):
+        # criterion 8's certificate. Band radii: D(s, b) = b^2 s^2 - s/2 < 0
+        # on a band up to hi iff b < 1/sqrt(2 hi), deflated by 0.9 and
+        # interleaved r_1 > r'_1 > r_2 > ... with factor 1 - 1e-6
+        sysc, clf, k1 = counterexample_system(), scalar_abs_clf(), zero_feedback(1, 1)
+        cert = build_weak_iss_certificate(sysc, clf, k1, i_max=8, seed=108)
+        shrink, prev = 1.0 - 1e-6, math.inf
+        for i in range(1, 9):
+            r = min(0.9 / math.sqrt(2.0 * (i + 1)), shrink * prev)
+            prev = min(0.9 * math.sqrt(i / 2.0), shrink * r)
+            assert abs(cert.r_seq[i - 1] - r) <= 1e-9
+            assert abs(cert.r_prime_seq[i - 1] - prev) <= 1e-9
+        # alpha4 at input n: the last shell s <= 9 where decay fails under
+        # inputs n g(s), i.e. n^2 g(s)^2 s > 1/2, found on a fine grid and
+        # bisected past it, then made nondecreasing and at least n. The
+        # table scans shells one spacing apart and rounds up by one spacing
+        n = cert.alpha4_grid
+        spacing = (9.0 - 1e-3) / 144
+
+        def fails(s):
+            return (n * cert.g(s)) ** 2 * s > 0.5
+
+        fine = np.linspace(1e-3, 9.0, 90001)
+        hit = fails(fine[:, None]).T
+        last = fine.size - 1 - np.argmax(hit[:, ::-1], axis=1)
+        top = bisect(fails, fine[last], fine[np.minimum(last + 1, fine.size - 1)], 60)[0]
+        closed = np.maximum(np.maximum.accumulate(np.where(hit.any(axis=1), top, 0.0)), n)
+        gap = cert.alpha4_values - closed
+        assert np.all(gap >= 0.0) and np.all(gap < spacing)
 
     def test_bands_negative_and_decay(self, certificate):
         sysc, clf, k1, cert = certificate

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -121,23 +122,45 @@ class TestRunCampaign:
         assert row["decrease"]["violations"] == 0
 
 
-@pytest.mark.parametrize("budget", [1, 200, 700])
-def test_reports_do_not_depend_on_batching(monkeypatch, budget):
-    # one case per batch, a few per batch, all in one: the same bytes
+def mixed_campaign():
+    """Seven admissible random cases, then one inadmissible tagged case."""
     guard = loose_guard(N=0.2)
     loop = contraction_loop()
     cases = make_cases(loop, guard, M=1.0, N=0.2, count=7, horizon=1.0, seed=3)
     cases.append(CampaignCase(np.array([0.3]), zero_signal(1), constant_signal([1e-3]),
                               make_partition("uniform", 1.0, 2.0 * guard.delta),
                               "coarse", assert_envelope=False))
-    campaign = Campaign(loop, build_envelope(AlphaTables.identity(10.0), 0.05),
-                        guard, cases, M=1.0, N=0.2)
+    return Campaign(loop, build_envelope(AlphaTables.identity(10.0), 0.05),
+                    guard, cases, M=1.0, N=0.2)
+
+
+@pytest.mark.parametrize("budget", [1, 200, 700])
+def test_reports_do_not_depend_on_batching(monkeypatch, budget):
+    # one case per batch, a few per batch, all in one: the same bytes
+    campaign = mixed_campaign()
     want = (json.dumps(run_campaign(campaign).to_json()),
             json.dumps(adversarial_search(campaign, budget=6, seed=2)))
     monkeypatch.setattr("clfiss.verify.DENSE_ROW_BUDGET", budget)
     got = (json.dumps(run_campaign(campaign).to_json()),
            json.dumps(adversarial_search(campaign, budget=6, seed=2)))
     assert got == want
+
+
+def test_reports_do_not_depend_on_case_order():
+    # shuffled cases give the shuffled rows, byte for byte apart from their
+    # ids, and the same summary and worst adversarial trial
+    campaign = mixed_campaign()
+    order = np.random.default_rng(5).permutation(len(campaign.cases))
+    assert order[-1] != len(campaign.cases) - 1   # the tagged case moves
+    shuffled = dataclasses.replace(campaign, cases=[campaign.cases[k] for k in order])
+    want, got = run_campaign(campaign, 6, 2), run_campaign(shuffled, 6, 2)
+
+    def text(row):
+        return json.dumps({key: v for key, v in row.items() if key != "id"})
+
+    assert [text(row) for row in got.rows] == [text(want.rows[k]) for k in order]
+    assert json.dumps(got.summary) == json.dumps(want.summary)
+    assert json.dumps(got.adversarial) == json.dumps(want.adversarial)
 
 
 def reference_margins(c, case, traj):

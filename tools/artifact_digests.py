@@ -1,6 +1,7 @@
 """SHA-256 digests of every CLI artefact, for byte-identity checks between checkouts.
 
     python3 tools/artifact_digests.py ROOT
+    python3 tools/artifact_digests.py ROOT BASE
 
 ROOT is the root of a source checkout. The script imports clfiss from
 ROOT/src and the benchmark's configs from ROOT/perfbench/workloads.py (read,
@@ -15,17 +16,21 @@ and at CLI --seed 0:
 It prints one line per output file, `SHA-256  invocation  file  exit=CODE`,
 plus one line each for the invocation's stdout and stderr. Paths are relative
 to the temporary directory, so two checkouts of the same program print the
-same lines: run it on both and diff the outputs.
+same lines. Given a second checkout BASE, it runs each checkout in its own
+subprocess, prints a unified diff of BASE's lines against ROOT's, or the line
+count when they agree, and exits 1 when they differ.
 """
 
 from __future__ import annotations
 
 import contextlib
+import difflib
 import hashlib
 import importlib.util
 import io
 import json
 import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -141,10 +146,29 @@ def _run(main, name: str, command: str, config: dict) -> list:
     return [f"{digest}  {name}  {fname}  exit={code}" for digest, fname in lines]
 
 
+def _compare(root: str, base: str) -> int:
+    """Diff the lines of base against those of root, each checkout run by
+    this script in a subprocess of its own."""
+    lines = []
+    for path in (base, root):
+        run = subprocess.run([sys.executable, __file__, path],
+                             capture_output=True, text=True)
+        if run.returncode:
+            sys.stderr.write(run.stderr)
+            return 2
+        lines.append(run.stdout.splitlines(keepends=True))
+    diff = list(difflib.unified_diff(*lines, fromfile=base, tofile=root))
+    sys.stdout.writelines(diff or [f"{len(lines[1])} lines, no difference\n"])
+    return 1 if diff else 0
+
+
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
+    if len(args) == 2:
+        return _compare(*args)
     if len(args) != 1:
-        print("usage: python3 tools/artifact_digests.py ROOT", file=sys.stderr)
+        print("usage: python3 tools/artifact_digests.py ROOT [BASE]",
+              file=sys.stderr)
         return 2
     root = Path(args[0]).resolve()
     cli, workloads = _import_checkout(root)
