@@ -11,17 +11,26 @@ Run from anywhere; the checkout is the directory above bench/. The script
 2. runs the command of BENCHMARK.json (`perfbench/run.py`) with --trace 0 on
    every workload for each seed of SEEDS, then with --trace 1 for each of
    the first TRACED seeds, each for BENCHMARK.json's run_seconds;
-3. writes BENCH_<label>.json in the checkout: the commit (and whether the
+3. times each entry of LAYERS in this process, on the checkout's src/:
+   LAYER_REPEATS `timeit` repeats of the call (each at least 0.2 s, by
+   `Timer.autorange`), each scaled to the host's full speed by the
+   perfbench/hostspeed.py reference timed right before and after it;
+4. writes BENCH_<label>.json in the checkout: the commit (and whether the
    tree differs from it), Python and numpy versions, the core count, the
-   number of runs, the median and quartiles of every end-to-end metric, and
+   number of runs, the median and quartiles of every end-to-end metric,
    each per-layer metric's median over the traced runs (median_low for
-   counts and bytes, so that they stay one of the samples).
+   counts and bytes, so that they stay one of the samples), and a `layers`
+   block with the median and quartiles of each LAYERS entry in microseconds
+   per call.
 
 Runs are sequential, so one label takes about (len(SEEDS) + TRACED) * 3 runs
-of run_seconds each. Record two checkouts on the same host in one session to
-compare them. --compare A B runs nothing: per workload and end-to-end
-metric it prints A's and B's median with its quartiles, and the relative
-change of the median from A to B.
+of run_seconds each, plus about 20 s of layer timings. Record two checkouts
+on the same host in one session to compare them; the layer table uses only
+names that older commits have too, so this script can record an older
+checkout when copied into it. --compare A B runs nothing: per workload and
+end-to-end metric it prints A's and B's median with its quartiles, and the
+relative change of the median from A to B; then, per layer in both files,
+the two medians and the ratio B / A.
 """
 
 from __future__ import annotations
@@ -34,7 +43,9 @@ import platform
 import statistics
 import subprocess
 import sys
+import timeit
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -43,6 +54,57 @@ ROOT = Path(__file__).resolve().parent.parent
 # since one traced run's layer times move by a third between runs
 SEEDS = (101, 102, 103, 104, 105)
 TRACED = 3
+# timed repeats of each layer
+LAYER_REPEATS = 7
+
+
+def _weak_iss(rows: int) -> SimpleNamespace:
+    """The weak-ISS benchmark's loop (the counterexample system under the
+    certificate at i_max 2 and seed 0, 16 substeps of a 0.01 step) with rows
+    states, held controls and disturbances drawn in [-4, 4]."""
+    from clfiss import zero_feedback
+    from clfiss.sampler import _rk4_step
+    from clfiss.systems import (build_weak_iss_certificate, counterexample_system,
+                                scalar_abs_clf, weak_iss_loop)
+    system, k1 = counterexample_system(), zero_feedback(1, 1)
+    cert = build_weak_iss_certificate(system, scalar_abs_clf(), k1, 2, 0.9, seed=0)
+    x, p, u = np.random.default_rng(rows).uniform(-4.0, 4.0, size=(3, rows, 1))
+    return SimpleNamespace(F=weak_iss_loop(system, k1, cert, 16).F, x=x, p=p, u=u,
+                           h=0.01 / 16, rk4_step=_rk4_step, g=cert.g,
+                           s=np.abs(x[:, 0]))
+
+
+def _integrator(rows: int) -> SimpleNamespace:
+    """Acceptance criterion 4's loop (the nonholonomic integrator under the
+    explicit feedback, one substep of a 0.1 step) with rows normal states,
+    held controls and disturbances."""
+    from clfiss import affine_loop
+    from clfiss.systems import integrator_feedback, integrator_system
+    rng = np.random.default_rng(rows)
+    x, (p, u) = rng.normal(size=(rows, 3)), rng.normal(size=(2, rows, 2))
+    return SimpleNamespace(F=affine_loop(integrator_system(), integrator_feedback(),
+                                         substeps=1).F, x=x, p=p, u=u, h=0.1)
+
+
+def _rk4(w: SimpleNamespace):
+    return w.rk4_step(w.F, w.x, w.h, 0.5 * w.h, w.h / 6.0, w.p, w.u, w.u, w.u)
+
+
+def _F(w: SimpleNamespace):
+    return w.F(w.x, w.p, w.u)
+
+
+# (name, set-up, call): set-up builds the call's argument once, and each timed
+# call is call(setup()); [n] in a name is the number of rows
+LAYERS = (
+    ("weak_iss.F[1]", lambda: _weak_iss(1), _F),
+    ("weak_iss.F[4]", lambda: _weak_iss(4), _F),
+    ("weak_iss._rk4_step[1]", lambda: _weak_iss(1), _rk4),
+    ("weak_iss._rk4_step[4]", lambda: _weak_iss(4), _rk4),
+    ("WeakIssCertificate.g[4]", lambda: _weak_iss(4), lambda w: w.g(w.s)),
+    ("integrator.F[1]", lambda: _integrator(1), _F),
+    ("integrator.F[4]", lambda: _integrator(4), _F),
+)
 
 
 def _git(*args) -> str:
@@ -91,8 +153,30 @@ def _layer_medians(traced: list) -> dict:
     return out
 
 
+def _layers() -> dict:
+    """Microseconds per call of each LAYERS entry, scaled to the host's full
+    speed, with the timeit loop count of one repeat."""
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+    import hostspeed
+    out = {}
+    for name, setup, call in LAYERS:
+        arg = setup()
+        timer = timeit.Timer(lambda: call(arg))
+        number, _ = timer.autorange()
+        samples = []
+        for _ in range(LAYER_REPEATS):
+            before = hostspeed.reference_work()
+            seconds = timer.timeit(number)
+            after = hostspeed.reference_work()
+            samples.append(1e6 * hostspeed.full_speed([seconds / number],
+                                                      [0.5 * (before + after)]))
+        out[name] = {"unit": "us", "number": number, **_summary(samples)}
+        print(f"layer {name}: {out[name]['median']:.2f} us", file=sys.stderr, flush=True)
+    return out
+
+
 def compare(path_a, path_b) -> list:
-    """Lines comparing the end-to-end metrics of two BENCH files."""
+    """Lines comparing the end-to-end metrics and the layers of two BENCH files."""
     a, b = (json.loads(Path(p).read_text()) for p in (path_a, path_b))
     lines = [f"{a['label']} ({a['commit'][:12]}) -> {b['label']} ({b['commit'][:12]}), "
              "median [q1, q3]"]
@@ -109,6 +193,16 @@ def compare(path_a, path_b) -> list:
                 f"{name:20s} {metric:12s} {ma['median']:9.4g} [{ma['q1']:.4g}, "
                 f"{ma['q3']:.4g}] -> {mb['median']:9.4g} [{mb['q1']:.4g}, "
                 f"{mb['q3']:.4g}] {ma['unit']:3s} {change:+.1%}")
+    la, lb = a.get("layers", {}), b.get("layers", {})
+    for name, ma in la.items():
+        mb = lb.get(name)
+        if mb is None:
+            lines.append(f"{name}: not in {path_b}")
+            continue
+        lines.append(
+            f"{name:33s} {ma['median']:9.4g} [{ma['q1']:.4g}, {ma['q3']:.4g}] -> "
+            f"{mb['median']:9.4g} [{mb['q1']:.4g}, {mb['q3']:.4g}] us  "
+            f"ratio {mb['median'] / ma['median']:.3f}")
     return lines
 
 
@@ -117,7 +211,7 @@ def main(argv=None) -> int:
     mode = parser.add_mutually_exclusive_group(required=True)
     mode.add_argument("--label", help="names the output file BENCH_<label>.json")
     mode.add_argument("--compare", nargs=2, metavar=("A.json", "B.json"),
-                      help="print the end-to-end change from A to B")
+                      help="print the end-to-end and layer changes from A to B")
     args = parser.parse_args(argv)
     if args.compare:
         print("\n".join(compare(*args.compare)))
@@ -142,6 +236,7 @@ def main(argv=None) -> int:
                 for m in bench["end_to_end"]},
             "per_layer": _layer_medians(traced),
         }
+    layers = _layers()
 
     doc = {
         "label": args.label,
@@ -156,6 +251,7 @@ def main(argv=None) -> int:
         "runs_per_workload": len(SEEDS),
         "traced_runs_per_workload": TRACED,
         "workloads": workloads,
+        "layers": layers,
     }
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(doc, indent=1) + "\n")

@@ -369,11 +369,18 @@ class WeakIssCertificate:
     alpha4_grid: np.ndarray
     alpha4_values: np.ndarray
 
+    def __post_init__(self):
+        # the knot table: _level(k) for k = 0 .. i_max + 1 as Python floats,
+        # built once, so that no gain evaluation reads a numpy scalar
+        object.__setattr__(self, "_r_last", float(self.r_seq[self.i_max - 1]))
+        object.__setattr__(self, "_knots",
+                           tuple(self._level(k) for k in range(self.i_max + 2)))
+
     def _level(self, k: int) -> float:
         # bridge target on [k, k+1]: the band minimum of the radius over s
         if k <= 1:
             return 1.0
-        rk = float(self.r_seq[min(k, self.i_max) - 1])
+        rk = self._r_last if k >= self.i_max else float(self.r_seq[k - 1])
         return min(1.0, rk / (k + 1.0))
 
     def _gain(self, s: float) -> float:
@@ -381,21 +388,26 @@ class WeakIssCertificate:
             return 1.0
         if not math.isfinite(s):
             return math.nan
-        k = int(math.floor(s))
+        k = math.floor(s)
         tau = s - k
-        lo, hi = self._level(k), self._level(k + 1)
+        if k <= self.i_max:
+            lo, hi = self._knots[k], self._knots[k + 1]
+        else:
+            lo, hi = self._level(k), self._level(k + 1)
         step = tau * tau * (3.0 - 2.0 * tau)
         return lo + (hi - lo) * step
 
     def g(self, s):
         """Smooth monotone gain: 1 on [0, 1], then bridged down staircase
-        levels; nan at a nan or infinite s. Entry by entry on an array (the
-        batches here are a few runs, where that is faster than array
-        arithmetic); a float for a float."""
+        levels; nan at a nan or infinite s. The levels come from a knot table
+        of Python floats built once per certificate, and an array is mapped
+        entry by entry (the batches here are a few runs, where that is faster
+        than array arithmetic); a float for a float."""
         s = np.asarray(s, dtype=float)
         if not s.ndim:
             return self._gain(float(s))
-        return np.array([self._gain(v) for v in s.ravel().tolist()]).reshape(s.shape)
+        return np.fromiter(map(self._gain, s.ravel().tolist()), float,
+                           s.size).reshape(s.shape)
 
     def alpha4(self, s: float) -> float:
         """Tabulated threshold radius, at least the identity, nondecreasing."""
@@ -411,7 +423,7 @@ class WeakIssCertificate:
                 for (lo, hi), r in zip(_band_edges(self.i_max), radii)]
 
     def to_json(self, path=None) -> dict:
-        knots = [[float(k), self._level(k)] for k in range(1, self.i_max + 2)]
+        knots = [[float(k), self._knots[k]] for k in range(1, self.i_max + 2)]
         doc = {
             "bands": self.bands(),
             "g_knots": knots,

@@ -635,7 +635,8 @@ class TestReferences:
 
 
 def reference_gain(cert, s):
-    """WeakIssCertificate.g as first written, one float at a time."""
+    """WeakIssCertificate.g as first written, one float at a time, with its
+    rule for nonfinite s: 1 at -inf, nan at nan and +inf."""
 
     def level(k):
         if k <= 1:
@@ -645,6 +646,8 @@ def reference_gain(cert, s):
 
     if s <= 1.0:
         return 1.0
+    if not math.isfinite(s):
+        return math.nan
     k = int(math.floor(s))
     tau = s - k
     lo, hi = level(k), level(k + 1)
@@ -652,23 +655,51 @@ def reference_gain(cert, s):
     return lo + (hi - lo) * step
 
 
-def test_gain_rowwise_matches_scalar():
-    # at s <= 1, the integer knots, both sides of every band edge and
-    # beyond i_max + 1, with levels below 1 and levels clipped to 1
+def gain_certificates():
+    """Staircases with levels below 1 and levels clipped to 1, then the
+    certificates of the weak-ISS benchmark (i_max 2, seed 0) and of
+    criterion 8 (i_max 8, seed 108)."""
     for i_max, top in ((1, 3.0), (2, 0.9), (4, 2.5), (6, 8.0)):
         r_seq = top * 0.7 ** np.arange(i_max)
-        cert = WeakIssCertificate(r_seq, 0.9 * r_seq, i_max, np.array([0.0, 1.0]),
-                                  np.array([0.0, 1.0]))
+        yield WeakIssCertificate(r_seq, 0.9 * r_seq, i_max, np.array([0.0, 1.0]),
+                                 np.array([0.0, 1.0]))
+    for i_max, seed in ((2, 0), (8, 108)):
+        yield build_weak_iss_certificate(counterexample_system(), scalar_abs_clf(),
+                                         zero_feedback(1, 1), i_max=i_max, seed=seed)
+
+
+def test_gain_rowwise_matches_scalar():
+    # at s <= 1 and negative s, both sides of every integer knot and band
+    # edge, beyond i_max + 1 and at nonfinite s
+    for cert in gain_certificates():
+        i_max = cert.i_max
         edges = np.array([e for band in _band_edges(i_max) for e in band], dtype=float)
+        knots = np.arange(1.0, i_max + 4.0)
         s = np.concatenate([np.linspace(0.0, 1.0, 65), np.arange(0.0, i_max + 4.0),
                             np.nextafter(edges, 0.0), np.nextafter(edges, np.inf),
+                            np.nextafter(knots, 0.0), np.nextafter(knots, np.inf),
                             np.linspace(i_max + 1.0, 4.0 * (i_max + 1), 301),
-                            [1e6, 2.0 ** 53, 1e300]])
+                            [1e6, 2.0 ** 53, 1e300],
+                            -np.linspace(0.0, 5.0, 21), [-1e300],
+                            [math.nan, math.inf, -math.inf]])
         want = np.array([reference_gain(cert, float(v)) for v in s])
         assert cert.g(s).tobytes() == want.tobytes()
         assert cert.g(s.reshape(-1, 1)).tobytes() == want.tobytes()
-        assert all(type(cert.g(float(v))) is float and cert.g(float(v)) == w
-                   for v, w in zip(s, want))
+        for v, w in zip(s, want):
+            got = cert.g(float(v))
+            assert type(got) is float
+            assert np.float64(got).tobytes() == w.tobytes()
+
+
+def test_knots_are_gain_values():
+    # every g_knots entry [k, v] of the certificate file is the gain at k
+    for i_max in (1, 2, 8):
+        cert = build_weak_iss_certificate(counterexample_system(), scalar_abs_clf(),
+                                          zero_feedback(1, 1), i_max=i_max)
+        knots = cert.to_json()["g_knots"]
+        assert [k for k, _ in knots] == list(range(1, i_max + 2))
+        for k, v in knots:
+            assert cert.g(float(k)) == v
 
 
 def reference_decrease(traj, clf, S_level, rel_tol, abs_tol):
