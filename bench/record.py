@@ -77,13 +77,18 @@ def _weak_iss(rows: int) -> SimpleNamespace:
 def _integrator(rows: int) -> SimpleNamespace:
     """Acceptance criterion 4's loop (the nonholonomic integrator under the
     explicit feedback, one substep of a 0.1 step) with rows normal states,
-    held controls and disturbances."""
-    from clfiss import affine_loop
-    from clfiss.systems import integrator_feedback, integrator_system
+    held controls and disturbances, and the explicit and the combined
+    (synthesised from the max CLF) feedbacks."""
+    from clfiss import affine_loop, combined_feedback
+    from clfiss.sampler import _rk4_step
+    from clfiss.systems import (integrator_feedback, integrator_max_clf,
+                                integrator_system)
+    system, explicit = integrator_system(), integrator_feedback()
     rng = np.random.default_rng(rows)
     x, (p, u) = rng.normal(size=(rows, 3)), rng.normal(size=(2, rows, 2))
-    return SimpleNamespace(F=affine_loop(integrator_system(), integrator_feedback(),
-                                         substeps=1).F, x=x, p=p, u=u, h=0.1)
+    return SimpleNamespace(F=affine_loop(system, explicit, substeps=1).F, x=x, p=p,
+                           u=u, h=0.1, rk4_step=_rk4_step, explicit=explicit.eval,
+                           combined=combined_feedback(system, integrator_max_clf()).eval)
 
 
 def _rk4(w: SimpleNamespace):
@@ -92,6 +97,14 @@ def _rk4(w: SimpleNamespace):
 
 def _F(w: SimpleNamespace):
     return w.F(w.x, w.p, w.u)
+
+
+def _explicit(w: SimpleNamespace):
+    return w.explicit(w.x)
+
+
+def _combined(w: SimpleNamespace):
+    return w.combined(w.x)
 
 
 # (name, set-up, call): set-up builds the call's argument once, and each timed
@@ -104,6 +117,17 @@ LAYERS = (
     ("WeakIssCertificate.g[4]", lambda: _weak_iss(4), lambda w: w.g(w.s)),
     ("integrator.F[1]", lambda: _integrator(1), _F),
     ("integrator.F[4]", lambda: _integrator(4), _F),
+    ("integrator.F[9]", lambda: _integrator(9), _F),
+    ("integrator.F[50]", lambda: _integrator(50), _F),
+    ("integrator._rk4_step[1]", lambda: _integrator(1), _rk4),
+    ("integrator._rk4_step[9]", lambda: _integrator(9), _rk4),
+    ("integrator._rk4_step[50]", lambda: _integrator(50), _rk4),
+    ("integrator.explicit[1]", lambda: _integrator(1), _explicit),
+    ("integrator.explicit[9]", lambda: _integrator(9), _explicit),
+    ("integrator.explicit[50]", lambda: _integrator(50), _explicit),
+    ("integrator.combined[1]", lambda: _integrator(1), _combined),
+    ("integrator.combined[9]", lambda: _integrator(9), _combined),
+    ("integrator.combined[50]", lambda: _integrator(50), _combined),
 )
 
 

@@ -284,6 +284,11 @@ class Status:
     def ok(self) -> bool:
         return self.kind == COMPLETED
 
+    @property
+    def diverged(self) -> bool:
+        """The run blew up or turned nonfinite."""
+        return self.kind in (BLOWUP, NUMERICAL_FAILURE)
+
     def to_dict(self) -> dict:
         return asdict(self)
 

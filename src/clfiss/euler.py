@@ -12,9 +12,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .clf import IssEnvelope
-from .core import (BLOWUP, NUMERICAL_FAILURE, Signal, Trajectory,
-                   as_vector, constant_signal, lower_diameter, make_partition,
-                   upper_diameter, zero_signal)
+from .core import (Signal, Trajectory, as_vector, constant_signal,
+                   lower_diameter, make_partition, upper_diameter, zero_signal)
 from .sampler import ClosedLoop, sample_solve_batch
 # not called here; the benchmark's tracer (perfbench/tracer.py) patches it
 from .sampler import sample_solve  # noqa: F401
@@ -118,7 +117,7 @@ def euler_study(loop: ClosedLoop, schedule: RefinementSchedule, x0) -> EulerStud
             "sup_e": schedule.errors[r].bound,
             "distance_to_prev": None,
         })
-        if traj.status.kind in (BLOWUP, NUMERICAL_FAILURE):
+        if traj.status.diverged:
             divergent = r
             break
         prev, states, finest = states, traj.state_at(grid), traj

@@ -202,10 +202,10 @@ def sample_solve_batch(loop: ClosedLoop, partitions, x0, u=None,
     dense_t = np.empty((B, k_max * S + 1))
     held_all = np.empty((B, k_max, m))
     dense_x[:, 0], dense_t[:, 0] = x, 0.0
-    # per row, the dense row it stopped at (K S + 1 when it completed) and
-    # why; its record ends before that row, or with it when it escaped
+    # per row, the dense row it stopped at (K S + 1 when it completed) and if
+    # it was nonfinite; the record ends before that row, or with it if not
     stopped_at = K * S + 1
-    terminal = [None] * B
+    nonfinite = np.zeros(B, dtype=bool)
     # a block whose entries are all at most screen in size is finite and
     # inside the escape radius, with norms and squares that do not overflow;
     # nan fails the test
@@ -249,8 +249,6 @@ def sample_solve_batch(loop: ClosedLoop, partitions, x0, u=None,
             stages[..., 2].reshape(live, -1))
 
     out = np.sqrt(rowdot(x, x)) > loop.escape_radius
-    for j in np.flatnonzero(out).tolist():
-        terminal[j] = Status(BLOWUP, 0.0, "initial state beyond escape radius")
     stopped_at[out] = 0
     if out.any():
         select(~out)
@@ -279,25 +277,25 @@ def sample_solve_batch(loop: ClosedLoop, partitions, x0, u=None,
             if np.abs(states).max() <= screen:   # false at nan
                 continue
             bad, stop = _stops(states, loop.escape_radius)
-            going = ~stop.any(axis=1)
-            for r in np.flatnonzero(~going).tolist():
-                k = int(stop[r].argmax())
-                j = int(ids(r))
-                if bad[r, k]:
-                    tau = _stage_times(times[j, i], times[j, i + 1], S)[k, 0]
-                    terminal[j] = Status(NUMERICAL_FAILURE, float(tau),
-                                         "nonfinite state")
-                else:
-                    terminal[j] = Status(BLOWUP, float(dense_t[j, first + k]),
-                                         "escape radius reached")
-                stopped_at[j] = first + k
-            if not going.all():
-                select(going)
+            gone = np.flatnonzero(stop.any(axis=1))
+            if gone.size:
+                k, j = stop[gone].argmax(axis=1), ids(gone)
+                stopped_at[j], nonfinite[j] = first + k, bad[gone, k]
+                select(~stop.any(axis=1))
 
     trajectories = []
     for j, p in enumerate(partitions):
         s = int(stopped_at[j])
-        status = terminal[j] or Status(COMPLETED)
+        if s > K[j] * S:
+            status = Status(COMPLETED)
+        elif nonfinite[j]:   # at the start of the substep that turned it
+            i, k = divmod(s - 1, S)
+            tau = _stage_times(times[j, i], times[j, i + 1], S)[k, 0]
+            status = Status(NUMERICAL_FAILURE, float(tau), "nonfinite state")
+        else:
+            status = Status(BLOWUP, float(dense_t[j, s]),
+                            "escape radius reached" if s else
+                            "initial state beyond escape radius")
         # the intervals the row completed and began (it held a control on
         # each one it began), and its dense rows
         done, began = max(s - 1, 0) // S, min((s + S - 1) // S, int(K[j]))
@@ -310,7 +308,7 @@ def sample_solve_batch(loop: ClosedLoop, partitions, x0, u=None,
                   if monitor is not None and s else math.nan)
         if not math.isnan(t_left):
             status = (Status(LEFT_DOMAIN, t_left, "left CLF estimate region")
-                      if terminal[j] is None else
+                      if status.kind == COMPLETED else
                       Status(status.kind, status.time, status.detail
                              + f"; left CLF estimate region at t={t_left:g}"))
         # each interval adds S dense rows, so the end state of a completed

@@ -19,9 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clf import IssEnvelope
-from .core import (BLOWUP, NUMERICAL_FAILURE, Partition, Signal, as_vector,
-                   constant_signal, lower_diameter, make_partition,
-                   piecewise_constant_signal, sine_signal, zero_signal)
+from .core import (Partition, Signal, as_vector, constant_signal,
+                   lower_diameter, make_partition, piecewise_constant_signal,
+                   sine_signal, zero_signal)
 from .euler import additive_check
 from .sampler import (ClosedLoop, RateGuard, admissible, decrease_check,
                       sample_solve_batch)
@@ -181,7 +181,7 @@ def _run(c: Campaign, cases: list, trials: list) -> CampaignReport:
     found = {"violation_margin": -math.inf, "case": None, "status": None}
     for k, (case, traj) in enumerate(zip(stream, _trajectories(c.loop, stream))):
         add_m, max_m, fine_m, first = _margins(c, vM, g, case, traj)
-        diverged = traj.status.kind in (BLOWUP, NUMERICAL_FAILURE)
+        diverged = traj.status.diverged
         if k >= len(cases):   # an adversarial trial; blow-ups are unbounded
             viol = math.inf if diverged else -add_m
             if viol > found["violation_margin"]:

@@ -9,7 +9,8 @@ from clfiss import (ControlAffineSystem, FullyNonlinearSystem, Partition,
                     constant_signal, lower_diameter, make_partition,
                     piecewise_constant_signal, sine_signal, upper_diameter,
                     zero_signal)
-from clfiss.core import bisect, direction_set, unit_rows
+from clfiss.core import (BLOWUP, COMPLETED, LEFT_DOMAIN, NUMERICAL_FAILURE,
+                         Status, bisect, direction_set, unit_rows)
 
 
 def test_upper_diameter_uniform():
@@ -169,3 +170,9 @@ def test_bisect_array_bounds_match_scalar():
             assert type(want[0]) is float and type(want[1]) is float
             assert got_lo[i].tobytes() == np.float64(want[0]).tobytes()
             assert got_hi[i].tobytes() == np.float64(want[1]).tobytes()
+
+
+def test_status_diverged_is_blowup_or_numerical_failure():
+    assert [Status(kind).diverged for kind in
+            (COMPLETED, BLOWUP, LEFT_DOMAIN, NUMERICAL_FAILURE)] == [
+        False, True, False, True]

@@ -740,6 +740,16 @@ def test_decrease_check_matches_reference():
 REL = 1e-12
 
 
+def test_integrator_lower_table_closed_form():
+    """Max CLF on the integrator: V(x) <= |x|, so the closed form is
+    lower(s) = s. On the acceptance campaign's tables every sampled shell
+    that reaches level s lies at a norm of at least s, and lower is clipped
+    to s from above, so it equals the levels exactly."""
+    tables = estimate_alpha_tables(integrator_max_clf(), 20.0, 257,
+                                   directions=256, radii=512, seed=0)
+    assert tables.lower.tobytes() == tables.levels.tobytes()
+
+
 def test_integrator_guard_oracles():
     """Max CLF on the integrator: f = 0; only G's third row varies, by
     (-dx2, dx1), so L_G <= 1; V is sqrt(2)-Lipschitz and V >= |x| / sqrt(5)

@@ -105,6 +105,15 @@ class TestExplicitFeedback:
         assert rep["k1_direction_error"] < 1e-9
         assert rep["b_norm_min_sq"] >= 1.0 - 1e-9
         assert rep["b_norm_excess"] <= 1e-9
+        # the values of the point-by-point check, float for float
+        assert rep == {
+            "points": 500,
+            "k1_rel_error": float.fromhex("0x1.1bf4fbf321746p-51"),
+            "k2_abs_error": 0.0,
+            "k1_direction_error": float.fromhex("0x1.07e0f66afed07p-52"),
+            "b_norm_min_sq": float.fromhex("0x1.ffffffffffffep-1"),
+            "b_norm_excess": float.fromhex("0x1.0000000000000p-48"),
+        }
 
 
 class TestSquaredClf:
