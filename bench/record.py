@@ -44,6 +44,7 @@ import statistics
 import subprocess
 import sys
 import timeit
+from functools import lru_cache
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -91,6 +92,49 @@ def _integrator(rows: int) -> SimpleNamespace:
                            combined=combined_feedback(system, integrator_max_clf()).eval)
 
 
+@lru_cache(maxsize=None)
+def _acceptance() -> SimpleNamespace:
+    """Acceptance criterion 4's set-up: the max-CLF tables (radius 20, 257
+    levels, 256 directions, 512 radii, seed 0), the integrator loop under the
+    explicit feedback and the cone monitor (one substep), its envelope and
+    rate guard, and the criterion's 50 cases (seed 104) over a horizon of
+    0.1 in place of 2."""
+    from clfiss import (Campaign, ProbeConfig, affine_loop, build_envelope,
+                        estimate_alpha_tables, estimate_rate_guard, make_cases,
+                        run_campaign)
+    from clfiss.systems import (cone_margin, integrator_feedback, integrator_max_clf,
+                                integrator_system)
+    system, clf = integrator_system(), integrator_max_clf()
+
+    def tables():
+        return estimate_alpha_tables(clf, 20.0, 257, directions=256, radii=512, seed=0)
+
+    loop = affine_loop(system, integrator_feedback(), substeps=1, domain_margin=cone_margin)
+    w = SimpleNamespace(tables=tables, loop=loop, table=tables())
+
+    def guard():
+        return estimate_rate_guard(loop, clf, w.table, epsilon=0.1, M=2.0, N=0.1,
+                                   sys=system, probe=ProbeConfig(2048, 4000, 1.25, 0))
+
+    w.guard = guard
+    g = guard()
+    cases = make_cases(loop, g, M=2.0, N=0.1, count=50, horizon=0.1, seed=104)
+    w.campaign = Campaign(loop, build_envelope(w.table, 0.1), g, cases, M=2.0, N=0.1,
+                          clf=clf, check_decrease=True,
+                          s_level=float(w.table.lower_inv(0.1)))
+    w.run = lambda: run_campaign(w.campaign)
+    return w
+
+
+def _certificate():
+    """Acceptance criterion 8's weak-ISS certificate (i_max 8, seed 108)."""
+    from clfiss import zero_feedback
+    from clfiss.systems import (build_weak_iss_certificate, counterexample_system,
+                                scalar_abs_clf)
+    return build_weak_iss_certificate(counterexample_system(), scalar_abs_clf(),
+                                      zero_feedback(1, 1), i_max=8, seed=108)
+
+
 def _rk4(w: SimpleNamespace):
     return w.rk4_step(w.F, w.x, w.h, 0.5 * w.h, w.h / 6.0, w.p, w.u, w.u, w.u)
 
@@ -114,6 +158,10 @@ LAYERS = (
     ("weak_iss.F[4]", lambda: _weak_iss(4), _F),
     ("weak_iss._rk4_step[1]", lambda: _weak_iss(1), _rk4),
     ("weak_iss._rk4_step[4]", lambda: _weak_iss(4), _rk4),
+    ("weak_iss.F[9]", lambda: _weak_iss(9), _F),
+    ("weak_iss.F[50]", lambda: _weak_iss(50), _F),
+    ("weak_iss._rk4_step[9]", lambda: _weak_iss(9), _rk4),
+    ("weak_iss._rk4_step[50]", lambda: _weak_iss(50), _rk4),
     ("WeakIssCertificate.g[4]", lambda: _weak_iss(4), lambda w: w.g(w.s)),
     ("integrator.F[1]", lambda: _integrator(1), _F),
     ("integrator.F[4]", lambda: _integrator(4), _F),
@@ -128,6 +176,10 @@ LAYERS = (
     ("integrator.combined[1]", lambda: _integrator(1), _combined),
     ("integrator.combined[9]", lambda: _integrator(9), _combined),
     ("integrator.combined[50]", lambda: _integrator(50), _combined),
+    ("build_weak_iss_certificate(i_max=8)", lambda: None, lambda _: _certificate()),
+    ("estimate_alpha_tables(acceptance)", _acceptance, lambda w: w.tables()),
+    ("estimate_rate_guard(acceptance)", _acceptance, lambda w: w.guard()),
+    ("run_campaign[50](horizon=0.1)", _acceptance, lambda w: w.run()),
 )
 
 

@@ -157,14 +157,8 @@ def check_iss_euler(traj: Trajectory, env: IssEnvelope, x0,
                     u_bound: float) -> IssCheck:
     """Pointwise additive envelope check |x(t)| <= beta(|x0|, t) + gamma(N) + overflow."""
     x0n = float(np.linalg.norm(as_vector(x0)))
-    return additive_check(env, env.tables.lower_inv(x0n), env.gamma(u_bound),
-                          traj.dense_times, traj.norms())
-
-
-def additive_check(env: IssEnvelope, v, g, t, norms) -> IssCheck:
-    """check_iss_euler at the times t with state norms norms, from the
-    envelope's inverted terms v = tables.lower_inv(|x0|) and g = gamma(N)."""
-    margins = env.additive_from(v, g, t) - norms
+    t = traj.dense_times
+    margins = env.additive_bound(x0n, u_bound, t) - traj.norms()
     bad = np.nonzero(margins < 0.0)[0]
     first = float(t[bad[0]]) if bad.size else None
     return IssCheck(float(np.min(margins)), first, int(bad.size), int(t.size))

@@ -23,12 +23,10 @@ from .core import (BLOWUP, COMPLETED, DEFAULT_ESCAPE_RADIUS, LEFT_DOMAIN,
 from .feedback import Feedback
 
 DOMAIN_EXIT_TOL = 1e-9
-# sample_solve_batch evaluates each row's signals once per block of
-# max(1, BLOCK // substeps) intervals, i.e. of at most BLOCK RK4 substeps
-# unless one interval has more. Its disturbance table then holds at most
-# 3 * max(BLOCK, substeps) stage values per row and component, whatever the
-# horizon, and a loop of one substep, whose intervals are cheap, pays for a
-# table only once per 256 intervals
+# a lockstep batch steps, records and hands over its rows, and evaluates
+# their signals, in blocks of max(1, BLOCK // substeps) intervals, that is of
+# at most max(BLOCK, substeps) RK4 substeps: a block's tables hold a bounded
+# number of values per row, whatever the horizon
 BLOCK = 256
 # estimate_rate_guard checks the overflow margin on this many points of
 # [0, lower_inv(N) + lambda_plus]
@@ -134,49 +132,42 @@ def _stops(block, radius: float):
     return bad, bad | (np.sqrt(rowdot(block, block)) > radius)
 
 
-def _left_at(margin, samples, dense, dense_t, sample_times, S: int) -> float:
-    """The time a run first leaves its CLF estimate region, or nan.
-
-    The run reads its states in this order: dense row 0 (only as the first
-    previous margin), then per interval i its noisy sample and dense rows
-    i S + 1, ..., (i + 1) S, as far as dense reaches. A state leaves when its
-    margin is near zero or of the opposite sign to the one read before it.
-    """
-    seq = np.full(1 + samples.shape[0] * (S + 1), np.nan)   # nan flags nothing
-    grid = seq[1:].reshape(-1, S + 1)
-    grid[:, 0] = rowwise(margin(samples), samples)
-    at_dense = rowwise(margin(dense), dense)
-    seq[0] = at_dense[0]
-    grid[:, 1:].flat[:at_dense.size - 1] = at_dense[1:]
-    hit = np.flatnonzero((np.abs(seq[1:]) < DOMAIN_EXIT_TOL) | (seq[1:] * seq[:-1] < 0))
-    if not hit.size:
-        return math.nan
-    i, c = divmod(int(hit[0]), S + 1)
-    return float(sample_times[i] if c == 0 else dense_t[i * S + c])
+def _valid(f, x, ok):
+    """The row-wise f at the states x[ok], (..., n) masked by ok (...), and nan
+    elsewhere, so that f never reads a state outside a record."""
+    out = np.full(ok.shape, np.nan)
+    if ok.any():
+        out[ok] = rowwise(f(x[ok]), x[ok])
+    return out
 
 
-def sample_solve_batch(loop: ClosedLoop, partitions, x0, u=None,
-                       e=None) -> list:
-    """Run the hold-and-integrate recursion for B independent rows in lockstep.
+def _lockstep(loop: ClosedLoop, partitions, x0, u, e, take) -> tuple:
+    """Run the hold-and-integrate recursion for B independent rows in lockstep
+    and return each row's stop (the dense row it stopped at, K S + 1 when it
+    completed) and Status.
 
     Row j runs on partitions[j] from x0[j] under the disturbance u[j] and the
     observation error e[j] (None, or a None entry, is the zero signal), with
     its own interval boundaries and substep length. Every row takes interval
     i together, all S substeps of it; the S states are then checked as one
     block. A row that turns nonfinite or escapes stops at the first such
-    substep (its record ends there) and leaves the batch at the end of that
-    interval, so its later substeps are computed and discarded: F must take
-    nonfinite or very large rows without raising, and the loop runs under
-    np.errstate(over="ignore", invalid="ignore"), which also covers the
-    feedback and signal calls made in it. A row that reaches its horizon
-    leaves too. Returns one Trajectory per row, byte for byte the one the row
-    gives alone, as sample_solve describes; its arrays are views of the
-    batch's buffers, which live as long as one of them does. The feedback is
-    called once per interval, on the noisy samples of every running row; each
-    row's disturbance and noise once per block of BLOCK RK4 substeps (at
-    least one interval), at their RK4 stage times and sample times. The domain
-    margin is evaluated once per row after the loop, on the states the row
-    reached and its noisy samples, for which its noise is evaluated once more.
+    substep (its record ends before a nonfinite state, with an escaping one)
+    and leaves the batch at the end of that interval, so its later substeps
+    are computed and discarded: F must take nonfinite or very large rows
+    without raising, and the loop runs under np.errstate(over="ignore",
+    invalid="ignore"), which also covers the feedback, signal and take calls
+    made in it. A row that reaches its horizon leaves too.
+
+    Each block of max(1, BLOCK // S) intervals goes to take(ids, first, x, t,
+    held, count) once stepped, for the R rows running at its start (ids).
+    Column c of x (R, C, n) and t (R, C) is dense row first + c: column 0 is
+    the block's start, every S-th column a sample. held (R, C // S, m) holds
+    the controls held on its intervals. A row's record ends before dense row
+    count (R,), and the arrays may be views of buffers that the next block
+    overwrites. The feedback is called once per interval, on the noisy
+    samples of every running row; each row's signals once per block, at its
+    RK4 stage and sample times, and the domain margin on the block's states
+    and noisy samples.
     """
     B, n, m, S = len(partitions), loop.n, loop.m, loop.substeps
     u = [zero_signal(m) if s is None else s for s in (u or [None] * B)]
@@ -185,40 +176,33 @@ def sample_solve_batch(loop: ClosedLoop, partitions, x0, u=None,
         raise ValueError("need one x0, disturbance and error per partition")
     if any(s.dim != m for s in u) or any(s.dim != n for s in e):
         raise ValueError("signal dimensions must match the loop")
-    if not B:
-        return []
     x = np.array([as_vector(v, n) for v in x0]).reshape(B, n)
     K = np.array([p.intervals for p in partitions], dtype=int)
     k_max = int(K.max(initial=0))
-    times = np.full((B, k_max + 1), np.nan)
-    for j, p in enumerate(partitions):
-        times[j, :K[j] + 1] = p.times
-    # interval i is shared when every row that reaches it has the same ends,
-    # and some row's last interval is i - 1 when ends[i]
-    same = (np.nanmin(times, axis=0) == np.nanmax(times, axis=0)).tolist()
-    ends = np.isin(np.arange(k_max), K).tolist()
-    # each running row writes dense row s at the run's s-th substep
-    dense_x = np.empty((B, k_max * S + 1, n))
-    dense_t = np.empty((B, k_max * S + 1))
-    held_all = np.empty((B, k_max, m))
-    dense_x[:, 0], dense_t[:, 0] = x, 0.0
-    # per row, the dense row it stopped at (K S + 1 when it completed) and if
-    # it was nonfinite; the record ends before that row, or with it if not
-    stopped_at = K * S + 1
+    # per row, the dense row it stopped at (0 for a start beyond the escape
+    # radius), if that state was nonfinite, and when it stopped and left the CLF region
+    stop = np.where(np.sqrt(rowdot(x, x)) > loop.escape_radius, 0, K * S + 1)
     nonfinite = np.zeros(B, dtype=bool)
+    t_stop, t_left = np.where(stop, np.nan, 0.0), np.full(B, np.nan)
+    # some row leaves before interval i: its partition ended, or it stopped at its start
+    ends = np.isin(np.arange(k_max), np.where(stop, K, 0)).tolist()
+    block = max(1, min(BLOCK // S, k_max))   # intervals per block
+    # the block's record by row id: states, dense times, held controls and
+    # the noisy samples the feedback read
+    bx, bt = np.zeros((B, block * S + 1, n)), np.zeros((B, block * S + 1))
+    held_b, noisy_b = np.empty((B, block, m)), np.empty((B, block, n))
     # a block whose entries are all at most screen in size is finite and
     # inside the escape radius, with norms and squares that do not overflow;
     # nan fails the test
     screen = min(loop.escape_radius, 1e150) / math.sqrt(n) * (1.0 - 1e-9)
     monitor = loop.domain_margin
-    block = max(1, BLOCK // S)   # intervals per signal table
     blk = np.empty((B, S, n))    # states after each substep of an interval
 
     # the running rows: their count and ids (a slice while none has
-    # stopped), their states, and their disturbance at the stage times and
-    # their noise at the sample times of the current block of intervals
+    # stopped), their states, and their sample times, disturbance at the
+    # stage times and noise at the sample times over the current block
     live, rows = B, slice(0, B)
-    u_tab, e_tab = np.empty((B, 0, S, 3, m)), np.empty((B, 0, n))
+    span, u_tab, e_tab = np.empty((B, 0)), np.empty((B, 0, S, 3, m)), np.empty((B, 0, n))
 
     def ids(pos):
         # the row ids at positions pos among the running rows
@@ -226,93 +210,129 @@ def sample_solve_batch(loop: ClosedLoop, partitions, x0, u=None,
 
     def select(keep):
         # go on with the running rows where keep holds only
-        nonlocal live, rows, x, u_tab, e_tab
+        nonlocal live, rows, x, span, u_tab, e_tab
         keep = np.flatnonzero(keep)
         live, rows = keep.size, ids(keep)
-        x, u_tab, e_tab = x[keep], u_tab[keep], e_tab[keep]
+        x, span, u_tab, e_tab = x[keep], span[keep], u_tab[keep], e_tab[keep]
 
-    def tabulate(i):
-        # each running row's signals over its intervals i, ..., i + block - 1
-        # (fewer where its partition ends sooner), one call per signal, and
-        # its dense times there: each substep's end, t1 for the last one
-        nonlocal u_tab, e_tab
-        span = times[rows, i:i + block + 1]
-        stages = _stage_times(span[:, :-1], span[:, 1:], S)
-        u_tab = np.empty(stages.shape + (m,))
-        e_tab = np.empty(span[:, :-1].shape + (n,))
+    def tabulate(i0, L):
+        # each running row's times t_{i0}, ..., t_{i0 + L} (nan past its
+        # partition), its signals there, one call per signal, and its dense
+        # times after the block's start: each substep's end, t1 for the last
+        # one. Returns per time whether every row that reaches it shares it
+        nonlocal span, u_tab, e_tab
+        span = np.full((live, L + 1), np.nan)
         for r, j in enumerate(ids(slice(None)).tolist()):
-            k = min(block, K[j] - i)
+            span[r, :min(L, K[j] - i0) + 1] = partitions[j].times[i0:i0 + L + 1]
+        stages = _stage_times(span[:, :-1], span[:, 1:], S)
+        u_tab, e_tab = np.empty(stages.shape + (m,)), np.empty((live, L, n))
+        for r, j in enumerate(ids(slice(None)).tolist()):
+            k = min(L, K[j] - i0)
             u_tab[r, :k] = signal_at(u[j], stages[r, :k])
             e_tab[r, :k] = signal_at(e[j], span[r, :k])
         stages[:, :, -1, 2] = span[:, 1:]
-        dense_t[rows, i * S + 1:(i + span.shape[1] - 1) * S + 1] = (
-            stages[..., 2].reshape(live, -1))
+        bt[rows, 1:L * S + 1] = stages[..., 2].reshape(live, -1)
+        return (np.fmin.reduce(span) == np.fmax.reduce(span)).tolist()
 
-    out = np.sqrt(rowdot(x, x)) > loop.escape_radius
-    stopped_at[out] = 0
-    if out.any():
-        select(~out)
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(k_max):
-            if ends[i]:
-                select(K[rows] > i)
-            if not x.shape[0]:
+        for i0 in range(0, k_max, block):
+            if not live:
                 break
-            if same[i] and same[i + 1]:
-                lead = rows.start if isinstance(rows, slice) else rows[0]
-                t0, t1 = float(times[lead, i]), float(times[lead, i + 1])
-            else:
-                t0, t1 = times[rows, i, None], times[rows, i + 1, None]
-            c = i % block
-            if not c:
-                tabulate(i)
-            x_tilde = x + e_tab[:, c]
-            held = rowwise(loop.feedback.eval(x_tilde), x_tilde, (m,))
-            held_all[rows, i] = held
-            states = blk[:live]
-            _hold(loop, x, t0, t1, held, u_tab[:, c], states)
-            first = i * S + 1   # the dense row of the interval's first substep
-            dense_x[rows, first:first + S] = states
-            x = states[:, -1]
-            if np.abs(states).max() <= screen:   # false at nan
-                continue
-            bad, stop = _stops(states, loop.escape_radius)
-            gone = np.flatnonzero(stop.any(axis=1))
-            if gone.size:
-                k, j = stop[gone].argmax(axis=1), ids(gone)
-                stopped_at[j], nonfinite[j] = first + k, bad[gone, k]
-                select(~stop.any(axis=1))
+            L, at = min(block, k_max - i0), rows   # at: the rows the block records
+            bx[rows, 0], bt[rows, 0] = x, bt[rows, -1]   # the last block's end, or t = 0
+            for c in range(L):
+                i = i0 + c
+                if ends[i]:
+                    select(stop[rows] > i * S + 1)
+                if not live:
+                    break
+                if not c:
+                    same = tabulate(i0, L)
+                if same[c] and same[c + 1]:
+                    t0, t1 = float(span[0, c]), float(span[0, c + 1])
+                else:
+                    t0, t1 = span[:, c, None], span[:, c + 1, None]
+                x_tilde = x + e_tab[:, c]
+                held = rowwise(loop.feedback.eval(x_tilde), x_tilde, (m,))
+                held_b[rows, c], noisy_b[rows, c] = held, x_tilde
+                states = blk[:live]
+                _hold(loop, x, t0, t1, held, u_tab[:, c], states)
+                bx[rows, c * S + 1:(c + 1) * S + 1] = states
+                x = states[:, -1]
+                if np.abs(states).max() <= screen:   # false at nan
+                    continue
+                bad, stops = _stops(states, loop.escape_radius)
+                gone = np.flatnonzero(stops.any(axis=1))
+                if gone.size:   # nonfinite at the substep's start, an escape at its end
+                    k, j = stops[gone].argmax(axis=1), ids(gone)
+                    stop[j], nonfinite[j] = i * S + 1 + k, bad[gone, k]
+                    tau = _stage_times(span[gone, c], span[gone, c + 1], S)
+                    t_stop[j] = np.where(nonfinite[j], tau[np.arange(gone.size), k, 0],
+                                         bt[j, c * S + 1 + k])
+                    select(~stops.any(axis=1))
 
-    trajectories = []
-    for j, p in enumerate(partitions):
-        s = int(stopped_at[j])
-        if s > K[j] * S:
+            j, first, C = np.arange(B)[at], i0 * S, L * S + 1
+            s, x_b, t_b = stop[j], bx[at, :C], bt[at, :C]
+            if monitor is not None:
+                # the states in the order each row read them: the block's
+                # start, then per interval its noisy sample and its substeps,
+                # up to (not with) its stop. A state leaves when its margin is
+                # near zero or of the opposite sign to the one before it
+                began = np.minimum((s + S - 1) // S, K[j])
+                mx = _valid(monitor, x_b, first + np.arange(C) < s[:, None])
+                ms = _valid(monitor, noisy_b[at, :L], i0 + np.arange(L) < began[:, None])
+                seq = np.insert(mx, 1 + S * np.arange(L), ms, axis=1)
+                hit = (np.abs(seq[:, 1:]) < DOMAIN_EXIT_TOL) | (seq[:, 1:] * seq[:, :-1] < 0)
+                new = np.flatnonzero(hit.any(axis=1) & np.isnan(t_left[j]))
+                c, q = np.divmod(hit[new].argmax(axis=1), S + 1)
+                t_left[j[new]] = t_b[new, c * S + q]   # a sample's time heads its interval
+            take(j, first, x_b, t_b, held_b[at, :L], s + ((s <= K[j] * S) & ~nonfinite[j]))
+
+    statuses = []
+    for s, k, bad, t, left in zip(stop.tolist(), K.tolist(), nonfinite.tolist(),
+                                  t_stop.tolist(), t_left.tolist()):
+        if s > k * S:
             status = Status(COMPLETED)
-        elif nonfinite[j]:   # at the start of the substep that turned it
-            i, k = divmod(s - 1, S)
-            tau = _stage_times(times[j, i], times[j, i + 1], S)[k, 0]
-            status = Status(NUMERICAL_FAILURE, float(tau), "nonfinite state")
+        elif bad:
+            status = Status(NUMERICAL_FAILURE, t, "nonfinite state")
         else:
-            status = Status(BLOWUP, float(dense_t[j, s]),
-                            "escape radius reached" if s else
+            status = Status(BLOWUP, t, "escape radius reached" if s else
                             "initial state beyond escape radius")
-        # the intervals the row completed and began (it held a control on
-        # each one it began), and its dense rows
-        done, began = max(s - 1, 0) // S, min((s + S - 1) // S, int(K[j]))
-        count = s + (status.kind == BLOWUP)
-        # the monitor reads the states before the stop and the noisy samples
-        # the feedback read, recomputed
-        t_left = (_left_at(monitor, dense_x[j, 0:began * S:S]
-                           + signal_at(e[j], times[j, :began]),
-                           dense_x[j, :s], dense_t[j], times[j], S)
-                  if monitor is not None and s else math.nan)
-        if not math.isnan(t_left):
-            status = (Status(LEFT_DOMAIN, t_left, "left CLF estimate region")
+        if not math.isnan(left):
+            status = (Status(LEFT_DOMAIN, left, "left CLF estimate region")
                       if status.kind == COMPLETED else
                       Status(status.kind, status.time, status.detail
-                             + f"; left CLF estimate region at t={t_left:g}"))
-        # each interval adds S dense rows, so the end state of a completed
-        # one is every S-th dense row
+                             + f"; left CLF estimate region at t={left:g}"))
+        statuses.append(status)
+    return stop, statuses
+
+
+def sample_solve_batch(loop: ClosedLoop, partitions, x0, u=None,
+                       e=None) -> list:
+    """Run the hold-and-integrate recursion for B independent rows in lockstep,
+    as _lockstep describes, and return one Trajectory per row, byte for byte
+    the one the row gives alone, as sample_solve describes. Each block is
+    copied into buffers as long as the longest row, and each trajectory's
+    arrays are views of them, which live as long as one of them does.
+    """
+    B, n, m, S = len(partitions), loop.n, loop.m, loop.substeps
+    k_max = max((p.intervals for p in partitions), default=0)
+    dense_x = np.empty((B, k_max * S + 1, n))
+    dense_t = np.empty((B, k_max * S + 1))
+    held_all = np.empty((B, k_max, m))
+
+    def keep(j, first, x, t, held, count):
+        dense_x[j, first:first + t.shape[1]], dense_t[j, first:first + t.shape[1]] = x, t
+        held_all[j, first // S:first // S + held.shape[1]] = held
+
+    stop, statuses = _lockstep(loop, partitions, x0, u, e, keep)
+    trajectories = []
+    for j, (p, s, status) in enumerate(zip(partitions, stop.tolist(), statuses)):
+        # the intervals the row completed and began (it held a control on
+        # each one it began), and its dense rows; each interval adds S dense
+        # rows, so the end state of a completed one is every S-th dense row
+        done, began = max(s - 1, 0) // S, min((s + S - 1) // S, p.intervals)
+        count = s + (status.kind == BLOWUP)
         dense = dense_x[j, :count]
         trajectories.append(Trajectory(
             p, p.times[:done + 1], dense[:done * S + 1:S], dense_t[j, :count],
@@ -590,6 +610,15 @@ class DecreaseReport:
         return asdict(self)
 
 
+def _decrease_margins(vals, times, rel_tol: float = 1e-4, abs_tol: float = 0.0):
+    """Per step of vals, V at the sample times times (last axis): V(x_i),
+    rhs = -dt/16 V(x_i) and the margin V(x_{i+1}) - V(x_i) - (rhs + rel_tol
+    V(x_i) + abs_tol), positive where the step fails to decrease."""
+    v0 = vals[..., :-1]
+    rhs = -np.diff(times) / 16.0 * v0
+    return v0, rhs, np.diff(vals) - (rhs + rel_tol * v0 + abs_tol)
+
+
 def decrease_check(traj: Trajectory, clf: Clf, guard: RateGuard | None = None,
                    S_level: float = 0.0, rel_tol: float = 1e-4,
                    abs_tol: float = 0.0) -> DecreaseReport:
@@ -609,9 +638,7 @@ def decrease_check(traj: Trajectory, clf: Clf, guard: RateGuard | None = None,
         return DecreaseReport(False, True, "partition exceeds the admissible diameter",
                               0, [], 0.0)
     vals = rowwise(clf.V(traj.sample_states), traj.sample_states)
-    v0 = vals[:-1]
-    rhs = -np.diff(traj.sample_times) / 16.0 * v0
-    margin = np.diff(vals) - (rhs + rel_tol * v0 + abs_tol)
+    v0, rhs, margin = _decrease_margins(vals, traj.sample_times, rel_tol, abs_tol)
     checked = v0 > S_level
     violations = [{"interval": int(i), "lhs": float(vals[i + 1] - vals[i]),
                    "rhs": float(rhs[i]), "margin": float(margin[i])}

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clf import Clf
-from .core import (ControlAffineSystem, FullyNonlinearSystem, as_vector,
-                   bisect, direction_set, rowdot, rowwise)
+from .core import (ControlAffineSystem, FullyNonlinearSystem, bisect,
+                   direction_set, rowdot, rowwise)
 from .feedback import Feedback, _k1
 from .sampler import ClosedLoop
 
@@ -90,11 +90,13 @@ def integrator_max_clf() -> Clf:
         s3 = np.sign(x3)
         polar = x3 * x3 >= 4.0 * r * r
         sgn = np.where(polar, -1.0, 1.0)
-        off_axis = np.stack([sgn * p1 / rp, sgn * p2 / rp,
-                             np.where(polar, s3, 0.0)], axis=-1)
-        on_axis = np.stack([np.zeros_like(s3), np.where(s3 == 0.0, 0.0, -1.0),
-                            s3], axis=-1)
-        return np.where((r == 0.0)[..., None], on_axis, off_axis)
+        z = np.stack([sgn * p1 / rp, sgn * p2 / rp, np.where(polar, s3, 0.0)], axis=-1)
+        axis = r == 0.0
+        if axis.any():   # the x3 axis, the origin included
+            on_axis = np.stack([np.zeros_like(s3), np.where(s3 == 0.0, 0.0, -1.0),
+                                s3], axis=-1)
+            z = np.where(axis[..., None], on_axis, z)
+        return z
 
     return Clf(3, V, subgrad, lambda s: s)
 
@@ -109,8 +111,15 @@ def _sign(v: float) -> float:
 
 
 def _k1_k2(x1: float, x2: float, x3: float):
-    """The pieces k1 and k2 of integrator_k1_k2 at one state, as two pairs of
-    floats, by the same float operations in the same order."""
+    """Explicit casewise feedback pieces k1 and k2 for the integrator with the
+    max CLF at one state, as two pairs of floats.
+
+    On the x3 axis (r = 0, the origin included) both pieces are (0, |x3|); in
+    the polar region |x3| >= 2 r and the equatorial region |x3| < 2 r they
+    take their closed forms. Where r and |x3| are under 2^-500 the region test
+    runs on the scaled state of _tiny_safe, and where r is subnormal so does
+    the planar direction.
+    """
     r = math.hypot(x1, x2)
     a3 = abs(x3)
     if r == 0.0:
@@ -135,21 +144,8 @@ def _k1_k2(x1: float, x2: float, x3: float):
             (-(gap * _sign(-x2 * r * s3 - x1)), -(gap * _sign(x1 * r * s3 - x2))))
 
 
-def integrator_k1_k2(x):
-    """Explicit casewise feedback pieces for the integrator with the max CLF.
-
-    On the x3 axis (r = 0, the origin included) both pieces are (0, |x3|); in
-    the polar region |x3| >= 2 r and the equatorial region |x3| < 2 r they
-    take their closed forms. Where r and |x3| are under 2^-500 the region test
-    runs on the scaled state of _tiny_safe, and where r is subnormal so does
-    the planar direction.
-    """
-    k1v, k2v = _k1_k2(*as_vector(x, 3).tolist())
-    return np.array(k1v), np.array(k2v)
-
-
 def integrator_feedback() -> Feedback:
-    """Explicit closed-form feedback k1 + k2 of integrator_k1_k2."""
+    """Explicit closed-form feedback k1 + k2 of _k1_k2."""
 
     def ev(x):
         # the casewise law on each row's Python floats: at every batch size a
@@ -182,14 +178,14 @@ def integrator_squared_clf() -> Clf:
         x3 = x[..., 2]
         a3 = np.abs(x3)
         gap = r - a3
-        on_axis = np.stack([-2.0 * a3, np.zeros_like(r), 4.0 * x3], axis=-1)
-        on_plane = np.stack([2.0 * x[..., 0], 2.0 * x[..., 1], -2.0 * r], axis=-1)
-        elsewhere = np.stack([2.0 * gap * p1 / rp, 2.0 * gap * p2 / rp,
-                              2.0 * x3 - 2.0 * gap * np.sign(x3)], axis=-1)
-        origin = (r == 0.0) & (a3 == 0.0)
-        z = np.select([origin[..., None], (r == 0.0)[..., None],
-                       (a3 == 0.0)[..., None]],
-                      [np.zeros(x.shape), on_axis, on_plane], elsewhere)
+        z = np.stack([2.0 * gap * p1 / rp, 2.0 * gap * p2 / rp,
+                      2.0 * x3 - 2.0 * gap * np.sign(x3)], axis=-1)
+        axis, plane = (r == 0.0)[..., None], (a3 == 0.0)[..., None]
+        if (axis | plane).any():   # the origin, the x3 axis and the x3 = 0 plane
+            on_axis = np.stack([-2.0 * a3, np.zeros_like(r), 4.0 * x3], axis=-1)
+            on_plane = np.stack([2.0 * x[..., 0], 2.0 * x[..., 1], -2.0 * r], axis=-1)
+            z = np.select([axis & plane, axis, plane],
+                          [np.zeros(x.shape), on_axis, on_plane], z)
         return np.ldexp(z, -k)
 
     return Clf(3, V, subgrad, lambda s: np.maximum(s, 1.0))

@@ -7,8 +7,7 @@ cases are carried as tagged negative tests whose envelope is reported but not
 asserted. Cases are independent and pure, so they may be evaluated in any
 order or concurrently; the report is a deterministic fold in case order. An
 adversarial search draws further random cases (trials), which step in the
-same lockstep batches as the cases, after them, and folds them in trial
-order.
+same lockstep batch as the cases, after them, and folds them in trial order.
 """
 
 from __future__ import annotations
@@ -19,20 +18,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clf import IssEnvelope
-from .core import (Partition, Signal, as_vector, constant_signal,
+from .core import (COMPLETED, Partition, Signal, as_vector, constant_signal,
                    lower_diameter, make_partition, piecewise_constant_signal,
-                   sine_signal, zero_signal)
-from .euler import additive_check
-from .sampler import (ClosedLoop, RateGuard, admissible, decrease_check,
-                      sample_solve_batch)
+                   sine_signal, upper_diameter, zero_signal)
+from .sampler import (ClosedLoop, RateGuard, _decrease_margins, _lockstep,
+                      _valid, admissible)
 # not called here; the benchmark's tracer (perfbench/tracer.py) patches it
 from .sampler import sample_solve  # noqa: F401
-
-# the most dense rows a lockstep batch of cases and adversarial trials holds:
-# its row count times its longest row's (intervals * substeps + 1). The 50
-# integrator cases of ~55k rows each in the acceptance campaign run nine at
-# a time.
-DENSE_ROW_BUDGET = 1 << 19
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,52 +70,6 @@ class Campaign:
                     f"case {k}: not admissible for the guard; tag it assert_envelope=False")
 
 
-def _trajectories(loop: ClosedLoop, cases):
-    """Each case's trajectory, in order, from lockstep batches of consecutive
-    cases that hold at most DENSE_ROW_BUDGET dense rows (a single case may
-    hold more). The trajectories view their batch's buffers, so a batch's
-    buffers live as long as one of its trajectories does."""
-
-    def solve(batch):
-        return sample_solve_batch(loop, [c.partition for c in batch],
-                                  [c.x0 for c in batch], [c.u for c in batch],
-                                  [c.e for c in batch])
-
-    batch, width = [], 0
-    for case in cases:
-        rows = case.partition.intervals * loop.substeps + 1
-        if batch and (len(batch) + 1) * max(width, rows) > DENSE_ROW_BUDGET:
-            yield from solve(batch)
-            batch, width = [], 0
-        batch.append(case)
-        width = max(width, rows)
-    if batch:
-        yield from solve(batch)
-
-
-def _margins(c: Campaign, vM, g, case: CampaignCase, traj):
-    """The case's envelope margins (additive, max form, additive on the
-    refined grid) and first violation time, from the campaign's envelope
-    terms vM = lower_inv(M) and g = gamma(N)."""
-    env, t, norms = c.envelope, traj.dense_times, traj.norms()
-    v0 = env.tables.lower_inv(float(np.linalg.norm(case.x0)))
-    add = additive_check(env, v0, g, t, norms)
-    max_margins = env.bound_from(vM, g, t) - norms
-
-    # refined grid: interval midpoints with linearly interpolated states
-    tm = 0.5 * (t[:-1] + t[1:])
-    nm = 0.5 * (norms[:-1] + norms[1:])
-    fine_add = min(add.worst_margin, float(np.min(
-        env.additive_from(v0, g, tm) - nm, initial=math.inf)))
-
-    firsts = [] if add.first_violation_t is None else [add.first_violation_t]
-    worse = np.nonzero(max_margins < 0.0)[0]
-    if worse.size:
-        firsts.append(float(t[worse[0]]))
-    first = min(firsts) if firsts else None
-    return add.worst_margin, float(np.min(max_margins)), fine_add, first
-
-
 @dataclass(frozen=True, eq=False)
 class CampaignReport:
     """The case rows, plus the adversarial search's worst trial
@@ -161,7 +107,7 @@ def run_campaign(c: Campaign, budget: int = 0, seed: int = 0,
     assertion; the max form max(beta(M, t) + gamma(N), overflow) is checked
     alongside. A blow-up or numerical failure in an asserted case fails it.
     A budget of at least 1 also runs adversarial_search(c, budget, seed,
-    horizon), whose trials step in the same lockstep batches as the cases,
+    horizon), whose trials step in the same lockstep batch as the cases,
     after them; its result is the report's adversarial dict.
     """
     return _run(c, c.cases, _trials(c, budget, seed, horizon) if budget else [])
@@ -169,19 +115,53 @@ def run_campaign(c: Campaign, budget: int = 0, seed: int = 0,
 
 def _run(c: Campaign, cases: list, trials: list) -> CampaignReport:
     """The report on cases and the worst of trials ((case, step, kind) as
-    random_cases yields them), from one stream of lockstep batches: the
-    cases' rows, then the trials', folded in that order. gamma(N) and the
+    random_cases yields them), from one lockstep batch of the cases' rows,
+    then the trials', read in that order. Each block is folded into every
+    row's margins as it is stepped, and no path is kept. gamma(N) and the
     inverse of M are taken once, each |x0| inverted once; with no rows, not
     at all."""
-    env = c.envelope
-    vM, g = ((env.tables.lower_inv(c.M), env.gamma(c.N)) if cases or trials
-             else (None, None))
     stream = cases + [case for case, _, _ in trials]
+    if not stream:
+        return CampaignReport([], None)
+    env, S, B = c.envelope, c.loop.substeps, len(stream)
+    vM, g = env.tables.lower_inv(c.M), env.gamma(c.N)
+    v0 = np.array([[env.tables.lower_inv(float(np.linalg.norm(case.x0)))]
+                   for case in stream])
+    # per row: the least additive, max-form and refined-grid margin, the
+    # first violation time, and the decrease steps checked and failed
+    add, max_form, fine = (np.full(B, math.inf) for _ in range(3))
+    first_t = np.full(B, math.nan)
+    checked, failed = np.zeros(B, dtype=int), np.zeros(B, dtype=int)
+    decrease = c.check_decrease and c.clf is not None
+
+    def fold(r, first, x, t, held, count):
+        ok = first + np.arange(t.shape[1]) < count[:, None]
+        norms = np.linalg.norm(x, axis=-1)   # as Trajectory.norms()
+        a = np.where(ok, env.additive_from(v0[r], g, t) - norms, math.inf)
+        mf = np.where(ok, env.bound_from(vM, g, t) - norms, math.inf)
+        # refined grid: interval midpoints with linearly interpolated states
+        f = np.where(ok[:, 1:], env.additive_from(v0[r], g, 0.5 * (t[:, :-1] + t[:, 1:]))
+                     - 0.5 * (norms[:, :-1] + norms[:, 1:]), math.inf)
+        for acc, m in ((add, a), (max_form, mf), (fine, f)):
+            acc[r] = np.minimum(acc[r], m.min(axis=1))
+        hit = (a < 0.0) | (mf < 0.0)
+        new = np.flatnonzero(hit.any(axis=1) & np.isnan(first_t[r]))
+        first_t[r[new]] = t[new, hit[new].argmax(axis=1)]
+        if decrease:   # a step counts once its end is in the record
+            at = ok[:, ::S]
+            v_i, _, margin = _decrease_margins(_valid(c.clf.V, x[:, ::S], at), t[:, ::S])
+            steps = at[:, 1:] & (v_i > c.s_level)
+            checked[r] += steps.sum(axis=1)
+            failed[r] += (steps & (margin > 0.0)).sum(axis=1)
+
+    _, statuses = _lockstep(c.loop, [k.partition for k in stream],
+                            [k.x0 for k in stream], [k.u for k in stream],
+                            [k.e for k in stream], fold)
     rows = []
     found = {"violation_margin": -math.inf, "case": None, "status": None}
-    for k, (case, traj) in enumerate(zip(stream, _trajectories(c.loop, stream))):
-        add_m, max_m, fine_m, first = _margins(c, vM, g, case, traj)
-        diverged = traj.status.diverged
+    for k, (case, status) in enumerate(zip(stream, statuses)):
+        add_m, max_m = float(add[k]), float(max_form[k])
+        diverged = status.diverged
         if k >= len(cases):   # an adversarial trial; blow-ups are unbounded
             viol = math.inf if diverged else -add_m
             if viol > found["violation_margin"]:
@@ -191,26 +171,29 @@ def _run(c: Campaign, cases: list, trials: list) -> CampaignReport:
                     "case": {"x0": case.x0.tolist(), "step": step,
                              "disturbance": kind, "e_bound": case.e.bound,
                              "index": k - len(cases)},
-                    "status": traj.status.kind,
+                    "status": status.kind,
                 }
             continue
         row = {
             "id": k,
             "label": case.label,
-            "status": traj.status.kind,
+            "status": status.kind,
             "asserted": bool(case.assert_envelope),
             "worst_margin": min(add_m, max_m),
             "margin_additive": add_m,
             "margin_maxform": max_m,
-            "margin_additive_fine": fine_m,
-            "first_violation_t": first,
+            "margin_additive_fine": min(add_m, float(fine[k])),
+            "first_violation_t": None if math.isnan(first_t[k]) else float(first_t[k]),
             "pass": (bool(not diverged and add_m >= 0.0 and max_m >= 0.0)
                      if case.assert_envelope else None),
         }
-        if c.check_decrease and c.clf is not None:
-            rep = decrease_check(traj, c.clf, c.guard, c.s_level)
-            row["decrease"] = {"checked": rep.checked, "excluded": rep.excluded,
-                               "violations": len(rep.violations)}
+        if decrease:   # decrease_check's exclusions: a run that did not
+            # complete (or left the CLF estimate region), or too coarse a partition
+            excluded = (status.kind != COMPLETED
+                        or upper_diameter(case.partition) >= c.guard.delta)
+            row["decrease"] = {"checked": 0 if excluded else int(checked[k]),
+                               "excluded": excluded,
+                               "violations": 0 if excluded else int(failed[k])}
         rows.append(row)
     return CampaignReport(rows, found if trials else None)
 

@@ -27,11 +27,11 @@ from clfiss.clf import _angular_tol
 from clfiss.core import as_vector, direction_set, unit_rows
 from clfiss.sampler import MARGIN_GRID
 from clfiss.systems import (BandInfeasible, WeakIssCertificate, _band_edges,
-                            _sign, _tiny_safe,
+                            _k1_k2, _sign, _tiny_safe,
                             build_weak_iss_certificate,
                             counterexample_system, cone_margin,
                             estimate_decay_margin, integrator_feedback,
-                            integrator_k1_k2, integrator_max_clf,
+                            integrator_max_clf,
                             integrator_squared_clf, integrator_system,
                             scalar_abs_clf, scalar_integrator_system,
                             scalar_square_clf, weak_iss_loop)
@@ -446,7 +446,8 @@ def reference_k1_k2(x):
 
 
 def assert_same_pieces(x):
-    got, want = integrator_k1_k2(x), reference_k1_k2(x)
+    got = [np.array(k) for k in _k1_k2(*np.asarray(x, dtype=float).tolist())]
+    want = reference_k1_k2(x)
     for g, w in zip(got, want):
         assert g.shape == w.shape == (2,) and g.tobytes() == w.tobytes(), x
 
@@ -476,10 +477,10 @@ def explicit_law_rows():
 
 def test_explicit_law_batches_match_per_row():
     # the float body of eval on batches of 1, 4 and 50 rows against
-    # integrator_k1_k2 row by row, byte for byte
+    # _k1_k2 row by row, byte for byte
     rows = explicit_law_rows()
     with np.errstate(invalid="ignore"):   # inf - inf on the nonfinite rows
-        want = np.array([k1v + k2v for k1v, k2v in map(integrator_k1_k2, rows)])
+        want = np.array([np.add(*_k1_k2(*row)) for row in rows.tolist()])
     ev = integrator_feedback().eval
     for size in (1, 4, 50):
         for start in range(0, rows.shape[0], size):

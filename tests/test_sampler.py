@@ -15,6 +15,7 @@ from clfiss import (BLOWUP, COMPLETED, LEFT_DOMAIN, NUMERICAL_FAILURE,
                     nonlinear_loop, sample_solve, sine_signal, zero_feedback,
                     zero_signal)
 from clfiss.core import DEFAULT_ESCAPE_RADIUS, Status
+import clfiss.sampler as sampler
 from clfiss.sampler import BLOCK, sample_solve_batch
 from clfiss.verify import random_disturbance
 from clfiss.systems import (cone_margin, counterexample_system,
@@ -697,23 +698,29 @@ def assert_exit_as_read(loop, rows):
     return trajs, exits
 
 
+def monitored_batch():
+    """(loop, rows) at 2 substeps under the cone monitor: a row whose noisy
+    sample crosses the cone before its states do, one that escapes past
+    radius 3 after leaving, and two on jittered partitions, so the rows do
+    not share their interval ends."""
+    loop = affine_loop(integrator_system(), integrator_feedback(), substeps=2,
+                       escape_radius=3.0, domain_margin=cone_margin)
+    return loop, [
+        (make_partition("uniform", 1.0, 0.05), [1.0, 0.0, 1.0], None,
+         sine_signal([0.0, 0.0, 1.0], 0.5, 2.0)),
+        (make_partition("uniform", 1.0, 0.01), [0.05, 0.0, 1.0],
+         constant_signal([20.0, 0.0]), None),
+        (make_partition("jitter", 1.0, 0.02, 0.4, seed=3), [1.0, 0.0, 0.1], None, None),
+        (make_partition("jitter", 1.2, 0.015, 0.4, seed=4), [-0.7, 0.4, 0.3], None,
+         constant_signal([1e-4, 0.0, 0.0]))]
+
+
 def test_domain_exit_is_the_first_state_read():
     loop, rows = POOLS[3]
     trajs, exits = assert_exit_as_read(loop, rows)
     assert trajs[0].status.kind == LEFT_DOMAIN
-    # a row whose noisy sample crosses the cone before its states do, one
-    # that escapes past radius 3 after leaving, and two on jittered
-    # partitions, so the rows do not share their interval ends
-    loop = affine_loop(integrator_system(), integrator_feedback(), substeps=2,
-                       escape_radius=3.0, domain_margin=cone_margin)
-    jitter = make_partition("jitter", 1.2, 0.015, 0.4, seed=4)
-    rows = [(make_partition("uniform", 1.0, 0.05), [1.0, 0.0, 1.0], None,
-             sine_signal([0.0, 0.0, 1.0], 0.5, 2.0)),
-            (make_partition("uniform", 1.0, 0.01), [0.05, 0.0, 1.0],
-             constant_signal([20.0, 0.0]), None),
-            (make_partition("jitter", 1.0, 0.02, 0.4, seed=3), [1.0, 0.0, 0.1],
-             None, None),
-            (jitter, [-0.7, 0.4, 0.3], None, constant_signal([1e-4, 0.0, 0.0]))]
+    loop, rows = monitored_batch()
+    jitter = rows[3][0]
     trajs, exits = assert_exit_as_read(loop, rows)
     assert exits[0][1] == "sample" and exits[0][0] > 0.0
     assert trajs[1].status.kind == BLOWUP and exits[1][0] < trajs[1].status.time
@@ -730,3 +737,43 @@ def test_domain_exit_is_the_first_state_read():
     (traj,), (hit,) = assert_exit_as_read(loop, rows[1:2])
     assert traj.status == Status(BLOWUP, exits[1][0], "escape radius reached")
     assert hit is None
+
+
+# ---------------------------------------------------------------------------
+# Blocks: the lockstep batch hands its record over block by block
+# ---------------------------------------------------------------------------
+
+def block_records(monkeypatch, batches, intervals):
+    """Per row of batches, its trajectory's arrays as bytes and its status,
+    stepped in blocks of intervals intervals (None: the default block)."""
+    out = []
+    for loop, rows in batches:
+        with monkeypatch.context() as m:
+            if intervals is not None:
+                m.setattr(sampler, "BLOCK", intervals * loop.substeps)
+            trajs = sample_solve_batch(loop, *zip(*rows))
+        out += [(t.status, *(a.tobytes() for a in (
+            t.sample_times, t.sample_states, t.dense_times, t.dense_states,
+            t.held_controls, t.interval_index))) for t in trajs]
+    return out
+
+
+@pytest.mark.parametrize("intervals", [1, 2, 3, None], ids=["1", "2", "3", "default"])
+def test_records_do_not_depend_on_blocks(monkeypatch, intervals):
+    # rows that escape, turn nonfinite and leave the CLF estimate region, in
+    # blocks of 1, 2 and 3 intervals and the default: the bytes of one block
+    # over the whole run. The stops after the start fall inside the first
+    # default block, and some at the start of a block of 2 or 3 intervals,
+    # whose start state the block before it ended, some inside one
+    batches = stop_batches(4)[:2] + [monitored_batch()]
+    want = block_records(monkeypatch, batches, 10 ** 9)   # capped at the run
+    assert block_records(monkeypatch, batches, intervals) == want
+    stops = []
+    for loop, rows in batches:
+        for (part, *_), traj in zip(rows, sample_solve_batch(loop, *zip(*rows))):
+            if traj.status.time:
+                i = int(np.searchsorted(part.times, traj.status.time, "right")) - 1
+                assert 0 < i < BLOCK // loop.substeps, traj.status
+                stops.append((traj.status.kind, i))
+    assert {kind for kind, _ in stops} == {BLOWUP, NUMERICAL_FAILURE, LEFT_DOMAIN}
+    assert {i % 2 == 0 for _, i in stops} == {i % 3 == 0 for _, i in stops} == {True, False}

@@ -9,10 +9,10 @@ from clfiss import (FullyNonlinearSystem, constant_signal, make_partition,
                     sample_solve, zero_feedback)
 from clfiss.core import bisect
 from clfiss.feedback import damping_feedback, synthesize_k1
-from clfiss.systems import (BandInfeasible, build_weak_iss_certificate,
+from clfiss.systems import (BandInfeasible, _k1_k2, build_weak_iss_certificate,
                             cone_margin, counterexample_system,
                             estimate_decay_margin,
-                            integrator_feedback_crosscheck, integrator_k1_k2,
+                            integrator_feedback_crosscheck,
                             integrator_max_clf, integrator_squared_clf,
                             integrator_system, scalar_abs_clf, weak_iss_loop)
 
@@ -73,7 +73,7 @@ class TestMaxClf:
                            rtol=1e-15, atol=0.0)
         b = max_clf_channels(x)
         v = float(integrator_max_clf().V(np.array(x)))
-        k1v, k2v = integrator_k1_k2(x)
+        k1v, k2v = _k1_k2(*x)
         assert np.allclose(k1v, -b * v / float(b @ b), rtol=1e-15, atol=0.0)
         assert np.allclose(k2v, -v * np.sign(b), rtol=1e-15, atol=0.0)
 
@@ -84,17 +84,17 @@ class TestMaxClf:
 
 class TestExplicitFeedback:
     def test_equatorial_point(self):
-        k1v, k2v = integrator_k1_k2([1.0, 0.0, 1.0])
+        k1v, k2v = _k1_k2(1.0, 0.0, 1.0)
         assert np.allclose(k1v, [-1.0, 0.0])
         assert np.allclose(k2v, [-1.0, 0.0])
 
     def test_axis_point(self):
-        k1v, k2v = integrator_k1_k2([0.0, 0.0, 2.0])
+        k1v, k2v = _k1_k2(0.0, 0.0, 2.0)
         assert np.allclose(k1v, [0.0, 2.0])
         assert np.allclose(k2v, [0.0, 2.0])
 
     def test_origin(self):
-        k1v, k2v = integrator_k1_k2(np.zeros(3))
+        k1v, k2v = _k1_k2(0.0, 0.0, 0.0)
         assert np.array_equal(k1v, np.zeros(2))
         assert np.array_equal(k2v, np.zeros(2))
 
@@ -352,9 +352,9 @@ class TestWeakIssLoop:
 @pytest.mark.parametrize("x", [(1e-170, 0.0, 0.0), (1e-170, 1e-170, 1e-171)])
 def test_cone_margin_agrees_at_tiny_states(x):
     # squares of these coordinates underflow; the margin must still place
-    # the state where integrator_k1_k2 and subgrad do, off the cone
+    # the state where _k1_k2 and subgrad do, off the cone
     clf = integrator_max_clf()
-    assert np.array_equal(integrator_k1_k2(x)[0], -np.array(x[:2]))   # equatorial
+    assert np.array_equal(_k1_k2(*x)[0], -np.array(x[:2]))   # equatorial
     assert cone_margin(x) < 0.0
     assert clf.subgrad(np.array(x))[2] == 0.0   # the equatorial selection
 

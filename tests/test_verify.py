@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import json
 import math
@@ -6,13 +7,15 @@ import numpy as np
 import pytest
 
 import clfiss.cli as cli
-from clfiss import (BLOWUP, NUMERICAL_FAILURE, AlphaTables, Campaign,
-                    CampaignCase, ClosedLoop, Feedback, RateGuard,
-                    adversarial_search, build_envelope, constant_signal,
-                    lower_diameter, make_cases, make_partition, nonlinear_loop,
-                    run_campaign, sample_solve_batch, zero_feedback,
-                    zero_signal)
-from clfiss.systems import counterexample_system, scalar_abs_clf
+from clfiss import (BLOWUP, COMPLETED, LEFT_DOMAIN, NUMERICAL_FAILURE,
+                    AlphaTables, Campaign, CampaignCase, ClosedLoop, Feedback,
+                    RateGuard, adversarial_search, affine_loop, build_envelope,
+                    constant_signal, decrease_check, lower_diameter, make_cases,
+                    make_partition, nonlinear_loop, run_campaign,
+                    sample_solve_batch, sine_signal, zero_feedback, zero_signal)
+from clfiss.systems import (cone_margin, counterexample_system,
+                            integrator_feedback, integrator_max_clf,
+                            integrator_system, scalar_abs_clf)
 from clfiss.verify import random_cases, random_disturbance
 
 
@@ -134,16 +137,33 @@ def mixed_campaign():
                     guard, cases, M=1.0, N=0.2)
 
 
-@pytest.mark.parametrize("budget", [1, 200, 700])
-def test_reports_do_not_depend_on_batching(monkeypatch, budget):
-    # one case per batch, a few per batch, all in one: the same bytes
+@contextlib.contextmanager
+def blocks_of(monkeypatch, intervals, loop):
+    """Lockstep blocks of intervals intervals of loop (None: the default)."""
+    with monkeypatch.context() as m:
+        if intervals is not None:
+            m.setattr("clfiss.sampler.BLOCK", intervals * loop.substeps)
+        yield
+
+
+def block_reports(monkeypatch, campaign, intervals):
+    """The campaign's report alone and with 6 adversarial trials (seed 2),
+    and adversarial_search's dict on those trials, as text, stepped in
+    blocks of intervals intervals (None: the default)."""
+    with blocks_of(monkeypatch, intervals, campaign.loop):
+        both = run_campaign(campaign, 6, 2)
+        reports = [run_campaign(campaign).to_json(), both.to_json(), both.adversarial,
+                   adversarial_search(campaign, budget=6, seed=2)]
+    return [json.dumps(r) for r in reports]
+
+
+@pytest.mark.parametrize("intervals", [1, 2, 3, None], ids=["1", "2", "3", "default"])
+def test_reports_do_not_depend_on_batching(monkeypatch, intervals):
+    # blocks of 1, 2 and 3 intervals and the default: the bytes of one block
+    # over the whole run (the cap of the block)
     campaign = mixed_campaign()
-    want = (json.dumps(run_campaign(campaign).to_json()),
-            json.dumps(adversarial_search(campaign, budget=6, seed=2)))
-    monkeypatch.setattr("clfiss.verify.DENSE_ROW_BUDGET", budget)
-    got = (json.dumps(run_campaign(campaign).to_json()),
-           json.dumps(adversarial_search(campaign, budget=6, seed=2)))
-    assert got == want
+    assert (block_reports(monkeypatch, campaign, intervals)
+            == block_reports(monkeypatch, campaign, 10 ** 9))
 
 
 def test_reports_do_not_depend_on_case_order():
@@ -167,7 +187,9 @@ def reference_margins(c, case, traj):
     """The campaign's margins of a case (additive, max form, additive on the
     refined grid, first violation time), every envelope term taken from
     IssEnvelope.additive_bound and bound."""
-    env, t, norms = c.envelope, traj.dense_times, traj.norms()
+    env, t = c.envelope, traj.dense_times
+    with np.errstate(over="ignore"):   # an escaping state's norm may overflow
+        norms = traj.norms()
     x0n = float(np.linalg.norm(case.x0))
     add = env.additive_bound(x0n, c.N, t) - norms
     max_margins = env.bound(c.M, c.N, t) - norms
@@ -183,7 +205,8 @@ def reference_margins(c, case, traj):
 def reference_campaign(c, budget, seed, horizon):
     """run_campaign(c, budget, seed, horizon)'s report (to_json) and
     adversarial dict from two lockstep batches: every case in one
-    sample_solve_batch call, every adversarial trial in another."""
+    sample_solve_batch call, every adversarial trial in another, and each
+    case's decrease from decrease_check."""
     def solve(cases):
         return sample_solve_batch(c.loop, [k.partition for k in cases],
                                   [k.x0 for k in cases], [k.u for k in cases],
@@ -203,6 +226,10 @@ def reference_campaign(c, budget, seed, horizon):
                      "worst_margin": min(add_m, max_m), "margin_additive": add_m,
                      "margin_maxform": max_m, "margin_additive_fine": fine_m,
                      "first_violation_t": first, "pass": ok})
+        if c.check_decrease and c.clf is not None:
+            rep = decrease_check(traj, c.clf, c.guard, c.s_level)
+            rows[-1]["decrease"] = {"checked": rep.checked, "excluded": rep.excluded,
+                                    "violations": len(rep.violations)}
     summary = {"total": len(c.cases),
                "asserted": sum(k.assert_envelope for k in c.cases),
                "failed": failed,
@@ -258,31 +285,101 @@ def run_cli_campaign(tmp_path, monkeypatch, name):
     return built[0], (out / "campaign.json").read_text()
 
 
-@pytest.mark.parametrize("split", ["one-chunk", "at-boundary", "straddling",
-                                   "every-row"])
+@pytest.mark.parametrize("split", ["1", "2", "3", "default", "at-boundary",
+                                   "straddling"])
 def test_campaign_json_matches_two_batch_reference(tmp_path, monkeypatch, split):
-    # cases and trials share the chunks of one lockstep stream; whatever the
-    # chunks, campaign.json holds the bytes of the two-batch reference
+    # cases and trials step in one lockstep batch, folded block by block;
+    # whatever the blocks, campaign.json holds the bytes of the two-batch
+    # reference
     c, _ = run_cli_campaign(tmp_path, monkeypatch, "probe")
     budget, horizon = CLI_CAMPAIGN["adversarial_budget"], CLI_CAMPAIGN["horizon"]
     trials = random_cases(c.loop, c.guard, c.M, c.N, budget, horizon,
                           np.random.default_rng(0), (0.05, 1.0), (0.3, 0.9))
-    widths = [k.partition.intervals * c.loop.substeps + 1 for k in c.cases]
-    first_trial = next(trials)[0].partition.intervals * c.loop.substeps + 1
-    assert len(widths) == 4 and first_trial > max(widths)
-    rows = {"one-chunk": None,
-            # the cases fill one chunk exactly, the first trial starts the next
-            "at-boundary": len(widths) * max(widths),
-            # one chunk holds every case and the first trial
-            "straddling": (len(widths) + 1) * first_trial,
-            "every-row": 1}[split]
-    if rows is not None:
-        monkeypatch.setattr("clfiss.verify.DENSE_ROW_BUDGET", rows)
+    lengths = [k.partition.intervals for k in c.cases]
+    assert len(lengths) == 4 and next(trials)[0].partition.intervals > max(lengths)
+    intervals = {"1": 1, "2": 2, "3": 3, "default": None,
+                 # the longest cases end with the first block, the trials run on
+                 "at-boundary": max(lengths),
+                 # they end one interval before the first block does
+                 "straddling": max(lengths) + 1}[split]
+    if intervals is not None:
+        monkeypatch.setattr("clfiss.sampler.BLOCK", intervals * c.loop.substeps)
     c, text = run_cli_campaign(tmp_path, monkeypatch, split)
     report, found = reference_campaign(c, budget, 0, horizon)
     doc = json.loads(text)
     assert doc["adversarial"]["case"] is not None
     assert text == json.dumps(dict(doc, **report, adversarial=found), indent=2)
+
+
+def stop_campaigns():
+    """Four campaigns, none asserted, whose rows escape, turn nonfinite or
+    leave the CLF estimate region, or whose refined grid binds; the first
+    and the third check the decrease, the first also on a partition too
+    coarse for the guard."""
+
+    def campaign(loop, rows, clf=None):
+        cases = [CampaignCase(np.array(x0), u or zero_signal(loop.m),
+                              e or zero_signal(loop.n), part, f"row-{k}", False)
+                 for k, (part, x0, u, e) in enumerate(rows)]
+        M = max(float(np.linalg.norm(k.x0)) for k in cases)
+        N = max(k.u.bound for k in cases)
+        return Campaign(loop, build_envelope(AlphaTables.identity(100.0), 0.05),
+                        loose_guard(M=M, N=N), cases, M, N, clf, clf is not None)
+
+    # dx = -x + x^2 escapes past radius 50 from 4.1, 4.2 and 4.3 in its 13th
+    # interval, and from 60 at the start
+    one, part = constant_signal([1.0]), make_partition("uniform", 0.5, 0.02)
+    counter = campaign(
+        nonlinear_loop(counterexample_system(), zero_feedback(1, 1), 4, 50.0),
+        [(part, [x0], one, None) for x0 in (4.1, 4.2, 4.3, 60.0, 0.5)]
+        + [(make_partition("uniform", 0.5, 0.1), [0.5], one, None)], scalar_abs_clf())
+    # dx1 = x1^2 + held turns nonfinite from 10; the norm of x2 overflows
+    fb = Feedback(2, 1, lambda x: -0.5 * np.asarray(x, dtype=float)[..., :1])
+
+    def F(x, p, u):
+        return np.stack([x[..., 0] * x[..., 0] + p[..., 0], 100.0 * x[..., 1]], axis=-1)
+
+    part = make_partition("uniform", 0.3, 0.02)
+    blowing = campaign(ClosedLoop(2, 1, F, fb, 4, 1e300), [
+        (part, [10.0, 0.0], None, constant_signal([1e-3, 0.0])),
+        (part, [0.0, 1e152], None, None), (part, [-1.0, -1e-3], None, None)])
+    # crossing the cone under the monitor, one row after its noisy sample
+    # does, one before it escapes past radius 3
+    monitored = campaign(
+        affine_loop(integrator_system(), integrator_feedback(), 2, 3.0, cone_margin), [
+            (make_partition("uniform", 1.0, 0.05), [1.0, 0.0, 1.0], None,
+             sine_signal([0.0, 0.0, 1.0], 0.5, 2.0)),
+            (make_partition("uniform", 1.0, 0.01), [0.05, 0.0, 1.0],
+             constant_signal([20.0, 0.0]), None),
+            (make_partition("jitter", 1.2, 0.015, 0.4, seed=4), [-0.7, 0.4, 0.3], None,
+             constant_signal([1e-4, 0.0, 0.0]))], integrator_max_clf())
+    # dx = -x^2 / 16 from 1 tracks beta(1, t) = 16 / (16 + t), so the margin
+    # is least at an interval's midpoint, where the envelope is convex
+    tracking = campaign(ClosedLoop(1, 1, lambda x, p, u: p - x * x / 16.0,
+                                   zero_feedback(1, 1), 1),
+                        [(make_partition("uniform", 2.0, 0.1), [1.0], None, None)])
+    return [counter, blowing, monitored, tracking]
+
+
+@pytest.mark.parametrize("intervals", [1, 2, 3, None], ids=["1", "2", "3", "default"])
+def test_stopped_rows_fold_as_their_trajectories(monkeypatch, intervals):
+    # in blocks of 1, 2 and 3 intervals and the default, each report holds
+    # the bytes of the reference built from the rows' trajectories; every
+    # status kind, both sides of the decrease check and a binding refined
+    # grid show
+    kinds, excluded = set(), set()
+    for c in stop_campaigns():
+        with blocks_of(monkeypatch, intervals, c.loop):
+            text = json.dumps(run_campaign(c).to_json())
+        report, _ = reference_campaign(c, 0, 0, 1.0)
+        assert text == json.dumps(report)
+        kinds |= {row["status"] for row in report["cases"]}
+        excluded |= {row["decrease"]["excluded"] for row in report["cases"]
+                     if "decrease" in row}
+    assert kinds == {COMPLETED, BLOWUP, NUMERICAL_FAILURE, LEFT_DOMAIN}
+    assert excluded == {True, False}
+    row = report["cases"][0]
+    assert row["margin_additive_fine"] < row["margin_additive"]
 
 
 @pytest.mark.parametrize("top, N, alpha4", [

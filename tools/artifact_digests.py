@@ -43,9 +43,12 @@ BENCHMARK_SEEDS = (0, 1)
 # crosses it. The Euler study's four levels step as one batch and escape
 # past radius 50 at the 6th, 12th, 8th and 16th (last) of the 16 substeps
 # of an interval. The integrator campaign is the benchmark's, shortened, with
-# adversarial trials, whose rows step in the cases' lockstep batch. The scalar
-# campaign and the envelope give only the fields they must, so every default
-# they read is pinned
+# adversarial trials, whose rows step in the cases' lockstep batch. In the
+# scalar campaign without feedback, three cases start beyond the escape
+# radius and one escapes in its 34th interval, inside the first block of 64,
+# while the others run on through eight blocks. The defaults campaign and
+# the envelope give only the fields they must, so every default they read is
+# pinned
 BUILTIN = [
     ("builtin/simulate_noisy_sample_exit", "simulate", {
         "schema": 1,
@@ -73,6 +76,16 @@ BUILTIN = [
                    "radii": 512},
         "guard": {"points": 2048, "pairs": 4000, "inflation": 1.25},
         "cases": {"count": 3, "seed": 5},
+        "adversarial_budget": 3,
+    }),
+    ("builtin/campaign_escapes_inside_blocks", "campaign", {
+        "schema": 1,
+        "loop": {"system": "scalar", "clf": "scalar_abs", "feedback": "zero",
+                 "substeps": 4, "escape_radius": 0.7},
+        "M": 1.0, "N": 0.5, "epsilon": 0.5, "horizon": 1.0,
+        "tables": {"radius_max": 10.0, "radii": 1001, "grid_size": 64},
+        "cases": {"count": 6, "seed": 3},
+        "guard": {"points": 256, "pairs": 400},
         "adversarial_budget": 3,
     }),
     ("builtin/campaign_defaults", "campaign", {
