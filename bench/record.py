@@ -135,6 +135,18 @@ def _certificate():
                                       zero_feedback(1, 1), i_max=8, seed=108)
 
 
+def _interval(substeps: int) -> SimpleNamespace:
+    """One interval of acceptance criterion 4's loop (the nonholonomic
+    integrator under the explicit feedback, a 0.1 step) at substeps substeps,
+    from one normal state."""
+    from clfiss import affine_loop, make_partition, sample_solve_batch
+    from clfiss.systems import integrator_feedback, integrator_system
+    loop = affine_loop(integrator_system(), integrator_feedback(), substeps=substeps)
+    return SimpleNamespace(solve=sample_solve_batch, loop=loop,
+                           parts=[make_partition("uniform", 0.1, 0.1)],
+                           x0=[np.random.default_rng(substeps).normal(size=3)])
+
+
 def _rk4(w: SimpleNamespace):
     return w.rk4_step(w.F, w.x, w.h, 0.5 * w.h, w.h / 6.0, w.p, w.u, w.u, w.u)
 
@@ -180,6 +192,10 @@ LAYERS = (
     ("estimate_alpha_tables(acceptance)", _acceptance, lambda w: w.tables()),
     ("estimate_rate_guard(acceptance)", _acceptance, lambda w: w.guard()),
     ("run_campaign[50](horizon=0.1)", _acceptance, lambda w: w.run()),
+    ("sample_solve_batch[1](S=1)", lambda: _interval(1),
+     lambda w: w.solve(w.loop, w.parts, w.x0)),
+    ("sample_solve_batch[1](S=16)", lambda: _interval(16),
+     lambda w: w.solve(w.loop, w.parts, w.x0)),
 )
 
 

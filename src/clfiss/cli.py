@@ -27,9 +27,8 @@ from .euler import check_iss_euler, euler_study, geometric_schedule
 from .feedback import Feedback, combined_feedback, damping_feedback, zero_feedback
 # the benchmark's tracer (perfbench/tracer.py) patches sample_solve here and
 # in verify and euler
-from .sampler import (ClosedLoop, ProbeConfig, affine_loop, decrease_check,
-                      estimate_rate_guard, nonlinear_loop, sample_solve,
-                      sample_solve_batch)
+from .sampler import (ProbeConfig, affine_loop, decrease_check, estimate_rate_guard,
+                      nonlinear_loop, sample_solve, sample_solve_batch)
 from .verify import (ADVERSARIAL_STEP_FRACTIONS, Campaign, CampaignCase,
                      make_cases, random_disturbance, run_campaign)
 # not called here (run_campaign runs the trials); the benchmark's tracer
@@ -135,7 +134,7 @@ CAMPAIGN = {**SCHEMA, "loop": (BLOCK, LOOP, REQUIRED),
 # by default u_bound is the disturbance's bound and top is 10 max(1, |x0|)
 EULER_ENVELOPE = {"epsilon": (REAL, "(0, inf)", REQUIRED),
                   "u_bound": (REAL, "[0, inf)", CALLER), "top": (REAL, "(0, inf)", CALLER)}
-EULER = {**SCHEMA, "loop": (BLOCK, LOOP, CALLER),   # needed unless linear_test
+EULER = {**SCHEMA, "loop": (BLOCK, LOOP, CALLER),   # exactly one of it and linear_test
          "linear_test": (BOOL, None, False), "x0": (VECTOR, None, REQUIRED),
          "base_step": (REAL, "(0, inf)", REQUIRED),
          "levels": (INTEGER, "[1, inf)", REQUIRED), "horizon": (REAL, None, REQUIRED),
@@ -274,9 +273,16 @@ def _out_path(out_dir: str, name: str) -> str:
     return os.path.join(out_dir, name)
 
 
+def _write_json(out_dir: str, name: str, doc) -> None:
+    with open(_out_path(out_dir, name), "w") as fh:
+        json.dump(doc, fh, indent=2)
+
+
 def cmd_simulate(cfg: dict, out_dir: str, seed: int) -> int:
     c = _read("simulate", cfg, SIMULATE)
     loop, system, clf = _build_loop(c["loop"], "simulate.loop")
+    if "decrease" in cfg and clf is None:
+        raise ConfigError("simulate.decrease: the decrease check needs loop.clf")
     p = c["partition"]
     part = _checked("simulate.partition", make_partition, p["kind"], c["horizon"],
                     p["step"], p["fraction"], p["seed"])
@@ -297,8 +303,7 @@ def cmd_simulate(cfg: dict, out_dir: str, seed: int) -> int:
         d = c["decrease"]
         rep = decrease_check(traj, clf, None, d["s_level"], d["rel_tol"], d["abs_tol"])
         run["decrease"] = rep.to_dict()
-    with open(_out_path(out_dir, "run.json"), "w") as fh:
-        json.dump(run, fh, indent=2)
+    _write_json(out_dir, "run.json", run)
     print(f"simulate: status={traj.status.kind} t_final={traj.final_time:g} -> {csv_path}")
     return 3 if traj.status.diverged else 0
 
@@ -318,8 +323,7 @@ def cmd_envelope(cfg: dict, out_dir: str, seed: int) -> int:
             "saturated": not (flags["M_in_range"] and flags["N_in_range"]),
             **flags,
         }
-    with open(_out_path(out_dir, "envelope.json"), "w") as fh:
-        json.dump(report, fh, indent=2)
+    _write_json(out_dir, "envelope.json", report)
     print(f"envelope: levels={tables.levels.size} grid_tol={tables.grid_tol:g}")
     return 0
 
@@ -358,14 +362,13 @@ def cmd_campaign(cfg: dict, out_dir: str, seed: int) -> int:
         cases.append(CampaignCase(np.zeros(loop.n), zero_signal(loop.m),
                                   constant_signal(vec), part,
                                   "inadmissible-by-design", False))
-    campaign = Campaign(loop, env, guard, cases, M, N, clf)
+    campaign = Campaign(loop, env, guard, cases, M, N)
     report = run_campaign(campaign, budget, seed, horizon)
     doc = report.to_json()
     doc["guard"] = guard.to_dict()
     if budget:
         doc["adversarial"] = report.adversarial
-    with open(_out_path(out_dir, "campaign.json"), "w") as fh:
-        json.dump(doc, fh, indent=2)
+    _write_json(out_dir, "campaign.json", doc)
     ok = report.all_passed
     print(f"campaign: {report.summary['asserted']} asserted, "
           f"{report.summary['failed']} failed")
@@ -374,11 +377,11 @@ def cmd_campaign(cfg: dict, out_dir: str, seed: int) -> int:
 
 def cmd_euler(cfg: dict, out_dir: str, seed: int) -> int:
     c = _read("euler", cfg, EULER)
-    if c["linear_test"]:
+    if c["linear_test"] == ("loop" in c):
+        raise ConfigError("euler: give exactly one of loop and linear_test")
+    if c["linear_test"]:   # dx = u under the feedback -x
         fb = Feedback(1, 1, lambda x: -np.asarray(x, dtype=float))
-        loop = ClosedLoop(1, 1, lambda x, p, u: p, fb)
-    elif "loop" not in c:
-        raise ConfigError("euler: need loop or linear_test")
+        loop = affine_loop(systems.scalar_integrator_system(), fb)
     else:
         loop, _, _ = _build_loop(c["loop"], "euler.loop")
     base_step, horizon = c["base_step"], c["horizon"]
@@ -398,8 +401,7 @@ def cmd_euler(cfg: dict, out_dir: str, seed: int) -> int:
     worst_env_margin = None
     if env is not None and study.limit is not None:
         worst_env_margin = check_iss_euler(study.limit, env, x0, u_bound).worst_margin
-    with open(_out_path(out_dir, "euler.json"), "w") as fh:
-        json.dump(study.to_dict(worst_env_margin), fh, indent=2)
+    _write_json(out_dir, "euler.json", study.to_dict(worst_env_margin))
     print(f"euler: levels={len(study.levels)} verdict={study.verdict} "
           f"divergent={study.divergent_level}")
     return 0
@@ -417,7 +419,7 @@ def cmd_weakiss(cfg: dict, out_dir: str, seed: int) -> int:
     tables = _checked("weakiss", AlphaTables.identity, max(M, cert.alpha4(N)) * 4.0 + 8.0)
     env = build_envelope(tables, c["epsilon"], cert.alpha4)
     part = _checked("weakiss", make_partition, "uniform", c["horizon"], c["step"])
-    cert.to_json(_out_path(out_dir, "certificate.json"))
+    _write_json(out_dir, "certificate.json", cert.to_json())
     runs = [([float(x0)], sign * N) for x0 in c["x0_values"] for sign in (1.0, -1.0)]
     trajs = sample_solve_batch(loop, [part] * len(runs), [x0 for x0, _ in runs],
                                [constant_signal([u]) for _, u in runs])
@@ -430,8 +432,7 @@ def cmd_weakiss(cfg: dict, out_dir: str, seed: int) -> int:
         rows.append({"x0": x0[0], "u": u, "status": traj.status.kind,
                      "pass": bool(ok), **chk.to_dict()})
     doc = {"cases": rows, "failed": failed, "alpha4_at_N": cert.alpha4(N)}
-    with open(_out_path(out_dir, "weakiss.json"), "w") as fh:
-        json.dump(doc, fh, indent=2)
+    _write_json(out_dir, "weakiss.json", doc)
     print(f"weakiss: {len(rows)} runs, {failed} failed, "
           f"alpha4({N:g})={cert.alpha4(N):g}")
     return 0 if failed == 0 else 1

@@ -181,7 +181,8 @@ def _lockstep(loop: ClosedLoop, partitions, x0, u, e, take) -> tuple:
     k_max = int(K.max(initial=0))
     # per row, the dense row it stopped at (0 for a start beyond the escape
     # radius), if that state was nonfinite, and when it stopped and left the CLF region
-    stop = np.where(np.sqrt(rowdot(x, x)) > loop.escape_radius, 0, K * S + 1)
+    with np.errstate(over="ignore", invalid="ignore"):   # as the loop below
+        stop = np.where(np.sqrt(rowdot(x, x)) > loop.escape_radius, 0, K * S + 1)
     nonfinite = np.zeros(B, dtype=bool)
     t_stop, t_left = np.where(stop, np.nan, 0.0), np.full(B, np.nan)
     # some row leaves before interval i: its partition ended, or it stopped at its start

@@ -10,7 +10,6 @@ state-dependent gain.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -410,18 +409,14 @@ class WeakIssCertificate:
         return [{"lo": float(lo), "hi": float(hi), "radius": float(r)}
                 for (lo, hi), r in zip(_band_edges(self.i_max), radii)]
 
-    def to_json(self, path=None) -> dict:
+    def to_json(self) -> dict:
         knots = [[float(k), self._knots[k]] for k in range(1, self.i_max + 2)]
-        doc = {
+        return {
             "bands": self.bands(),
             "g_knots": knots,
             "alpha4_table": [[float(a), float(b)] for a, b in
                              zip(self.alpha4_grid, self.alpha4_values)],
         }
-        if path is not None:
-            with open(path, "w") as fh:
-                json.dump(doc, fh, indent=2)
-        return doc
 
 
 def _band_edges(i_max: int) -> list:

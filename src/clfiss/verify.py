@@ -46,7 +46,7 @@ class Campaign:
 
     M bounds the initial-state norms, N the disturbance sup norms; both are
     validated case by case at construction, as is guard admissibility for
-    every asserted case.
+    every asserted case. clf is read only by the decrease check, which needs it.
     """
 
     loop: ClosedLoop
@@ -60,6 +60,8 @@ class Campaign:
     s_level: float = 0.0
 
     def __post_init__(self):
+        if self.check_decrease and self.clf is None:
+            raise ValueError("check_decrease needs a clf")
         for k, case in enumerate(self.cases):
             if float(np.linalg.norm(case.x0)) > self.M * (1 + 1e-12):
                 raise ValueError(f"case {k}: |x0| exceeds M")
@@ -132,7 +134,6 @@ def _run(c: Campaign, cases: list, trials: list) -> CampaignReport:
     add, max_form, fine = (np.full(B, math.inf) for _ in range(3))
     first_t = np.full(B, math.nan)
     checked, failed = np.zeros(B, dtype=int), np.zeros(B, dtype=int)
-    decrease = c.check_decrease and c.clf is not None
 
     def fold(r, first, x, t, held, count):
         ok = first + np.arange(t.shape[1]) < count[:, None]
@@ -147,7 +148,7 @@ def _run(c: Campaign, cases: list, trials: list) -> CampaignReport:
         hit = (a < 0.0) | (mf < 0.0)
         new = np.flatnonzero(hit.any(axis=1) & np.isnan(first_t[r]))
         first_t[r[new]] = t[new, hit[new].argmax(axis=1)]
-        if decrease:   # a step counts once its end is in the record
+        if c.check_decrease:   # a step counts once its end is in the record
             at = ok[:, ::S]
             v_i, _, margin = _decrease_margins(_valid(c.clf.V, x[:, ::S], at), t[:, ::S])
             steps = at[:, 1:] & (v_i > c.s_level)
@@ -187,7 +188,7 @@ def _run(c: Campaign, cases: list, trials: list) -> CampaignReport:
             "pass": (bool(not diverged and add_m >= 0.0 and max_m >= 0.0)
                      if case.assert_envelope else None),
         }
-        if decrease:   # decrease_check's exclusions: a run that did not
+        if c.check_decrease:   # decrease_check's exclusions: a run that did not
             # complete (or left the CLF estimate region), or too coarse a partition
             excluded = (status.kind != COMPLETED
                         or upper_diameter(case.partition) >= c.guard.delta)

@@ -189,6 +189,27 @@ class TestEulerCmd:
         dists = [lv["distance_to_prev"] for lv in rep["levels"][1:]]
         assert all(d < 1e-6 for d in dists)
 
+    def test_linear_test_disturbance_acts(self, tmp_path):
+        # dx = u - x held: a constant disturbance of 5 draws the state towards
+        # 5, so the levels and the envelope margin move with it
+        reps = []
+        for value in (0.0, 5.0):
+            doc = {"schema": 1, "linear_test": True, "x0": [1.0],
+                   "base_step": 0.2, "levels": 4, "horizon": 1.0,
+                   "disturbance": {"kind": "constant", "value": [value]},
+                   "envelope": {"epsilon": 0.05}}
+            cfg = write_config(tmp_path, "euler.json", doc)
+            out = tmp_path / f"u{value:g}"
+            assert main(["euler", "--config", cfg, "--out", str(out)]) == 0
+            reps.append(json.loads((out / "euler.json").read_text()))
+        still, pushed = ([lv["distance_to_prev"] for lv in rep["levels"][1:]]
+                         for rep in reps)
+        assert all(a != b for a, b in zip(still, pushed))
+        # gamma is the identity, so a disturbance that did not act would
+        # leave the undisturbed margin plus 5
+        assert pushed[0] > still[0]
+        assert reps[1]["worst_env_margin"] < reps[0]["worst_env_margin"] + 4.0
+
     def test_divergent_level_reported(self, tmp_path):
         doc = {"schema": 1,
                "loop": {"system": "counterexample", "feedback": "zero"},
@@ -230,6 +251,13 @@ class TestSimulateConfig:
         dec = run["decrease"]
         assert dec["violations"] == []
         assert dec["checked"] > 0
+
+    def test_decrease_block_needs_clf(self, tmp_path, capsys):
+        doc = dict(integrator_simulate_config(), decrease={"s_level": 0.1})
+        cfg = write_config(tmp_path, "sim.json", doc)
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "simulate.decrease" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["sim.json"]   # no artefact
 
     def test_jitter_partition(self, tmp_path):
         doc = {"schema": 1,
@@ -697,6 +725,8 @@ def _counterexample_simulate(**changes):
                                                  "include_inadmissible": "yes"}),
                  id="include-inadmissible-text"),
     pytest.param(*_bad_config("euler", linear_test=1), id="linear-test-number"),
+    pytest.param(*_bad_config("euler", loop={"system": "scalar", "feedback": "zero"}),
+                 id="euler-loop-and-linear-test"),
     pytest.param(*_bad_config("simulate", schema=1.0), id="schema-fraction"),
     pytest.param(*_bad_config("euler", base_step=1e300, horizon=1e301),
                  id="euler-noise-overflow"),

@@ -579,12 +579,13 @@ def stop_batches(S):
     # dx = -x + x^2 escapes past radius 50: from 4.1, 4.2 and 4.3 inside the
     # 13th interval, at 4 substeps at its substeps 3 (the last), 2 and 0, at
     # 16 at its substeps 15, 9 and 3; from 60 before the first interval; from
-    # nan at the start of the first substep
+    # nan at the start of the first substep; from 1e200, whose square
+    # overflows, before the first interval
     counter = (nonlinear_loop(counterexample_system(), zero_feedback(1, 1), S, 50.0), [
         (part, [4.1], one, None), (part, [4.2], one, None), (part, [4.3], one, None),
         (part, [60.0], one, None), (part, [0.5], one, constant_signal([1e-3])),
         (make_partition("jitter", 0.5, 0.02, 0.4, seed=6), [4.0], one, None),
-        (part, [math.nan], one, None),
+        (part, [math.nan], one, None), (part, [1e200], one, None),
     ])
     # dx1 = x1^2 + held, with held = -x1 / 2 at the noisy sample, turns
     # nonfinite from 10; dx2 = 100 x2 takes 1e152 past 1.3e154, where the
@@ -620,7 +621,7 @@ def test_stops_match_per_substep_reference(S):
     escaped = [((t.dense_times.size - 2) // S, (t.dense_times.size - 2) % S)
                for t in got[:3]]
     assert [t.status.kind for t in got] == (
-        [BLOWUP] * 4 + [COMPLETED, BLOWUP, NUMERICAL_FAILURE]
+        [BLOWUP] * 4 + [COMPLETED, BLOWUP, NUMERICAL_FAILURE, BLOWUP]
         + [NUMERICAL_FAILURE, COMPLETED, COMPLETED]
         + [NUMERICAL_FAILURE, BLOWUP, COMPLETED])
     assert escaped == [(12, k) for k in {1: [0, 0, 0], 4: [3, 2, 0], 16: [15, 9, 3]}[S]]
@@ -632,10 +633,16 @@ def test_stops_match_per_substep_reference(S):
         assert traj.status == Status(NUMERICAL_FAILURE, 0.0, "nonfinite state")
         assert traj.dense_states.shape == (1, 1) and np.isnan(traj.dense_states).all()
         assert traj.held_controls.shape == (1, 1)
+    # a start whose squared norm overflows stops at t = 0 too, as a start
+    # beyond the escape radius, with no RuntimeWarning
+    alone = sample_solve(loop, *rows[7])
+    for traj in (got[7], alone):
+        assert traj.status == Status(BLOWUP, 0.0, "initial state beyond escape radius")
+        assert traj.dense_states.tolist() == [[1e200]]
     # inf norms run on at an infinite radius, and are an escape at 1e300
     with np.errstate(over="ignore"):
-        assert np.isfinite(got[8].dense_states).all() and np.isinf(got[8].norms()).any()
-    assert 1e154 < got[11].dense_states[-1, 1] < 1e300
+        assert np.isfinite(got[9].dense_states).all() and np.isinf(got[9].norms()).any()
+    assert 1e154 < got[12].dense_states[-1, 1] < 1e300
 
 
 def test_affine_rhs_matches_matrix_vector_product():

@@ -305,9 +305,9 @@ class TestWeakIssCertificate:
         for s in (np.nextafter(top, np.inf), top + 0.5, last, last + 1.0, 1e6):
             assert cert.alpha4(float(s)) == max(last, float(s))
 
-    def test_serialization(self, certificate, tmp_path):
+    def test_serialization(self, certificate):
         _, _, _, cert = certificate
-        doc = cert.to_json(tmp_path / "cert.json")
+        doc = cert.to_json()
         assert len(doc["bands"]) == 2 * cert.i_max
         assert doc["alpha4_table"][0][0] == 0.0
 

@@ -54,6 +54,11 @@ class TestCampaignValidation:
         with pytest.raises(ValueError):
             scalar_campaign(cases=[case])
 
+    def test_decrease_check_needs_clf(self):
+        with pytest.raises(ValueError, match="check_decrease needs a clf"):
+            scalar_campaign(check_decrease=True)
+        scalar_campaign(check_decrease=True, clf=scalar_abs_clf())
+
     def test_inadmissible_must_be_tagged(self):
         part = make_partition("uniform", 1.0, 0.5)   # coarser than guard.delta
         case = CampaignCase(np.array([0.5]), zero_signal(1), zero_signal(1), part)
@@ -226,7 +231,7 @@ def reference_campaign(c, budget, seed, horizon):
                      "worst_margin": min(add_m, max_m), "margin_additive": add_m,
                      "margin_maxform": max_m, "margin_additive_fine": fine_m,
                      "first_violation_t": first, "pass": ok})
-        if c.check_decrease and c.clf is not None:
+        if c.check_decrease:
             rep = decrease_check(traj, c.clf, c.guard, c.s_level)
             rows[-1]["decrease"] = {"checked": rep.checked, "excluded": rep.excluded,
                                     "violations": len(rep.violations)}

@@ -48,7 +48,9 @@ BENCHMARK_SEEDS = (0, 1)
 # radius and one escapes in its 34th interval, inside the first block of 64,
 # while the others run on through eight blocks. The defaults campaign and
 # the envelope give only the fields they must, so every default they read is
-# pinned
+# pinned. The linear test's constant disturbance of 5 draws its levels
+# towards 5, and the counterexample run starts where the square of |x0|
+# overflows, beyond the escape radius
 BUILTIN = [
     ("builtin/simulate_noisy_sample_exit", "simulate", {
         "schema": 1,
@@ -96,6 +98,17 @@ BUILTIN = [
     }),
     ("builtin/envelope_defaults", "envelope", {
         "schema": 1, "clf": "scalar_square", "radius_max": 5.0,
+    }),
+    ("builtin/euler_linear_test_disturbed", "euler", {
+        "schema": 1, "linear_test": True, "x0": [1.0],
+        "base_step": 0.2, "levels": 4, "horizon": 1.0,
+        "disturbance": {"kind": "constant", "value": [5.0]},
+        "envelope": {"epsilon": 0.05},
+    }),
+    ("builtin/simulate_start_overflows", "simulate", {
+        "schema": 1, "loop": {"system": "counterexample", "feedback": "zero"},
+        "partition": {"kind": "uniform", "step": 0.05}, "horizon": 0.5,
+        "x0": [1e200],
     }),
 ]
 
